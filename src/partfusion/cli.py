@@ -24,6 +24,7 @@ from .data import (
     load_index,
     make_registry,
     read_features,
+    read_tsv_rows,
 )
 from .fusion import (
     FusionWeights,
@@ -111,7 +112,10 @@ def _train_cfg(args) -> TrainConfig:
 
 def _weights_for(args, registry) -> tuple[FusionWeights, list[Path]]:
     if args.weights:
-        return read_weights(args.weights), [Path(args.weights)]
+        fw = read_weights(args.weights)
+        if len(fw) != len(registry.parts):
+            raise ValueError(f"{args.weights}: {len(fw)} weights for {len(registry.parts)} parts")
+        return fw, [Path(args.weights)]
     return FusionWeights(np.ones(len(registry.parts))), []
 
 
@@ -231,6 +235,21 @@ def cmd_train_parts(args) -> int:
     return 0
 
 
+def _read_id_map(path: Path, tables: dict) -> dict[int, int]:
+    """An ``instance_id<TAB>integer`` file that must cover every table instance."""
+    mapping = {}
+    for where, (key, value) in read_tsv_rows(path, 2):
+        try:
+            mapping[int(key)] = int(value)
+        except ValueError:
+            raise ValueError(f"{where}: expected two integers, got {key!r}, {value!r}") from None
+    for table in tables.values():
+        missing = [i for i in table.instance_ids.tolist() if i not in mapping]
+        if missing:
+            raise ValueError(f"{path}: no row for instance {missing[0]} of part {table.part_id}'s table")
+    return mapping
+
+
 def cmd_learn_weights(args) -> int:
     out = _out_dir(args)
     tables_dir = Path(args.tables)
@@ -241,22 +260,8 @@ def cmd_learn_weights(args) -> int:
     for f in table_files:
         t = read_prob_table(f)
         tables[t.part_id] = t
-    labels_of = {
-        int(a): int(b)
-        for a, b in (
-            line.split("\t")
-            for line in (tables_dir / "labels.tsv").read_text(encoding="utf-8").splitlines()
-            if line
-        )
-    }
-    halves = {
-        int(a): int(b)
-        for a, b in (
-            line.split("\t")
-            for line in (tables_dir / "halves.tsv").read_text(encoding="utf-8").splitlines()
-            if line
-        )
-    }
+    labels_of = _read_id_map(tables_dir / "labels.tsv", tables)
+    halves = _read_id_map(tables_dir / "halves.tsv", tables)
     C_grid = tuple(float(c) for c in args.c_grid.split(",")) if args.c_grid else _DEFAULT_C_GRID
     fw, info = learn_weights(
         tables, labels_of, halves, C_grid=C_grid, seed=args.seed, clamp_nonnegative=args.clamp

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,7 @@ __all__ = [
     "load_index",
     "make_registry",
     "read_features",
+    "read_tsv_rows",
     "write_features",
     "write_index",
 ]
@@ -51,6 +53,22 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_tsv_rows(path: str | Path, n_fields: int) -> Iterator[tuple[str, list[str]]]:
+    """Yield (``path:line``, fields) for each non-empty line of a UTF-8 TSV file.
+
+    A line with another field count raises ValueError naming its location,
+    which callers also prefix to their own field errors.
+    """
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ValueError(f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}")
+        yield f"{path}:{lineno}", fields
+
 
 SPLITS = ("train", "val", "test", "leftover")
 GLOBAL_PART_ID = 0
@@ -199,24 +217,19 @@ def load_index(path: str | Path) -> Dataset:
     label_splits: dict[str, set[str]] = {}
     uploader_splits: dict[int, set[str]] = {}
 
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 10:
-            raise ValueError(f"{path}:{lineno}: expected 10 tab-separated fields, got {len(parts)}")
+    for where, parts in read_tsv_rows(path, 10):
         iid, pid, aid, uid = (int(parts[i]) for i in range(4))
         head = BBox(float(parts[4]), float(parts[5]), float(parts[6]), float(parts[7]))
         head.require_valid()
         label, split = parts[8], parts[9]
         if split not in SPLITS:
-            raise ValueError(f"{path}:{lineno}: unknown split {split!r}")
+            raise ValueError(f"{where}: unknown split {split!r}")
         if iid in seen_ids:
-            raise ValueError(f"{path}:{lineno}: duplicate instance id {iid}")
+            raise ValueError(f"{where}: duplicate instance id {iid}")
         seen_ids.add(iid)
         head_key = (pid, head.x, head.y, head.w, head.h)
         if head_key in seen_heads:
-            raise ValueError(f"{path}:{lineno}: duplicate head box in photo {pid}")
+            raise ValueError(f"{where}: duplicate head box in photo {pid}")
         seen_heads.add(head_key)
         label_splits.setdefault(label, set()).add(split)
         uploader_splits.setdefault(uid, set()).add(split)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_write_bytes, atomic_write_text
+from .data import atomic_write_bytes, atomic_write_text, read_tsv_rows
 from .svm import TrainConfig, mix_seed, train_binary
 
 __all__ = [
@@ -220,14 +220,16 @@ def write_weights(path: str | Path, fw: FusionWeights) -> None:
 def read_weights(path: str | Path) -> FusionWeights:
     w: dict[int, float] = {}
     bias = 0.0
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        key, value = line.split("\t")
-        if key == "bias":
-            bias = float(value)
+    for where, (key, value) in read_tsv_rows(path, 2):
+        try:
+            number = float(value)
+            part_id = None if key == "bias" else int(key)
+        except ValueError:
+            raise ValueError(f"{where}: expected a part id or 'bias' and a number, got {key!r}, {value!r}") from None
+        if part_id is None:
+            bias = number
         else:
-            w[int(key)] = float(value)
+            w[part_id] = number
     if sorted(w) != list(range(len(w))):
         raise ValueError(f"{path}: part ids must be contiguous from 0")
     return FusionWeights(np.asarray([w[i] for i in range(len(w))]), bias)
@@ -348,12 +350,16 @@ def learn_weights(
     if fit_idx.size == 0 or held_idx.size == 0:
         raise ValueError("both halves must contribute pairs")
 
+    grid_cfgs = [
+        TrainConfig(C=C, epochs=epochs, seed=mix_seed(seed, 1, k), class_weighting="inverse-frequency")
+        for k, C in enumerate(C_grid)
+    ]
+    grid = train_binary(X[fit_idx], y[fit_idx], grid_cfgs)
+    X_held = X[held_idx]
     grid_scores: list[tuple[float, float]] = []
     best_C, best_score = float(C_grid[0]), -1.0
-    for k, C in enumerate(C_grid):
-        cfg = TrainConfig(C=C, epochs=epochs, seed=mix_seed(seed, 1, k), class_weighting="inverse-frequency")
-        model = train_binary(X[fit_idx], y[fit_idx], cfg)
-        pred = np.where(model.scores(X[held_idx])[:, 0] > 0.0, 1, -1)
+    for C, model in zip(C_grid, grid.models):
+        pred = np.where(model.scores(X_held)[:, 0] > 0.0, 1, -1)
         acc = _balanced_accuracy(y[held_idx], pred)
         grid_scores.append((float(C), acc))
         if acc > best_score + 1e-12:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import GLOBAL_PART_ID, Instance, atomic_write_text
 from .geometry import BBox, BodyExtrapolation, DEFAULT_BODY_EXTRAPOLATION, body_from_head, iou
@@ -135,6 +134,17 @@ def _augmented(adm: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Admissible edges lifted by a bonus so cardinality dominates weight."""
     bonus = float(min(adm.shape)) + 1.0
     return np.where(adm, W + bonus, 0.0)
+
+
+def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's rectangular assignment solver, imported on first use.
+
+    Only matching needs scipy, and importing it costs about half a second,
+    so the commands that never match do not pay for it.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost, maximize=maximize)
 
 
 def _opt_value(aug: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:

@@ -1,8 +1,13 @@
 """Linear SVMs trained by seeded mini-batch stochastic subgradient descent.
 
-One-vs-rest multiclass training is vectorized over classes: every class row
-shares the same mini-batch schedule, so a K-class model costs one pass over
-the data per epoch regardless of K. The learning-rate schedule is
+One loop fits a stack of independent problems. One-vs-rest multiclass
+training is one problem vectorized over classes: every class row shares the
+same mini-batch schedule, so a K-class model costs one pass over the data per
+epoch regardless of K. A binary grid (``train_binary`` given several configs)
+is one problem per config: each grid row has its own C, its own permutation
+stream seeded from its own config seed, so its own batches, and its own step
+scale and rollbacks, and equals a separate one-config fit bit for bit. The
+rows share only the Python-level loop. The learning-rate schedule is
 eta_t = step_scale / (lambda * t) with lambda = 1 / (C * n).
 
 The recorded objective history is non-increasing per class by construction:
@@ -14,13 +19,14 @@ actually kept, never an optimistic number.
 Model file format (binary): magic ``PLM1``, n_classes u32 LE, d u32 LE,
 class_index (n_classes x i64 LE), weights (n_classes x d float64 LE,
 row-major), biases (n_classes float64 LE). No timestamps, so writes are
-byte-stable.
+byte-stable. A file whose length disagrees with its header is rejected.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +35,7 @@ from .data import atomic_write_bytes
 
 __all__ = [
     "LinearModel",
+    "ModelGrid",
     "TrainConfig",
     "hinge_objective",
     "hinge_subgradient",
@@ -213,15 +220,48 @@ def _inverse_frequency_weights(y_pos: np.ndarray, n_classes: int) -> np.ndarray:
     return np.where(is_pos, n / (2.0 * pos_counts), n / (2.0 * neg_counts))
 
 
+def _sgd_step(
+    W: np.ndarray,
+    b: np.ndarray,
+    Xb: np.ndarray,
+    Sb: np.ndarray,
+    CSb: np.ndarray,
+    lam: np.ndarray,
+    eta: np.ndarray,
+    fit_bias: bool,
+) -> None:
+    """One mini-batch step on a stack of G problems, updating W and b in place.
+
+    Shapes: W (G, K, d), b (G, K), Xb (G, B, d) the batch rows, Sb (G, B, K)
+    their signs, CSb (G, B, K) their signs times class weights, lam (G, 1, 1),
+    eta (G, K). Per problem the arithmetic is `hinge_subgradient`'s, operation
+    for operation, so each slice is bit-identical to a separate fit; batched
+    ``matmul`` keeps that where ``einsum`` would reorder the sums.
+    """
+    margins = Sb * (Xb @ W.transpose(0, 2, 1) + b[:, None, :])
+    coef = (margins < 1.0) * CSb
+    n = Xb.shape[1]
+    W -= eta[:, :, None] * (lam * W - (coef.transpose(0, 2, 1) @ Xb) / n)
+    if fit_bias:
+        b -= eta * (-coef.sum(axis=1) / n)
+
+
 def _run_sgd(
     X: np.ndarray,
     y_pos: np.ndarray,
     n_classes: int,
-    cfg: TrainConfig,
+    cfgs: tuple[TrainConfig, ...],
     class_weights: np.ndarray | None,
     row_ids: np.ndarray | None,
-    class_index: np.ndarray,
-) -> LinearModel:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Fit a stack of independent problems, one per config, in one loop.
+
+    Problem g has ``n_classes`` rows sharing one mini-batch schedule, its own
+    lambda = 1 / (C_g * n), its own permutation stream seeded from
+    ``cfgs[g].seed`` and its own step scales and rollbacks. So problem g is
+    bit-identical to fitting ``cfgs[g]`` alone. Returns W (G, K, d), b (G, K)
+    and the per-epoch objectives, each (G, K).
+    """
     X = np.asarray(X, dtype=np.float64)
     y_pos = np.asarray(y_pos, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y_pos.shape[0]:
@@ -229,6 +269,10 @@ def _run_sgd(
     n, d = X.shape
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    shared = {replace(c, C=1.0, seed=0, step_scale=1.0) for c in cfgs}
+    if len(shared) != 1:
+        raise ValueError("stacked configs may differ only in C, seed and step_scale")
+    cfg = cfgs[0]
 
     # canonical row order: the result must not depend on caller row order
     if row_ids is not None:
@@ -240,38 +284,45 @@ def _run_sgd(
         if class_weights is not None:
             class_weights = class_weights[order]
 
-    lam = 1.0 / (cfg.C * n)
-    W = np.zeros((n_classes, d))
-    b = np.zeros(n_classes)
-    step_scale = np.full(n_classes, cfg.step_scale)
-    history = [hinge_objective(W, b, X, y_pos, lam, class_weights)]
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n, d, n_classes]))
+    G = len(cfgs)
+    lam = np.asarray([1.0 / (c.C * n) for c in cfgs])
+    W = np.zeros((G, n_classes, d))
+    b = np.zeros((G, n_classes))
+    step_scale = np.repeat([[c.step_scale] for c in cfgs], n_classes, axis=1)
+    S = _signs(y_pos, n_classes)
+    CS = S if class_weights is None else _weight_columns(class_weights) * S
 
+    def objective() -> np.ndarray:
+        return np.stack([hinge_objective(W[g], b[g], X, y_pos, lam[g], class_weights) for g in range(G)])
+
+    history = [objective()]
+    rngs = [np.random.default_rng(np.random.SeedSequence([c.seed, n, d, n_classes])) for c in cfgs]
+    perm = np.empty((G, n), dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+
+    lam_rows, lam_steps = lam[:, None], lam[:, None, None]
     t = 0
     for _epoch in range(cfg.epochs):
         prev_W, prev_b = W.copy(), b.copy()
         prev_obj = history[-1]
-        perm = rng.permutation(n)
+        for g, rng in enumerate(rngs):
+            perm[g] = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
+            idx = perm[:, start : start + cfg.batch_size]
             t += 1
-            eta = step_scale / (lam * t)
-            cwb = class_weights[idx] if class_weights is not None else None
-            gW, gb = hinge_subgradient(W, b, X[idx], y_pos[idx], lam, cwb)
-            W -= eta[:, None] * gW
-            if cfg.fit_bias:
-                b -= eta * gb
-        obj = hinge_objective(W, b, X, y_pos, lam, class_weights)
+            eta = step_scale / (lam_rows * t)
+            Xb, Sb, CSb = np.take(X, idx, axis=0), np.take(S, idx, axis=0), np.take(CS, idx, axis=0)
+            _sgd_step(W, b, Xb, Sb, CSb, lam_steps, eta, cfg.fit_bias)
+        obj = objective()
         worse = obj > prev_obj
         if np.any(worse):
-            # reject the epoch for regressed classes and damp their step
+            # reject the epoch for regressed rows and damp their step
             W[worse] = prev_W[worse]
             b[worse] = prev_b[worse]
             step_scale[worse] *= 0.5
             obj = np.where(worse, prev_obj, obj)
         history.append(obj)
 
-    return LinearModel(W, b, class_index, objective_history=history)
+    return W, b, history
 
 
 def train_multiclass(
@@ -294,20 +345,41 @@ def train_multiclass(
     cw = None
     if cfg.class_weighting == "inverse-frequency":
         cw = _inverse_frequency_weights(y_pos, class_index.size)
-    return _run_sgd(X, y_pos, class_index.size, cfg, cw, row_ids, class_index)
+    W, b, history = _run_sgd(X, y_pos, class_index.size, (cfg,), cw, row_ids)
+    return LinearModel(W[0], b[0], class_index, objective_history=[h[0] for h in history])
+
+
+@dataclass(frozen=True)
+class ModelGrid:
+    """Binary models fitted side by side on one dataset, one per config.
+
+    ``models[k]`` is bit-identical to ``train_binary(X, y, cfgs[k])``.
+    """
+
+    models: tuple[LinearModel, ...]
+
+    @property
+    def objective_history(self) -> list[np.ndarray]:
+        """Per epoch, every model's objective in config order."""
+        return [np.concatenate(epoch) for epoch in zip(*(m.objective_history for m in self.models))]
 
 
 def train_binary(
     X: np.ndarray,
     y_pm: np.ndarray,
-    cfg: TrainConfig = TrainConfig(class_weighting="inverse-frequency"),
+    cfg: TrainConfig | Sequence[TrainConfig] = TrainConfig(class_weighting="inverse-frequency"),
     row_ids: np.ndarray | None = None,
-) -> LinearModel:
+) -> LinearModel | ModelGrid:
     """Binary linear SVM on +-1 labels; one weight row scoring the positive class.
 
     With ``class_weighting="inverse-frequency"`` each example is weighted by
     n / (2 * n_its_side), so both sides contribute equal total loss mass.
+    Given a sequence of configs (differing only in C, seed and step_scale),
+    fits one model per config in a single pass and returns a `ModelGrid`.
     """
+    cfgs = (cfg,) if isinstance(cfg, TrainConfig) else tuple(cfg)
+    if not cfgs:
+        raise ValueError("no training configs")
     y_pm = np.asarray(y_pm, dtype=np.int64)
     if not np.all(np.isin(y_pm, (-1, 1))):
         raise ValueError("binary labels must be +-1")
@@ -316,12 +388,17 @@ def train_binary(
     # one class row (index 0); positives must satisfy y_pos == 0 to get sign +1
     y_pos = np.where(y_pm > 0, 0, 1)
     cw = None
-    if cfg.class_weighting == "inverse-frequency":
+    if cfgs[0].class_weighting == "inverse-frequency":
         n = y_pm.shape[0]
         n_pos = int(np.sum(y_pm > 0))
         per_example = np.where(y_pm > 0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
         cw = per_example[:, None]
-    return _run_sgd(X, y_pos, 1, cfg, cw, row_ids, np.asarray([1], dtype=np.int64))
+    W, b, history = _run_sgd(X, y_pos, 1, cfgs, cw, row_ids)
+    models = tuple(
+        LinearModel(W[g], b[g], np.asarray([1], dtype=np.int64), objective_history=[h[g] for h in history])
+        for g in range(len(cfgs))
+    )
+    return models[0] if isinstance(cfg, TrainConfig) else ModelGrid(models)
 
 
 def write_model_bytes(model: LinearModel) -> bytes:
@@ -337,7 +414,12 @@ def write_model_bytes(model: LinearModel) -> bytes:
 def read_model_bytes(buf: bytes) -> LinearModel:
     if buf[:4] != _MODEL_MAGIC:
         raise ValueError(f"bad model magic {buf[:4]!r}")
+    if len(buf) < 12:
+        raise ValueError(f"model header needs 12 bytes, got {len(buf)}")
     n_classes, d = struct.unpack("<II", buf[4:12])
+    expected = 12 + 8 * n_classes * (d + 2)
+    if len(buf) != expected:
+        raise ValueError(f"model of {n_classes} classes x {d} dims needs {expected} bytes, got {len(buf)}")
     off = 12
     class_index = np.frombuffer(buf[off : off + n_classes * 8], dtype="<i8")
     off += n_classes * 8
@@ -352,4 +434,7 @@ def save_model(path: str | Path, model: LinearModel) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
-    return read_model_bytes(Path(path).read_bytes())
+    try:
+        return read_model_bytes(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import shutil
 import subprocess
 import sys
 
@@ -308,6 +310,60 @@ def test_errors_exit_nonzero(data_dir, tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_weights", [2, 6])
+def test_eval_rejects_weights_not_matching_parts(data_dir, tmp_path, capsys, n_weights):
+    weights = tmp_path / "weights.tsv"
+    weights.write_text("".join(f"{i}\t1.0\n" for i in range(n_weights)) + "bias\t0.0\n")
+    rc = main(
+        [
+            "eval",
+            "--protocol", "recognition",
+            "--dataset", str(data_dir / "index.tsv"),
+            "--features", str(data_dir / "features"),
+            "--weights", str(weights),
+            "--out", str(tmp_path / "e"),
+        ]
+    )
+    assert rc == 1
+    assert f"{weights}: {n_weights} weights for 5 parts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        (
+            "labels.tsv",
+            lambda lines: lines[:1] + [lines[1] + "\t9"] + lines[2:],
+            r"labels.tsv:2: expected 2 tab-separated fields, got 3",
+        ),
+        (
+            "halves.tsv",
+            lambda lines: lines[:2] + ["7\tone"] + lines[3:],
+            r"halves.tsv:3: expected two integers, got '7', 'one'",
+        ),
+        ("halves.tsv", lambda lines: lines[1:], r"halves.tsv: no row for instance \d+ of part 0's table"),
+        ("labels.tsv", lambda lines: lines[:-1], r"labels.tsv: no row for instance \d+ of part 0's table"),
+    ],
+)
+def test_learn_weights_input_errors_name_the_file(trained_dir, tmp_path, capsys, name, edit, message):
+    tables = tmp_path / "parts"
+    shutil.copytree(trained_dir, tables)
+    lines = (tables / name).read_text().splitlines()
+    (tables / name).write_text("\n".join(edit(lines)) + "\n")
+    rc = main(["learn-weights", "--tables", str(tables), "--c-grid", "1.0", "--out", str(tmp_path / "w")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(tables / name) in err
+    assert re.search(message, err), err
+
+
+def test_cli_import_leaves_scipy_out():
+    # only `match` needs scipy.optimize; every other command skips its import cost
+    code = "import sys, partfusion.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

@@ -16,6 +16,8 @@ from partfusion import (
     write_prob_table,
     write_weights,
 )
+from partfusion.fusion import _balanced_accuracy, _pair_dataset
+from partfusion.svm import TrainConfig, mix_seed, train_binary
 
 
 class TestCoverageMass:
@@ -177,6 +179,20 @@ class TestWeightsFile:
         with pytest.raises(ValueError):
             FusionWeights(np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0\t1.0\n1\t2.0\t3\n", r"weights.tsv:2: expected 2 tab-separated fields, got 3"),
+            ("0\t1.0\n\n1\tabc\n", r"weights.tsv:3: expected a part id or 'bias' and a number"),
+            ("x\t1.0\n", r"weights.tsv:1: expected a part id"),
+        ],
+    )
+    def test_malformed_lines_name_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "weights.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_weights(path)
+
 
 def _tables_from_scores(scores, labels, n_y):
     """Build per-part softmax-ish tables from raw per-part score matrices."""
@@ -242,6 +258,27 @@ class TestLearnWeights:
         tables, labels, halves = self._planted_setup(35)
         with pytest.raises(ValueError):
             learn_weights(tables, labels, halves, C_grid=(), seed=0)
+
+    def test_grid_matches_one_fit_per_c(self):
+        # oracle: the grid as separate train_binary fits, as learn_weights once ran it
+        tables, labels, halves = self._planted_setup(37, n=50)
+        grid, seed = (0.0625, 1.0, 16.0), 3
+        fw, info = learn_weights(tables, labels, halves, C_grid=grid, seed=seed, epochs=8)
+
+        X, y, owner = _pair_dataset(tables, labels)
+        half = np.asarray([halves[i] for i in owner.tolist()])
+        fit, held = half == 0, half == 1
+        expected = []
+        for k, C in enumerate(grid):
+            cfg = TrainConfig(C=C, epochs=8, seed=mix_seed(seed, 1, k), class_weighting="inverse-frequency")
+            model = train_binary(X[fit], y[fit], cfg)
+            pred = np.where(model.scores(X[held])[:, 0] > 0.0, 1, -1)
+            expected.append((C, _balanced_accuracy(y[held], pred)))
+        assert info.grid_scores == tuple(expected)
+        best_C = info.best_C
+        cfg = TrainConfig(C=best_C, epochs=8, seed=mix_seed(seed, 2, 0), class_weighting="inverse-frequency")
+        final = train_binary(X, y, cfg)
+        assert np.array_equal(fw.w, final.W[0]) and fw.bias == final.b[0]
 
     def test_tie_prefers_smaller_c(self):
         # perfectly separable pairs: every C scores 1.0, so the smallest wins

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partfusion import (
     LinearModel,
+    ModelGrid,
     TrainConfig,
     hinge_objective,
     hinge_subgradient,
@@ -14,6 +17,7 @@ from partfusion import (
     train_binary,
     train_multiclass,
 )
+from partfusion.svm import _sgd_step, _signs, read_model_bytes, write_model_bytes
 
 
 def _separable_two_class(rng, n=40, d=5, gap=2.0):
@@ -215,6 +219,119 @@ class TestTrainBinary:
             train_binary(np.ones((4, 2)), np.array([0, 1, 0, 1]), TrainConfig())
 
 
+def _assert_same_fit(got: LinearModel, ref: LinearModel) -> None:
+    assert np.array_equal(got.W, ref.W)
+    assert np.array_equal(got.b, ref.b)
+    assert len(got.objective_history) == len(ref.objective_history)
+    for h_got, h_ref in zip(got.objective_history, ref.objective_history):
+        assert np.array_equal(h_got, h_ref)
+
+
+def _rolled_back(model: LinearModel) -> int:
+    H = model.objective_history
+    return sum(int(np.sum(b == a)) for a, b in zip(H, H[1:]))
+
+
+class TestTrainBinaryGrid:
+    """A grid fit must equal separate one-config fits bit for bit."""
+
+    def _problem(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        y = np.where(X @ rng.normal(size=d) + rng.normal(0, 0.5, n) > 0.3, 1, -1)
+        y[:2] = (1, -1)
+        return X, y
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(4, 150),
+        d=st.integers(1, 8),
+        batch_size=st.sampled_from([1, 5, 32]),
+        epochs=st.integers(1, 6),
+        weighting=st.sampled_from(["uniform", "inverse-frequency"]),
+        grid=st.lists(
+            st.tuples(st.integers(-8, 8), st.integers(0, 999), st.sampled_from([1.0, 8.0])),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_rows_equal_separate_fits(self, seed, n, d, batch_size, epochs, weighting, grid):
+        X, y = self._problem(seed, n, d)
+        cfgs = [
+            TrainConfig(
+                C=2.0**log_c,
+                epochs=epochs,
+                batch_size=batch_size,
+                seed=row_seed,
+                class_weighting=weighting,
+                step_scale=scale,
+            )
+            for log_c, row_seed, scale in grid
+        ]
+        fitted = train_binary(X, y, cfgs)
+        assert isinstance(fitted, ModelGrid)
+        assert len(fitted.models) == len(cfgs)
+        for cfg, model in zip(cfgs, fitted.models):
+            _assert_same_fit(model, train_binary(X, y, cfg))
+
+    def test_ragged_last_batch_and_rollback(self):
+        # 101 rows in batches of 32; a large step scale makes some row reject epochs
+        X, y = self._problem(7, 101, 4)
+        cfgs = [
+            TrainConfig(C=C, epochs=12, seed=k, class_weighting="inverse-frequency", step_scale=30.0)
+            for k, C in enumerate((0.01, 1.0, 100.0))
+        ]
+        assert X.shape[0] % cfgs[0].batch_size != 0
+        fitted = train_binary(X, y, cfgs)
+        singles = [train_binary(X, y, cfg) for cfg in cfgs]
+        for model, single in zip(fitted.models, singles):
+            _assert_same_fit(model, single)
+        rolled = [_rolled_back(m) for m in singles]
+        assert any(r > 0 for r in rolled) and not all(r == rolled[0] for r in rolled)
+        # the grid's history stacks the rows, so trace counts add up
+        H = fitted.objective_history
+        assert all(h.shape == (3,) for h in H)
+        assert sum(int(np.sum(b == a)) for a, b in zip(H, H[1:])) == sum(rolled)
+
+    def test_configs_must_share_schedule(self):
+        X, y = self._problem(8, 20, 2)
+        with pytest.raises(ValueError, match="differ only"):
+            train_binary(X, y, [TrainConfig(epochs=2), TrainConfig(epochs=3)])
+        with pytest.raises(ValueError, match="no training configs"):
+            train_binary(X, y, [])
+
+
+class TestSgdStep:
+    """One loop step equals the update built from `hinge_subgradient`."""
+
+    @pytest.mark.parametrize("G,K,weighted", [(1, 4, False), (1, 4, True), (5, 1, True), (3, 3, False)])
+    def test_step_matches_subgradient(self, G, K, weighted):
+        rng = np.random.default_rng(G * 10 + K)
+        n, d, B = 40, 6, 9
+        X = rng.normal(size=(n, d))
+        y_pos = rng.integers(0, K, n)
+        cw = rng.uniform(0.5, 2.0, (n, K)) if weighted else None
+        S = _signs(y_pos, K)
+        CS = S if cw is None else cw * S
+        W = rng.normal(0, 0.3, (G, K, d))
+        b = rng.normal(0, 0.1, (G, K))
+        lam = rng.uniform(1e-3, 1e-1, G)
+        eta = rng.uniform(0.1, 2.0, (G, K))
+        idx = np.stack([rng.permutation(n)[:B] for _ in range(G)])
+
+        expected_W, expected_b = W.copy(), b.copy()
+        for g in range(G):
+            gW, gb = hinge_subgradient(
+                W[g], b[g], X[idx[g]], y_pos[idx[g]], lam[g], None if cw is None else cw[idx[g]]
+            )
+            expected_W[g] -= eta[g][:, None] * gW
+            expected_b[g] -= eta[g] * gb
+        _sgd_step(W, b, X[idx], S[idx], CS[idx], lam[:, None, None], eta, True)
+        assert np.array_equal(W, expected_W)
+        assert np.array_equal(b, expected_b)
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -247,6 +364,20 @@ class TestModelFile:
         np.testing.assert_array_equal(back.W, model.W)
         np.testing.assert_array_equal(back.b, model.b)
         np.testing.assert_array_equal(back.class_index, model.class_index)
+
+    def test_truncated_or_trailing_bytes_rejected(self, tmp_path):
+        model = LinearModel(np.ones((2, 3)), np.zeros(2), np.arange(2), [])
+        buf = write_model_bytes(model)
+        with pytest.raises(ValueError, match=f"needs {len(buf)} bytes, got {len(buf) - 1}"):
+            read_model_bytes(buf[:-1])
+        with pytest.raises(ValueError, match=f"needs {len(buf)} bytes, got {len(buf) + 1}"):
+            read_model_bytes(buf + b"\0")
+        with pytest.raises(ValueError, match="header needs 12 bytes, got 6"):
+            read_model_bytes(buf[:6])
+        path = tmp_path / "short.plm"
+        path.write_bytes(buf[:-1])
+        with pytest.raises(ValueError, match="short.plm"):
+            load_model(path)
 
     def test_write_is_deterministic(self, tmp_path):
         model = LinearModel(np.ones((2, 2)), np.zeros(2), np.arange(2), [])
