@@ -12,6 +12,7 @@ File formats owned here:
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from collections.abc import Iterator
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import BBox
+from .geometry import BBox, GeometryError
 
 __all__ = [
     "GLOBAL_PART_ID",
@@ -38,6 +39,7 @@ __all__ = [
     "make_registry",
     "read_features",
     "read_tsv_rows",
+    "require_header",
     "write_features",
     "write_index",
 ]
@@ -74,6 +76,13 @@ SPLITS = ("train", "val", "test", "leftover")
 GLOBAL_PART_ID = 0
 
 _FEATURE_MAGIC = b"PFV1"
+_FEATURE_HEADER_BYTES = 17  # magic, part_id, d, n, normalization flag
+
+
+def require_header(path: str | Path, buf: bytes, n_bytes: int) -> None:
+    """Reject a binary file too short to hold its fixed-size header."""
+    if len(buf) < n_bytes:
+        raise ValueError(f"{path}: truncated header: {len(buf)} bytes, the header needs {n_bytes}")
 
 
 @dataclass(frozen=True)
@@ -202,12 +211,39 @@ def write_index(path: str | Path, records: list[tuple[int, int, int, int, BBox, 
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+_INDEX_NUMERIC_FIELDS = (
+    ("instance_id", int),
+    ("photo_id", int),
+    ("album_id", int),
+    ("uploader_id", int),
+    ("head x", float),
+    ("head y", float),
+    ("head w", float),
+    ("head h", float),
+)
+
+
+def _bad_index_field(where: str, fields: list[str]) -> ValueError:
+    """The error for the first numeric index field that does not parse or is not finite."""
+    for (name, kind), text in zip(_INDEX_NUMERIC_FIELDS, fields):
+        try:
+            if math.isfinite(kind(text)):
+                continue
+        except ValueError:
+            pass
+        expected = "an integer" if kind is int else "a finite number"
+        return ValueError(f"{where}: {name} must be {expected}, got {text!r}")
+    raise AssertionError("every numeric field parsed")
+
+
 def load_index(path: str | Path) -> Dataset:
     """Load and validate a dataset index.
 
-    Rejects: malformed lines, degenerate head boxes, duplicate instance ids,
-    duplicate head boxes within one photo, identities appearing in more than
-    one of {train, val, test}, and uploaders whose instances span splits.
+    Rejects malformed lines, non-numeric or non-finite numeric fields,
+    degenerate head boxes, duplicate instance ids and duplicate head boxes
+    within one photo, each named by ``path:line``; then identities appearing
+    in more than one of {train, val, test}, and uploaders whose instances
+    span splits.
     Identity ids are re-indexed densely per split (labels sorted); the
     original string labels are kept on each instance and in a side map.
     """
@@ -218,9 +254,17 @@ def load_index(path: str | Path) -> Dataset:
     uploader_splits: dict[int, set[str]] = {}
 
     for where, parts in read_tsv_rows(path, 10):
-        iid, pid, aid, uid = (int(parts[i]) for i in range(4))
-        head = BBox(float(parts[4]), float(parts[5]), float(parts[6]), float(parts[7]))
-        head.require_valid()
+        try:
+            iid, pid, aid, uid = (int(parts[i]) for i in range(4))
+            head = BBox(float(parts[4]), float(parts[5]), float(parts[6]), float(parts[7]))
+        except ValueError:
+            raise _bad_index_field(where, parts) from None
+        if not all(map(math.isfinite, (head.x, head.y, head.w, head.h))):
+            raise _bad_index_field(where, parts)
+        try:
+            head.require_valid()
+        except GeometryError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         label, split = parts[8], parts[9]
         if split not in SPLITS:
             raise ValueError(f"{where}: unknown split {split!r}")
@@ -343,9 +387,10 @@ def read_features(path: str | Path, normalize: bool = True) -> FeatureMatrix:
     buf = Path(path).read_bytes()
     if buf[:4] != _FEATURE_MAGIC:
         raise ValueError(f"{path}: bad magic {buf[:4]!r}")
-    part_id, d, n, flag = struct.unpack("<III B", buf[4:17])
+    require_header(path, buf, _FEATURE_HEADER_BYTES)
+    part_id, d, n, flag = struct.unpack("<III B", buf[4:_FEATURE_HEADER_BYTES])
     rec = np.dtype([("id", "<u8"), ("x", "<f4", (d,))])
-    body = np.frombuffer(buf[17:], dtype=rec)
+    body = np.frombuffer(buf[_FEATURE_HEADER_BYTES:], dtype=rec)
     if body.shape[0] != n:
         raise ValueError(f"{path}: expected {n} records, found {body.shape[0]}")
     fm = FeatureMatrix(

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_write_bytes, atomic_write_text, read_tsv_rows
+from .data import atomic_write_bytes, atomic_write_text, read_tsv_rows, require_header
 from .svm import TrainConfig, mix_seed, train_binary
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _TABLE_MAGIC = b"PPT1"
+_TABLE_HEADER_BYTES = 16  # magic, part_id, n_y, n
 
 
 @dataclass
@@ -116,9 +117,10 @@ def read_prob_table(path: str | Path) -> ProbabilityTable:
     buf = Path(path).read_bytes()
     if buf[:4] != _TABLE_MAGIC:
         raise ValueError(f"{path}: bad magic {buf[:4]!r}")
-    part_id, n_y, n = struct.unpack("<III", buf[4:16])
+    require_header(path, buf, _TABLE_HEADER_BYTES)
+    part_id, n_y, n = struct.unpack("<III", buf[4:_TABLE_HEADER_BYTES])
     rec = np.dtype([("id", "<u8"), ("act", "u1"), ("p", "<f4", (n_y,))])
-    body = np.frombuffer(buf[16:], dtype=rec)
+    body = np.frombuffer(buf[_TABLE_HEADER_BYTES:], dtype=rec)
     if body.shape[0] != n:
         raise ValueError(f"{path}: expected {n} rows, found {body.shape[0]}")
     P = body["p"].astype(np.float64)

@@ -3,8 +3,10 @@
 The recognition protocol splits an evaluation set into two stratified halves,
 trains every part's SVM on each half, scores the other half, sparsity-fills
 the part predictions against the global model, fuses them with the learned
-mixing weights, and averages the two halves' accuracies. The ablation,
-face/non-face, one-shot, and retrieval protocols reuse the same machinery.
+mixing weights, and averages the two halves' accuracies. Training and
+scoring are separate steps, so the ablation trains each (half, part) model
+once and scores every component mask from it. The face/non-face, one-shot,
+and retrieval protocols reuse the same machinery.
 
 Reports serialize as a flat key-value text file (``key<TAB>value`` lines)
 plus, for protocols with a curve, a CSV with header ``x,mean,sigma``.
@@ -254,102 +256,129 @@ def _part_probabilities(
 
 
 @dataclass
-class _RecognitionRun:
-    preds: dict[int, int]
-    truth: dict[int, int]
-    half_of: dict[int, int]
-    half_accuracies: tuple[float, float]
-    accuracy: float
+class _HalfModels:
+    """Part models trained on each stratified half of one split.
+
+    Part SVMs depend only on the training half, the part and the seed, never
+    on the component mask, ``fill`` or the fusion weights, so one training
+    pass serves every scoring of the split.
+    """
+
+    features: dict[int, FeatureMatrix]  # L2-normalized
+    halves: HalfSplit
+    label_of: dict[int, int]  # instance_id -> local identity
+    models: dict[int, dict[int, LinearModel | None]]  # train half -> part -> model
     n_y: int
-    n_kept: int
     excluded_identities: int
     excluded_instances: int
-    face_activated: dict[int, bool]
-    tables: dict[int, ProbabilityTable] | None
-    models_by_train_half: dict[int, dict[int, LinearModel | None]] = field(default_factory=dict)
+
+    def eval_ids(self, eval_half: int) -> np.ndarray:
+        return np.asarray(
+            sorted(i for i, h in self.halves.assignment.items() if h == eval_half), dtype=np.int64
+        )
 
 
-def _run_recognition(
+def _train_halves(
     dataset: Dataset,
     features: dict[int, FeatureMatrix],
-    registry: PartRegistry,
-    fw: FusionWeights,
     split: str,
     seed: int,
-    component_mask: str | None,
+    part_ids: tuple[int, ...],
     cfg: TrainConfig,
-    fill: bool,
     halves: HalfSplit | None = None,
-    collect_tables: bool = False,
-) -> _RecognitionRun:
-    mask_ids = registry.resolve_mask(component_mask)
-    needed = tuple(sorted(set(mask_ids) | set(registry.part_ids))) if collect_tables else mask_ids
+) -> _HalfModels:
+    """Train the given parts' SVMs on each half, seeded per (seed, eval half, part)."""
     features = _normalized(features)
     instances = dataset.split_instances(split)
     kept, local_of, excl_ids, excl_insts = _kept_instances(instances, 2)
     if len(local_of) < 2:
         raise ValueError(f"split {split!r} has fewer than 2 usable identities")
-    n_y = len(local_of)
     if halves is None:
         halves = stratified_half_split(kept, seed)
-    kept = [inst for inst in kept if inst.instance_id in halves.assignment]
-    label_of = {inst.instance_id: local_of[inst.identity] for inst in kept}
+    label_of = {
+        inst.instance_id: local_of[inst.identity]
+        for inst in kept
+        if inst.instance_id in halves.assignment
+    }
+    trained = _HalfModels(features, halves, label_of, {}, len(local_of), excl_ids, excl_insts)
+    for eval_half in (0, 1):
+        trained.models[1 - eval_half] = _train_part_models(
+            part_ids, features, trained.eval_ids(1 - eval_half), label_of, cfg, (seed, eval_half)
+        )
+    return trained
 
+
+@dataclass
+class _Scores:
+    preds: dict[int, int]
+    half_accuracies: tuple[float, float]
+    accuracy: float
+    face_activated: dict[int, bool]
+    tables: dict[int, ProbabilityTable] | None
+
+
+def _score_halves(
+    trained: _HalfModels,
+    registry: PartRegistry,
+    mask_ids: tuple[int, ...],
+    fill: bool,
+    fw: FusionWeights,
+    collect_tables: bool = False,
+) -> _Scores:
+    """Score each half with the opposite half's models for the masked parts.
+
+    Only the masked parts' models reach ``_part_probabilities``, so a mask
+    without the global part fills from the uniform row.
+    """
     face_parts = registry.ids_of_kind("face")
     face_activated: dict[int, bool] = {}
     preds: dict[int, int] = {}
     half_accs: list[float] = []
-    fold_tables: dict[int, list[ProbabilityTable]] = {pid: [] for pid in needed}
-    models_by_train_half: dict[int, dict[int, LinearModel | None]] = {}
-
+    fold_tables: dict[int, list[ProbabilityTable]] = {pid: [] for pid in mask_ids}
     for eval_half in (0, 1):
-        train_ids = np.asarray(
-            sorted(i for i, h in halves.assignment.items() if h == 1 - eval_half), dtype=np.int64
+        eval_ids = trained.eval_ids(eval_half)
+        models = {pid: trained.models[1 - eval_half][pid] for pid in mask_ids}
+        matrices, activations = _part_probabilities(
+            models, trained.features, eval_ids, trained.n_y, mask_ids, fill
         )
-        eval_ids = np.asarray(
-            sorted(i for i, h in halves.assignment.items() if h == eval_half), dtype=np.int64
-        )
-        models = _train_part_models(needed, features, train_ids, label_of, cfg, (seed, eval_half))
-        models_by_train_half[1 - eval_half] = models
-        matrices, activations = _part_probabilities(models, features, eval_ids, n_y, needed, fill)
-        fused = fuse_matrix({pid: matrices[pid] for pid in mask_ids}, fw)
-        fold_preds = np.argmax(fused, axis=1)
-        truth = np.asarray([label_of[i] for i in eval_ids.tolist()], dtype=np.int64)
+        fold_preds = np.argmax(fuse_matrix(matrices, fw), axis=1)
+        truth = np.asarray([trained.label_of[i] for i in eval_ids.tolist()], dtype=np.int64)
         half_accs.append(float(np.mean(fold_preds == truth)))
         for k, iid in enumerate(eval_ids.tolist()):
             preds[iid] = int(fold_preds[k])
             face_activated[iid] = bool(any(activations[p][k] for p in face_parts if p in activations))
         if collect_tables:
-            for pid in needed:
-                fold_tables[pid].append(
-                    ProbabilityTable(pid, eval_ids, matrices[pid], activations[pid])
-                )
+            for pid in mask_ids:
+                fold_tables[pid].append(ProbabilityTable(pid, eval_ids, matrices[pid], activations[pid]))
 
     tables = None
     if collect_tables:
         tables = {}
-        for pid in needed:
-            a, b = fold_tables[pid]
+        for pid, (a, b) in fold_tables.items():
             tables[pid] = ProbabilityTable(
                 pid,
                 np.concatenate([a.instance_ids, b.instance_ids]),
                 np.concatenate([a.P, b.P], axis=0),
                 np.concatenate([a.activated, b.activated]),
             )
+    return _Scores(preds, (half_accs[0], half_accs[1]), float(np.mean(half_accs)), face_activated, tables)
 
-    return _RecognitionRun(
-        preds=preds,
-        truth={inst.instance_id: label_of[inst.instance_id] for inst in kept},
-        half_of=dict(halves.assignment),
-        half_accuracies=(half_accs[0], half_accs[1]),
-        accuracy=float(np.mean(half_accs)),
-        n_y=n_y,
-        n_kept=len(kept),
-        excluded_identities=excl_ids,
-        excluded_instances=excl_insts,
-        face_activated=face_activated,
-        tables=tables,
-        models_by_train_half=models_by_train_half,
+
+def _recognition_report(
+    protocol: str, trained: _HalfModels, scores: _Scores, component_mask: str | None, seed: int
+) -> EvalReport:
+    n_kept = len(trained.label_of)
+    return EvalReport(
+        protocol=protocol,
+        component_mask=component_mask or "all",
+        seed=seed,
+        n_train=n_kept,
+        n_test=n_kept,
+        n_identities=trained.n_y,
+        accuracy=scores.accuracy,
+        half_accuracies=scores.half_accuracies,
+        excluded_identities=trained.excluded_identities,
+        excluded_instances=trained.excluded_instances,
     )
 
 
@@ -370,21 +399,10 @@ def eval_recognition(
     fused parts; a masked-out global part is replaced by the uniform
     distribution as the filling source.
     """
-    run = _run_recognition(
-        dataset, features, registry, fw, split, seed, component_mask, train_cfg, fill=True, halves=halves
-    )
-    return EvalReport(
-        protocol="recognition",
-        component_mask=component_mask or "all",
-        seed=seed,
-        n_train=run.n_kept,
-        n_test=run.n_kept,
-        n_identities=run.n_y,
-        accuracy=run.accuracy,
-        half_accuracies=run.half_accuracies,
-        excluded_identities=run.excluded_identities,
-        excluded_instances=run.excluded_instances,
-    )
+    mask_ids = registry.resolve_mask(component_mask)
+    trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg, halves)
+    scores = _score_halves(trained, registry, mask_ids, True, fw)
+    return _recognition_report("recognition", trained, scores, component_mask, seed)
 
 
 def eval_recognition_no_fill(
@@ -399,21 +417,10 @@ def eval_recognition_no_fill(
     halves: HalfSplit | None = None,
 ) -> EvalReport:
     """Recognition without sparsity filling: sparse rows contribute zeros."""
-    run = _run_recognition(
-        dataset, features, registry, fw, split, seed, component_mask, train_cfg, fill=False, halves=halves
-    )
-    return EvalReport(
-        protocol="recognition-no-fill",
-        component_mask=component_mask or "all",
-        seed=seed,
-        n_train=run.n_kept,
-        n_test=run.n_kept,
-        n_identities=run.n_y,
-        accuracy=run.accuracy,
-        half_accuracies=run.half_accuracies,
-        excluded_identities=run.excluded_identities,
-        excluded_instances=run.excluded_instances,
-    )
+    mask_ids = registry.resolve_mask(component_mask)
+    trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg, halves)
+    scores = _score_halves(trained, registry, mask_ids, False, fw)
+    return _recognition_report("recognition-no-fill", trained, scores, component_mask, seed)
 
 
 def eval_faces_split(
@@ -432,16 +439,16 @@ def eval_faces_split(
     ``face_mask`` overrides which instances count as face-activated; by
     default an instance does when the face part carries a feature row for it.
     """
-    run = _run_recognition(
-        dataset, features, registry, fw, split, seed, component_mask, train_cfg, fill=True
-    )
-    is_face = face_mask if face_mask is not None else run.face_activated
+    mask_ids = registry.resolve_mask(component_mask)
+    trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg)
+    scores = _score_halves(trained, registry, mask_ids, True, fw)
+    is_face = face_mask if face_mask is not None else scores.face_activated
 
     def subset_report(name: str, want_face: bool) -> EvalReport:
-        ids = [i for i in run.preds if bool(is_face.get(i, False)) == want_face]
+        ids = [i for i in scores.preds if bool(is_face.get(i, False)) == want_face]
         flags: dict[str, str] = {}
         if ids:
-            acc = float(np.mean([run.preds[i] == run.truth[i] for i in ids]))
+            acc = float(np.mean([scores.preds[i] == trained.label_of[i] for i in ids]))
         else:
             acc = None
             flags["empty_subset"] = "true"
@@ -449,12 +456,12 @@ def eval_faces_split(
             protocol=name,
             component_mask=component_mask or "all",
             seed=seed,
-            n_train=run.n_kept,
+            n_train=len(trained.label_of),
             n_test=len(ids),
-            n_identities=run.n_y,
+            n_identities=trained.n_y,
             accuracy=acc,
-            excluded_identities=run.excluded_identities,
-            excluded_instances=run.excluded_instances,
+            excluded_identities=trained.excluded_identities,
+            excluded_instances=trained.excluded_instances,
             flags=flags,
         )
 
@@ -471,15 +478,19 @@ def eval_ablation(
     seed: int = 0,
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> dict[str, EvalReport]:
-    """Recognition accuracy per component mask (plus the no-fill variant)."""
+    """Recognition accuracy per component mask (plus the no-fill variant).
+
+    Every part is trained once per half; each mask and the no-fill variant
+    score those same models, so each report equals its own recognition run.
+    """
+    trained = _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
     out: dict[str, EvalReport] = {}
     for mask in masks:
-        out[mask] = eval_recognition(
-            dataset, features, registry, fw, split, seed, None if mask == "all" else mask, train_cfg
-        )
-    out["no-fill"] = eval_recognition_no_fill(
-        dataset, features, registry, fw, split, seed, None, train_cfg
-    )
+        component_mask = None if mask == "all" else mask
+        scores = _score_halves(trained, registry, registry.resolve_mask(component_mask), True, fw)
+        out[mask] = _recognition_report("recognition", trained, scores, component_mask, seed)
+    scores = _score_halves(trained, registry, registry.part_ids, False, fw)
+    out["no-fill"] = _recognition_report("recognition-no-fill", trained, scores, None, seed)
     return out
 
 
@@ -629,6 +640,28 @@ def _build_embeddings(
     return fuse_matrix(matrices, fw)
 
 
+def _neighbor_identity_flags(
+    embeddings: np.ndarray,
+    labels: np.ndarray,
+    instance_ids: np.ndarray,
+    query_idx: list[int],
+    depth: int,
+) -> np.ndarray:
+    """(queries, depth) flags: is each query's r-th nearest neighbor the same identity?
+
+    One distance row per query keeps memory at O(n * |Y|). The row is the
+    same element arithmetic and last-axis reduction as an all-pairs
+    difference tensor, so every distance, and every tie, is bit-identical.
+    """
+    flags = np.zeros((len(query_idx), depth), dtype=bool)
+    for row, q in enumerate(query_idx):
+        d = embeddings[q] - embeddings
+        order = np.lexsort((instance_ids, np.sqrt(np.sum(d * d, axis=1))))
+        order = order[order != q][:depth]
+        flags[row] = labels[order] == labels[q]
+    return flags
+
+
 def eval_retrieval(
     embeddings: np.ndarray,
     labels: np.ndarray,
@@ -641,8 +674,8 @@ def eval_retrieval(
 
     Queries are the instances whose identity occurs at least twice; the
     corpus is every instance (a query never retrieves itself). Distance ties
-    break toward the lower instance_id. K beyond the corpus is clamped and
-    flagged.
+    break toward the lower instance_id. Every K must be at least 1; K beyond
+    the corpus is clamped and flagged.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -658,24 +691,21 @@ def eval_retrieval(
     if not query_idx:
         raise ValueError("no identity has 2 or more instances")
 
-    diffs = embeddings[:, None, :] - embeddings[None, :, :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=2))
+    if any(int(K) < 1 for K in K_list):
+        raise ValueError(f"recall@K needs every K >= 1, got {list(K_list)}")
+    max_k = n - 1
+    depth = min(max((int(K) for K in K_list), default=0), max_k)
+    same_identity = _neighbor_identity_flags(embeddings, labels, instance_ids, query_idx, depth)
 
     flags: dict[str, str] = {}
     if n_singletons:
         flags["singleton_identities_instances"] = str(n_singletons)
-    max_k = n - 1
     curve: list[tuple[float, float, float]] = []
-    neighbor_ranks = {}
-    for q in query_idx:
-        order = np.lexsort((instance_ids, dists[q]))
-        order = order[order != q]
-        neighbor_ranks[q] = labels[order] == labels[q]
     for K in K_list:
         k = min(int(K), max_k)
         if k != K:
             flags[f"k_clamped_{K}"] = str(k)
-        hits = sum(bool(np.any(neighbor_ranks[q][:k])) for q in query_idx)
+        hits = int(np.count_nonzero(np.any(same_identity[:, :k], axis=1)))
         curve.append((float(K), hits / len(query_idx), 0.0))
 
     return EvalReport(
@@ -737,28 +767,17 @@ def half_split_training(
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> HalfSplitArtifacts:
     """Train per-part SVMs on both halves and tabulate filled probabilities."""
+    trained = _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
     fw_ones = FusionWeights(np.ones(len(registry.parts)))
-    run = _run_recognition(
-        dataset,
-        features,
-        registry,
-        fw_ones,
-        split,
-        seed,
-        None,
-        train_cfg,
-        fill=True,
-        collect_tables=True,
-    )
-    assert run.tables is not None
+    scores = _score_halves(trained, registry, registry.part_ids, True, fw_ones, collect_tables=True)
     return HalfSplitArtifacts(
-        tables=run.tables,
-        labels_of=run.truth,
-        halves=run.half_of,
-        models=run.models_by_train_half,
-        n_identities=run.n_y,
-        excluded_identities=run.excluded_identities,
-        excluded_instances=run.excluded_instances,
+        tables=scores.tables,
+        labels_of=trained.label_of,
+        halves=dict(trained.halves.assignment),
+        models=trained.models,
+        n_identities=trained.n_y,
+        excluded_identities=trained.excluded_identities,
+        excluded_instances=trained.excluded_instances,
     )
 
 

@@ -330,6 +330,26 @@ def test_eval_rejects_weights_not_matching_parts(data_dir, tmp_path, capsys, n_w
     assert f"{weights}: {n_weights} weights for 5 parts" in capsys.readouterr().err
 
 
+def test_eval_truncated_feature_header_names_the_file(data_dir, tmp_path, capsys):
+    features = tmp_path / "features"
+    shutil.copytree(data_dir / "features", features)
+    part = features / "part_000.pfv"
+    part.write_bytes(part.read_bytes()[:10])
+    rc = main(
+        [
+            "eval",
+            "--protocol", "recognition",
+            "--dataset", str(data_dir / "index.tsv"),
+            "--features", str(features),
+            "--out", str(tmp_path / "e"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{part}: truncated header: 10 bytes, the header needs 17" in err
+
+
 @pytest.mark.parametrize(
     "name,edit,message",
     [

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -87,6 +88,28 @@ class TestIndexFile:
         path = tmp_path / "index.tsv"
         path.write_text("1\t2\t3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="fields"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            (0, "1.5", "instance_id must be an integer, got '1.5'"),
+            (1, "x", "photo_id must be an integer, got 'x'"),
+            (3, "", "uploader_id must be an integer, got ''"),
+            (6, "wide", "head w must be a finite number, got 'wide'"),
+            (4, "inf", "head x must be a finite number, got 'inf'"),
+            (7, "0", "degenerate box: w=8.0, h=0.0"),
+        ],
+    )
+    def test_bad_field_names_location(self, tmp_path, column, value, message):
+        path = tmp_path / "index.tsv"
+        write_index(path, _records())
+        lines = path.read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[column] = value
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             load_index(path)
 
     def test_unknown_split_rejected(self, tmp_path):
@@ -191,6 +214,13 @@ class TestFeatureMatrix:
         path = tmp_path / "bad.pfv"
         path.write_bytes(b"XXXX" + b"\x00" * 13)
         with pytest.raises(ValueError, match="magic"):
+            read_features(path)
+
+    def test_truncated_header_names_path_and_lengths(self, tmp_path):
+        path = tmp_path / "part_000.pfv"
+        write_features(path, FeatureMatrix(0, np.array([1]), np.ones((1, 2))))
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated header: 10 bytes, the header needs 17")):
             read_features(path)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,14 @@ class TestProbabilityTable:
         np.testing.assert_array_equal(back.activated, t.activated)
         np.testing.assert_allclose(back.P, t.P, atol=1e-6)
         np.testing.assert_allclose(back.P.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_truncated_header_names_path_and_lengths(self, tmp_path):
+        path = tmp_path / "part_000.ppt"
+        t = ProbabilityTable(0, np.array([1]), np.array([[1.0]]), np.array([True]))
+        write_prob_table(path, t)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: truncated header: 10 bytes, the header needs 16"):
+            read_prob_table(path)
 
 
 class TestWeightsFile:

@@ -1,10 +1,14 @@
 """Recognition, ablation, one-shot, and retrieval protocol behavior."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from partfusion import protocols
 from partfusion.data import BBox, Dataset, FeatureMatrix, Instance
 from partfusion.fusion import FusionWeights
 from partfusion.protocols import (
@@ -15,6 +19,7 @@ from partfusion.protocols import (
     build_identity_embedding,
     compute_validation_tables,
     curve_csv,
+    eval_ablation,
     eval_faces_split,
     eval_oneshot,
     eval_recognition,
@@ -212,6 +217,34 @@ def test_faces_split_mask_override(small, small_fw):
     assert nonfaces.n_test == 0
 
 
+def test_ablation_reports_equal_separate_recognition_runs(small, small_fw):
+    reports = eval_ablation(small.dataset, small.features, small.registry, small_fw, split="test", seed=3)
+    assert list(reports) == ["all", "global", "poselets", "face", "no-fill"]
+    for mask in ("all", "global", "poselets", "face"):
+        alone = eval_recognition(
+            small.dataset, small.features, small.registry, small_fw,
+            split="test", seed=3, component_mask=None if mask == "all" else mask,
+        )
+        assert report_text(reports[mask]) == report_text(alone), mask
+    no_fill = eval_recognition_no_fill(
+        small.dataset, small.features, small.registry, small_fw, split="test", seed=3
+    )
+    assert report_text(reports["no-fill"]) == report_text(no_fill)
+
+
+def test_ablation_trains_each_half_and_part_once(small, small_fw, monkeypatch):
+    fits = []
+
+    def counting(X, y, cfg, row_ids=None):
+        fits.append(cfg.seed)
+        return train_multiclass(X, y, cfg, row_ids=row_ids)
+
+    monkeypatch.setattr(protocols, "train_multiclass", counting)
+    eval_ablation(small.dataset, small.features, small.registry, small_fw, split="test")
+    assert len(fits) == 2 * len(small.registry.parts)
+    assert len(set(fits)) == len(fits)
+
+
 def test_oneshot_zero_noise_is_perfect(small_fw):
     data = generate(replace(SMALL, noise_sigma=0.0, activation_prob=1.0, seed=14))
     rep = eval_oneshot(
@@ -294,6 +327,92 @@ def test_retrieval_rejects_degenerate_inputs():
         eval_retrieval(np.zeros((1, 2)), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
     with pytest.raises(ValueError, match="2 or more"):
         eval_retrieval(np.eye(3), np.arange(3), np.arange(3))
+    with pytest.raises(ValueError, match="K >= 1"):
+        eval_retrieval(np.eye(3), np.zeros(3, dtype=int), np.arange(3), K_list=(0, 1))
+
+
+def _dense_retrieval(embeddings, labels, instance_ids, K_list):
+    """The all-pairs difference tensor version: the oracle for eval_retrieval.
+
+    Returns (curve, report flags, per-query same-identity flags over the
+    whole ranking). It needs 2 * n^2 * |Y| * 8 bytes, so only run it on
+    small inputs.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    n = embeddings.shape[0]
+    uniq, counts = np.unique(labels, return_counts=True)
+    count_of = dict(zip(uniq.tolist(), counts.tolist()))
+    query_idx = [k for k in range(n) if count_of[int(labels[k])] >= 2]
+    diffs = embeddings[:, None, :] - embeddings[None, :, :]
+    dists = np.sqrt(np.sum(diffs * diffs, axis=2))
+    flags = {}
+    if n - len(query_idx):
+        flags["singleton_identities_instances"] = str(n - len(query_idx))
+    neighbor_ranks = {}
+    for q in query_idx:
+        order = np.lexsort((instance_ids, dists[q]))
+        order = order[order != q]
+        neighbor_ranks[q] = labels[order] == labels[q]
+    curve = []
+    for K in K_list:
+        k = min(int(K), n - 1)
+        if k != K:
+            flags[f"k_clamped_{K}"] = str(k)
+        hits = sum(bool(np.any(neighbor_ranks[q][:k])) for q in query_idx)
+        curve.append((float(K), hits / len(query_idx), 0.0))
+    return tuple(curve), flags, neighbor_ranks
+
+
+@st.composite
+def _retrieval_inputs(draw):
+    n_distinct = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 3))
+    # coarse values and repeated rows make exact distance ties common; the
+    # non-dyadic ones make ties that hold only up to rounding
+    coords = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.7])
+    row = st.lists(coords, min_size=dim, max_size=dim)
+    base = np.asarray(draw(st.lists(row, min_size=n_distinct, max_size=n_distinct)))
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=2, max_size=14))
+    n = len(picks)
+    # small label range: singletons and shared identities both occur
+    labels = np.asarray(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.int64)
+    labels[1] = labels[0]  # at least one identity has queries
+    ids = np.asarray(draw(st.permutations(range(100, 100 + 3 * n)))[:n], dtype=np.int64)
+    K_list = tuple(draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=5)))
+    return base[picks], labels, ids, K_list
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inputs=_retrieval_inputs())
+def test_retrieval_equals_dense_oracle(inputs):
+    emb, labels, ids, K_list = inputs
+    curve, flags, neighbor_ranks = _dense_retrieval(emb, labels, ids, K_list)
+    rep = eval_retrieval(emb, labels, ids, K_list)
+    assert rep.curve == curve
+    assert rep.flags == flags
+    assert rep.n_test == len(neighbor_ranks)
+
+    queries = sorted(neighbor_ranks)
+    depth = min(max(K_list), emb.shape[0] - 1)
+    kept = protocols._neighbor_identity_flags(emb, labels, ids, queries, depth)
+    assert np.array_equal(kept, np.asarray([neighbor_ranks[q][:depth] for q in queries]))
+
+
+def test_retrieval_memory_is_linear_in_instances():
+    # the dense tensor would take 2 * 1000^2 * 40 * 8 bytes = 640 MB here
+    rng = np.random.default_rng(5)
+    n, n_y = 1000, 40
+    emb = rng.dirichlet(np.ones(n_y), size=n)
+    labels = np.repeat(np.arange(n // 4), 4)
+    ids = rng.permutation(n).astype(np.int64)
+    tracemalloc.start()
+    try:
+        rep = eval_retrieval(emb, labels, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert rep.n_test == n
 
 
 def test_retrieval_protocol_zero_noise_recalls_everything(small_fw):
