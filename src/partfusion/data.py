@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,9 +34,11 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "build_coverage",
+    "format_num",
     "l2_normalize_rows",
     "load_index",
     "make_registry",
+    "numeric_field_error",
     "read_features",
     "read_tsv_rows",
     "require_header",
@@ -186,7 +188,7 @@ class Dataset:
         return len(self.identity_labels.get(split, ()))
 
 
-def _format_num(v: float) -> str:
+def format_num(v: float) -> str:
     # integral values print without a trailing .0 so ids stay readable
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
@@ -200,10 +202,10 @@ def write_index(path: str | Path, records: list[tuple[int, int, int, int, BBox, 
             str(pid),
             str(aid),
             str(uid),
-            _format_num(head.x),
-            _format_num(head.y),
-            _format_num(head.w),
-            _format_num(head.h),
+            format_num(head.x),
+            format_num(head.y),
+            format_num(head.w),
+            format_num(head.h),
             label,
             split,
         ]
@@ -223,11 +225,17 @@ _INDEX_NUMERIC_FIELDS = (
 )
 
 
-def _bad_index_field(where: str, fields: list[str]) -> ValueError:
-    """The error for the first numeric index field that does not parse or is not finite."""
-    for (name, kind), text in zip(_INDEX_NUMERIC_FIELDS, fields):
+def numeric_field_error(where: str, fields: list[str], spec: Sequence[tuple[str, type]]) -> ValueError:
+    """The error for the first field that does not parse or is not finite.
+
+    ``spec`` gives each leading field's (name, int or float). Readers call
+    it once their fast parse has failed; the message names ``where``
+    (``path:line``), the field and the value.
+    """
+    for (name, kind), text in zip(spec, fields):
         try:
-            if math.isfinite(kind(text)):
+            value = kind(text)
+            if kind is int or math.isfinite(value):
                 continue
         except ValueError:
             pass
@@ -258,9 +266,9 @@ def load_index(path: str | Path) -> Dataset:
             iid, pid, aid, uid = (int(parts[i]) for i in range(4))
             head = BBox(float(parts[4]), float(parts[5]), float(parts[6]), float(parts[7]))
         except ValueError:
-            raise _bad_index_field(where, parts) from None
+            raise numeric_field_error(where, parts, _INDEX_NUMERIC_FIELDS) from None
         if not all(map(math.isfinite, (head.x, head.y, head.w, head.h))):
-            raise _bad_index_field(where, parts)
+            raise numeric_field_error(where, parts, _INDEX_NUMERIC_FIELDS)
         try:
             head.require_valid()
         except GeometryError as exc:

@@ -23,12 +23,14 @@ photo_id, detection_id, person box x/y/w/h, score, then repeated groups of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .data import GLOBAL_PART_ID, Instance, atomic_write_text
+from .data import GLOBAL_PART_ID, Instance, atomic_write_text, format_num, numeric_field_error
 from .geometry import BBox, BodyExtrapolation, DEFAULT_BODY_EXTRAPOLATION, body_from_head, iou
 
 __all__ = [
@@ -290,10 +292,6 @@ def activations_per_instance(
     return table
 
 
-def _format_num(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
-
-
 def write_detections(path: str | Path, by_photo: dict[int, list[Detection]]) -> None:
     lines = []
     for photo_id in sorted(by_photo):
@@ -301,46 +299,82 @@ def write_detections(path: str | Path, by_photo: dict[int, list[Detection]]) -> 
             fields = [
                 str(photo_id),
                 str(d.detection_id),
-                _format_num(d.person_box.x),
-                _format_num(d.person_box.y),
-                _format_num(d.person_box.w),
-                _format_num(d.person_box.h),
+                format_num(d.person_box.x),
+                format_num(d.person_box.y),
+                format_num(d.person_box.w),
+                format_num(d.person_box.h),
                 repr(float(d.score)),
             ]
             for part_id, patch, act in d.activations:
                 fields += [
                     str(part_id),
-                    _format_num(patch.x),
-                    _format_num(patch.y),
-                    _format_num(patch.w),
-                    _format_num(patch.h),
+                    format_num(patch.x),
+                    format_num(patch.y),
+                    format_num(patch.w),
+                    format_num(patch.h),
                     repr(float(act)),
                 ]
             lines.append("\t".join(fields))
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+_DETECTION_FIELDS = (
+    ("photo_id", int),
+    ("detection_id", int),
+    ("person x", float),
+    ("person y", float),
+    ("person w", float),
+    ("person h", float),
+    ("score", float),
+)
+_ACTIVATION_FIELDS = (
+    ("part_id", int),
+    ("patch x", float),
+    ("patch y", float),
+    ("patch w", float),
+    ("patch h", float),
+    ("activation score", float),
+)
+
+
+def _detection_field_spec(n_fields: int) -> list[tuple[str, type]]:
+    """Field names and types of a detection line with ``n_fields`` fields."""
+    spec = list(_DETECTION_FIELDS)
+    for k in range(1, (n_fields - len(_DETECTION_FIELDS)) // len(_ACTIVATION_FIELDS) + 1):
+        spec += [(f"activation {k} {name}", kind) for name, kind in _ACTIVATION_FIELDS]
+    return spec
+
+
 def load_detections(path: str | Path) -> dict[int, list[Detection]]:
+    """Read a detection file into per-photo lists sorted by detection id.
+
+    A line with a bad field count, a field that is not a number or not
+    finite, or a part listed twice fails with ``path:line``; a field error
+    also names the field and its value.
+    """
     by_photo: dict[int, list[Detection]] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line:
             continue
         f = line.split("\t")
+        where = f"{path}:{lineno}"
         if len(f) < 7 or (len(f) - 7) % 6 != 0:
-            raise ValueError(f"{path}:{lineno}: malformed detection record")
-        photo_id, det_id = int(f[0]), int(f[1])
-        box = BBox(float(f[2]), float(f[3]), float(f[4]), float(f[5]))
-        score = float(f[6])
-        acts = []
-        for k in range(7, len(f), 6):
-            acts.append(
-                (
-                    int(f[k]),
-                    BBox(float(f[k + 1]), float(f[k + 2]), float(f[k + 3]), float(f[k + 4])),
-                    float(f[k + 5]),
-                )
-            )
-        by_photo.setdefault(photo_id, []).append(Detection(det_id, box, score, tuple(acts)))
+            raise ValueError(f"{where}: malformed detection record")
+        try:
+            photo_id, det_id = int(f[0]), int(f[1])
+            person = list(map(float, f[2:7]))
+            part_ids = list(map(int, f[7::6]))
+            groups = [list(map(float, f[k + 1 : k + 6])) for k in range(7, len(f), 6)]
+        except ValueError:
+            raise numeric_field_error(where, f, _detection_field_spec(len(f))) from None
+        if not all(map(math.isfinite, chain(person, *groups))):
+            raise numeric_field_error(where, f, _detection_field_spec(len(f)))
+        acts = tuple((part_id, BBox(*g[:4]), g[4]) for part_id, g in zip(part_ids, groups))
+        try:
+            det = Detection(det_id, BBox(*person[:4]), person[4], acts)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        by_photo.setdefault(photo_id, []).append(det)
     for dets in by_photo.values():
         dets.sort(key=lambda d: d.detection_id)
     return by_photo

@@ -10,6 +10,13 @@ scale and rollbacks, and equals a separate one-config fit bit for bit. The
 rows share only the Python-level loop. The learning-rate schedule is
 eta_t = step_scale / (lambda * t) with lambda = 1 / (C * n).
 
+The loop gathers the rows of 128 mini-batches per problem with one
+``np.take`` and computes their step sizes in one division, so each step
+works on slice views of that block; the batches, their order and every
+update stay those of a gather per step. The epoch objective computes its
+scores in row blocks small enough that OpenBLAS keeps each product on one
+thread; each row's dot product, and so the objective, is unchanged.
+
 The recorded objective history is non-increasing per class by construction:
 at each epoch boundary the full-data objective is evaluated, and any class
 whose objective got worse is rolled back to its previous weights and retries
@@ -52,6 +59,14 @@ __all__ = [
 ]
 
 _MODEL_MAGIC = b"PLM1"
+
+# Mini-batches per problem gathered by one ``np.take`` in `_run_sgd`; a block
+# spans whole batches, so no batch straddles two blocks.
+_GATHER_BLOCK_BATCHES = 128
+# Rows per product in `hinge_objective`. OpenBLAS runs a product this small on
+# one thread; a threaded product leaves its idle thread spinning through the
+# thousands of small steps that follow each epoch's objective.
+_OBJECTIVE_BLOCK_ROWS = 8192
 
 
 def mix_seed(*parts: int) -> int:
@@ -156,6 +171,20 @@ def _weight_columns(class_weights: np.ndarray) -> np.ndarray:
     return w[:, None] if w.ndim == 1 else w
 
 
+def _row_blocked_scores(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``X @ W.T + b``, one product per `_OBJECTIVE_BLOCK_ROWS` rows.
+
+    Each row's dot products are the unblocked ones, so the scores are
+    bit-identical; a dataset of at most one block takes a single product.
+    """
+    out = np.empty((X.shape[0], W.shape[0]))
+    for start in range(0, X.shape[0], _OBJECTIVE_BLOCK_ROWS):
+        stop = start + _OBJECTIVE_BLOCK_ROWS
+        np.matmul(X[start:stop], W.T, out=out[start:stop])
+    out += b
+    return out
+
+
 def hinge_objective(
     W: np.ndarray,
     b: np.ndarray,
@@ -176,7 +205,7 @@ def hinge_objective(
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     S = _signs(np.asarray(y_pos), W.shape[0])
-    margins = S * (X @ W.T + b)
+    margins = S * _row_blocked_scores(X, W, b)
     hinge = np.maximum(0.0, 1.0 - margins)
     if class_weights is not None:
         hinge = hinge * _weight_columns(class_weights)
@@ -261,6 +290,13 @@ def _run_sgd(
     ``cfgs[g].seed`` and its own step scales and rollbacks. So problem g is
     bit-identical to fitting ``cfgs[g]`` alone. Returns W (G, K, d), b (G, K)
     and the per-epoch objectives, each (G, K).
+
+    Each epoch walks its permutations in blocks of `_GATHER_BLOCK_BATCHES`
+    batches: one ``np.take`` each for X, S and CS, and one division for the
+    block's step sizes step_scale / (lambda * t), with t as float64. The
+    block is a whole number of batches, so each step takes a slice of it
+    holding exactly the rows a per-step gather would; only the epoch's last
+    batch may be short.
     """
     X = np.asarray(X, dtype=np.float64)
     y_pos = np.asarray(y_pos, dtype=np.int64)
@@ -300,18 +336,24 @@ def _run_sgd(
     perm = np.empty((G, n), dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
 
     lam_rows, lam_steps = lam[:, None], lam[:, None, None]
+    B = cfg.batch_size
+    block = _GATHER_BLOCK_BATCHES * B
     t = 0
     for _epoch in range(cfg.epochs):
         prev_W, prev_b = W.copy(), b.copy()
         prev_obj = history[-1]
         for g, rng in enumerate(rngs):
             perm[g] = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[:, start : start + cfg.batch_size]
-            t += 1
-            eta = step_scale / (lam_rows * t)
-            Xb, Sb, CSb = np.take(X, idx, axis=0), np.take(S, idx, axis=0), np.take(CS, idx, axis=0)
-            _sgd_step(W, b, Xb, Sb, CSb, lam_steps, eta, cfg.fit_bias)
+        for start in range(0, n, block):
+            idx = perm[:, start : start + block]
+            Xs, Ss, CSs = np.take(X, idx, axis=0), np.take(S, idx, axis=0), np.take(CS, idx, axis=0)
+            steps = -(-idx.shape[1] // B)  # the epoch's last batch may be short
+            ts = np.arange(t + 1, t + steps + 1, dtype=np.float64)
+            etas = step_scale / (lam_rows * ts[:, None, None])
+            t += steps
+            for j in range(steps):
+                rows = slice(j * B, (j + 1) * B)
+                _sgd_step(W, b, Xs[:, rows], Ss[:, rows], CSs[:, rows], lam_steps, etas[j], cfg.fit_bias)
         obj = objective()
         worse = obj > prev_obj
         if np.any(worse):

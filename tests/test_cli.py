@@ -350,6 +350,24 @@ def test_eval_truncated_feature_header_names_the_file(data_dir, tmp_path, capsys
     assert f"{part}: truncated header: 10 bytes, the header needs 17" in err
 
 
+def test_match_bad_detection_field_names_the_line(data_dir, tmp_path, capsys):
+    detections = tmp_path / "detections.tsv"
+    lines = (data_dir / "detections.tsv").read_text().splitlines()
+    lines[1] = "x" + lines[1][lines[1].index("\t") :]
+    detections.write_text("\n".join(lines) + "\n")
+    rc = main(
+        [
+            "match",
+            "--dataset", str(data_dir / "index.tsv"),
+            "--detections", str(detections),
+            "--out", str(tmp_path / "m"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {detections}:2: photo_id must be an integer, got 'x'" in err
+
+
 @pytest.mark.parametrize(
     "name,edit,message",
     [

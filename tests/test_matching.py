@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -222,4 +224,35 @@ class TestDetectionFile:
         path = tmp_path / "detections.tsv"
         path.write_text("1\t1\t0\t0\t10\t10\t0.5\t3\t1\t2\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_detections(path)
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            (0, "x", "photo_id must be an integer, got 'x'"),
+            (1, "2.5", "detection_id must be an integer, got '2.5'"),
+            (4, "wide", "person w must be a finite number, got 'wide'"),
+            (6, "nan", "score must be a finite number, got 'nan'"),
+            (13, "", "activation 2 part_id must be an integer, got ''"),
+            (18, "-inf", "activation 2 activation score must be a finite number, got '-inf'"),
+        ],
+    )
+    def test_bad_field_names_location(self, tmp_path, column, value, message):
+        d1 = Detection(1, BBox(0, 0, 30, 60), 0.75, ())
+        d2 = Detection(2, BBox(5, 0, 30, 60), 0.25, ((2, BBox(1, 2, 3, 4), 0.5), (5, BBox(1, 2, 3, 4), 0.1)))
+        path = tmp_path / "detections.tsv"
+        write_detections(path, {7: [d1, d2]})
+        lines = path.read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[column] = value
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            load_detections(path)
+
+    def test_repeated_part_names_location(self, tmp_path):
+        path = tmp_path / "detections.tsv"
+        group = "\t3\t1\t2\t3\t4\t0.5"
+        path.write_text("1\t1\t0\t0\t10\t10\t0.5" + group + group + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: a part may appear at most once")):
             load_detections(path)

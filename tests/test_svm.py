@@ -17,7 +17,16 @@ from partfusion import (
     train_binary,
     train_multiclass,
 )
-from partfusion.svm import _sgd_step, _signs, read_model_bytes, write_model_bytes
+from partfusion.svm import (
+    _GATHER_BLOCK_BATCHES,
+    _OBJECTIVE_BLOCK_ROWS,
+    _row_blocked_scores,
+    _run_sgd,
+    _sgd_step,
+    _signs,
+    read_model_bytes,
+    write_model_bytes,
+)
 
 
 def _separable_two_class(rng, n=40, d=5, gap=2.0):
@@ -330,6 +339,130 @@ class TestSgdStep:
         _sgd_step(W, b, X[idx], S[idx], CS[idx], lam[:, None, None], eta, True)
         assert np.array_equal(W, expected_W)
         assert np.array_equal(b, expected_b)
+
+
+def _unblocked_objective(W, b, X, y_pos, lam, class_weights):
+    """`hinge_objective` as one product over all rows."""
+    S = _signs(y_pos, W.shape[0])
+    hinge = np.maximum(0.0, 1.0 - S * (X @ W.T + b))
+    if class_weights is not None:
+        hinge = hinge * class_weights
+    return 0.5 * lam * np.sum(W * W, axis=1) + hinge.sum(axis=0) / X.shape[0]
+
+
+def _per_step_run_sgd(X, y_pos, n_classes, cfgs, class_weights):
+    """The trainer's loop with one gather and one step size per mini-batch."""
+    n, d = X.shape
+    cfg = cfgs[0]
+    G = len(cfgs)
+    lam = np.asarray([1.0 / (c.C * n) for c in cfgs])
+    W = np.zeros((G, n_classes, d))
+    b = np.zeros((G, n_classes))
+    step_scale = np.repeat([[c.step_scale] for c in cfgs], n_classes, axis=1)
+    S = _signs(y_pos, n_classes)
+    CS = S if class_weights is None else class_weights * S
+
+    def objective():
+        return np.stack([_unblocked_objective(W[g], b[g], X, y_pos, lam[g], class_weights) for g in range(G)])
+
+    history = [objective()]
+    rngs = [np.random.default_rng(np.random.SeedSequence([c.seed, n, d, n_classes])) for c in cfgs]
+    perm = np.empty((G, n), dtype=np.int32)
+    lam_rows, lam_steps = lam[:, None], lam[:, None, None]
+    t = 0
+    for _epoch in range(cfg.epochs):
+        prev_W, prev_b = W.copy(), b.copy()
+        prev_obj = history[-1]
+        for g, rng in enumerate(rngs):
+            perm[g] = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[:, start : start + cfg.batch_size]
+            t += 1
+            eta = step_scale / (lam_rows * t)
+            Xb, Sb, CSb = np.take(X, idx, axis=0), np.take(S, idx, axis=0), np.take(CS, idx, axis=0)
+            _sgd_step(W, b, Xb, Sb, CSb, lam_steps, eta, cfg.fit_bias)
+        obj = objective()
+        worse = obj > prev_obj
+        if np.any(worse):
+            W[worse] = prev_W[worse]
+            b[worse] = prev_b[worse]
+            step_scale[worse] *= 0.5
+            obj = np.where(worse, prev_obj, obj)
+        history.append(obj)
+    return W, b, history
+
+
+class TestBlockedLoop:
+    """The block-gathered loop equals the per-step loop bit for bit."""
+
+    def _case(self, seed, n, d, K, weighted, cfgs):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        if K > 1:
+            y_pos = np.argmax(X @ rng.normal(size=(d, K)) + rng.normal(0, 0.5, (n, K)), axis=1)
+        else:  # binary: y_pos 0 marks the positives of the one class row
+            y_pos = (X[:, 0] + rng.normal(0, 0.5, n) < 0.3).astype(np.int64)
+        cw = rng.uniform(0.5, 2.0, (n, K)) if weighted else None
+        got = _run_sgd(X, y_pos, K, cfgs, cw, None)
+        ref = _per_step_run_sgd(X, y_pos, K, cfgs, cw)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+        assert len(got[2]) == len(ref[2])
+        for h_got, h_ref in zip(got[2], ref[2]):
+            assert np.array_equal(h_got, h_ref)
+        return ref[2]
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        K=st.integers(1, 3),
+        d=st.integers(1, 6),
+        batch_size=st.sampled_from([1, 3, 8]),
+        blocks=st.integers(0, 2),
+        extra=st.integers(1, 40),
+        epochs=st.integers(1, 4),
+        weighted=st.booleans(),
+        grid=st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(0, 999), st.sampled_from([1.0, 30.0])),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_equals_per_step_loop(self, seed, K, d, batch_size, blocks, extra, epochs, weighted, grid):
+        n = blocks * _GATHER_BLOCK_BATCHES * batch_size + extra
+        cfgs = tuple(
+            TrainConfig(C=2.0**log_c, epochs=epochs, batch_size=batch_size, seed=row_seed, step_scale=scale)
+            for log_c, row_seed, scale in grid
+        )
+        self._case(seed, n, d, K, weighted, cfgs)
+
+    @pytest.mark.parametrize("K,weighted", [(1, True), (3, False)])
+    def test_rolls_back_across_blocks(self, K, weighted):
+        # block + 17 rows in batches of 8: two gather blocks and a short last batch
+        n = _GATHER_BLOCK_BATCHES * 8 + 17
+        cfgs = tuple(
+            TrainConfig(C=C, epochs=8, batch_size=8, seed=k, step_scale=30.0) for k, C in enumerate((0.01, 1.0, 100.0))
+        )
+        history = self._case(5, n, 4, K, weighted, cfgs)
+        assert sum(int(np.sum(b == a)) for a, b in zip(history, history[1:])) > 0
+
+
+class TestBlockedObjective:
+    """Scores over several row blocks equal the one-product scores row by row."""
+
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_matches_unblocked_product(self, K):
+        rng = np.random.default_rng(20 + K)
+        n, d = 2 * _OBJECTIVE_BLOCK_ROWS + 123, 10
+        X = rng.normal(size=(n, d))
+        W = rng.normal(size=(K, d))
+        b = rng.normal(size=K)
+        y_pos = rng.integers(0, K, n)
+        cw = rng.uniform(0.5, 2.0, (n, K))
+        assert np.array_equal(_row_blocked_scores(X, W, b), X @ W.T + b)
+        for weights in (None, cw):
+            expected = _unblocked_objective(W, b, X, y_pos, 0.01, weights)
+            assert np.array_equal(hinge_objective(W, b, X, y_pos, 0.01, weights), expected)
 
 
 class TestTrainConfig:
