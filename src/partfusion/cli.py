@@ -263,23 +263,22 @@ def cmd_learn_weights(args) -> int:
     labels_of = _read_id_map(tables_dir / "labels.tsv", tables)
     halves = _read_id_map(tables_dir / "halves.tsv", tables)
     C_grid = tuple(float(c) for c in args.c_grid.split(",")) if args.c_grid else _DEFAULT_C_GRID
-    fw, info = learn_weights(
-        tables, labels_of, halves, C_grid=C_grid, seed=args.seed, clamp_nonnegative=args.clamp
-    )
+    fw, info = learn_weights(tables, labels_of, halves, C_grid=C_grid, clamp_nonnegative=args.clamp)
 
     weights_path = out / "weights.tsv"
     write_weights(weights_path, fw)
     grid_path = out / "gridsearch.csv"
     atomic_write_text(
         grid_path,
-        "C,balanced_accuracy\n"
-        + "".join(f"{c!r},{acc!r}\n" for c, acc in info.grid_scores),
+        "C,balanced_accuracy,objective\n"
+        + "".join(f"{c!r},{acc!r},{o!r}\n" for (c, acc), o in zip(info.grid_scores, info.grid_objectives)),
     )
 
     config = {
         "tables": args.tables,
         "c_grid": [float(c) for c in C_grid],
         "clamp": args.clamp,
+        "loss": "squared_hinge",
         "best_C": info.best_C,
         "n_pairs": info.n_pairs,
     }

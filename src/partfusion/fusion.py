@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import atomic_write_bytes, atomic_write_text, read_tsv_rows, require_header
-from .svm import TrainConfig, mix_seed, train_binary
+from .svm import TrainConfig, train_binary
 
 __all__ = [
     "FusionWeights",
@@ -284,6 +284,7 @@ class WeightLearningInfo:
     best_C: float
     grid_scores: tuple[tuple[float, float], ...]  # (C, balanced accuracy on held-out pairs)
     n_pairs: int
+    grid_objectives: tuple[float, ...]  # final half-0 training objective per grid C, in grid order
 
 
 def _pair_dataset(
@@ -324,18 +325,18 @@ def learn_weights(
     labels_of: dict[int, int],
     halves: dict[int, int],
     C_grid: tuple[float, ...] = tuple(2.0**k for k in range(-8, 9, 2)),
-    seed: int = 0,
-    epochs: int = 30,
     clamp_nonnegative: bool = False,
 ) -> tuple[FusionWeights, WeightLearningInfo]:
     """Learn per-part mixing weights from filled validation tables.
 
     The tables must already follow the half-split protocol (each instance's
     probabilities produced by models trained on the opposite half; ``halves``
-    maps instance_id to 0 or 1). C is grid-searched by training the pair
-    classifier on half-0 pairs and scoring balanced accuracy on half-1 pairs;
-    the final weights come from retraining on all pairs at the best C
-    (ties: smaller C).
+    maps instance_id to 0 or 1). The pair classifier is an L2-loss (squared
+    hinge) linear SVM, solved exactly by `train_binary`'s primal Newton. C is
+    grid-searched by fitting it on half-0 pairs, in ascending C with each fit
+    starting from the previous optimum, and scoring balanced accuracy on
+    half-1 pairs. The final weights come from refitting on all pairs at the
+    best C (ties: smaller C), starting from that C's half-0 model.
     """
     if not C_grid:
         raise ValueError("empty C grid")
@@ -352,25 +353,22 @@ def learn_weights(
     if fit_idx.size == 0 or held_idx.size == 0:
         raise ValueError("both halves must contribute pairs")
 
-    grid_cfgs = [
-        TrainConfig(C=C, epochs=epochs, seed=mix_seed(seed, 1, k), class_weighting="inverse-frequency")
-        for k, C in enumerate(C_grid)
-    ]
-    grid = train_binary(X[fit_idx], y[fit_idx], grid_cfgs)
+    cfgs = [TrainConfig(C=C, class_weighting="inverse-frequency") for C in C_grid]
+    grid = train_binary(X[fit_idx], y[fit_idx], cfgs)
     X_held = X[held_idx]
     grid_scores: list[tuple[float, float]] = []
-    best_C, best_score = float(C_grid[0]), -1.0
-    for C, model in zip(C_grid, grid.models):
+    best, best_score = 0, -1.0
+    for k, (C, model) in enumerate(zip(C_grid, grid.models)):
         pred = np.where(model.scores(X_held)[:, 0] > 0.0, 1, -1)
         acc = _balanced_accuracy(y[held_idx], pred)
         grid_scores.append((float(C), acc))
         if acc > best_score + 1e-12:
-            best_C, best_score = float(C), acc
+            best, best_score = k, acc
 
-    cfg = TrainConfig(C=best_C, epochs=epochs, seed=mix_seed(seed, 2, 0), class_weighting="inverse-frequency")
-    final = train_binary(X, y, cfg)
+    final = train_binary(X, y, cfgs[best], init=grid.models[best])
     w = final.W[0].copy()
     if clamp_nonnegative:
         w = np.maximum(w, 0.0)
     fw = FusionWeights(w, float(final.b[0]))
-    return fw, WeightLearningInfo(best_C, tuple(grid_scores), int(X.shape[0]))
+    objectives = tuple(float(m.objective_history[-1][0]) for m in grid.models)
+    return fw, WeightLearningInfo(float(C_grid[best]), tuple(grid_scores), int(X.shape[0]), objectives)

@@ -812,11 +812,4 @@ def learn_fusion_weights(
     tables, labels_of, halves = compute_validation_tables(
         dataset, features, registry, split, seed, train_cfg
     )
-    return learn_weights(
-        tables,
-        labels_of,
-        halves,
-        C_grid=C_grid,
-        seed=mix_seed(seed, 3),
-        clamp_nonnegative=clamp_nonnegative,
-    )
+    return learn_weights(tables, labels_of, halves, C_grid=C_grid, clamp_nonnegative=clamp_nonnegative)

@@ -1,27 +1,33 @@
-"""Linear SVMs trained by seeded mini-batch stochastic subgradient descent.
+"""Linear SVMs: multiclass by seeded mini-batch SGD, binary by primal Newton.
 
-One loop fits a stack of independent problems. One-vs-rest multiclass
-training is one problem vectorized over classes: every class row shares the
-same mini-batch schedule, so a K-class model costs one pass over the data per
-epoch regardless of K. A binary grid (``train_binary`` given several configs)
-is one problem per config: each grid row has its own C, its own permutation
-stream seeded from its own config seed, so its own batches, and its own step
-scale and rollbacks, and equals a separate one-config fit bit for bit. The
-rows share only the Python-level loop. The learning-rate schedule is
-eta_t = step_scale / (lambda * t) with lambda = 1 / (C * n).
-
-The loop gathers the rows of 128 mini-batches per problem with one
-``np.take`` and computes their step sizes in one division, so each step
-works on slice views of that block; the batches, their order and every
-update stay those of a gather per step. The epoch objective computes its
-scores in row blocks small enough that OpenBLAS keeps each product on one
-thread; each row's dot product, and so the objective, is unchanged.
+One-vs-rest multiclass training (`train_multiclass`) is stochastic
+subgradient descent on the hinge loss, vectorized over classes: every class
+row shares the same mini-batch schedule, so a K-class model costs one pass
+over the data per epoch regardless of K. The learning-rate schedule is
+eta_t = step_scale / (lambda * t) with lambda = 1 / (C * n). The loop gathers
+the rows of 128 mini-batches with one ``np.take`` and computes their step
+sizes in one division, so each step works on slice views of that block; the
+batches, their order and every update stay those of a gather per step.
 
 The recorded objective history is non-increasing per class by construction:
 at each epoch boundary the full-data objective is evaluated, and any class
 whose objective got worse is rolled back to its previous weights and retries
 later epochs with a halved step scale. The history reflects the weights
 actually kept, never an optimistic number.
+
+Binary training (`train_binary`) solves the L2-loss SVM exactly: it
+minimises (lambda/2)||w||^2 + (1/n) sum_i c_i max(0, 1 - s_i(w.x_i + b))^2,
+the squared hinge of LIBLINEAR's default loss, with an unregularized bias,
+by primal Newton (Keerthi & DeCoste, JMLR 2005; Chapelle, Neural Computation
+2007). Each step builds the gradient and the generalized Hessian over the
+rows inside the margin, solves once, and takes the exact minimiser along the
+step; a fit stops when a full step leaves that set of rows unchanged, which
+is the exact optimum, or after `_NEWTON_MAX_STEPS`. A grid of configs is
+fitted in ascending C, each fit starting from the previous optimum.
+
+Every product of a row block with a weight matrix is sized so that OpenBLAS
+runs it on one thread (`_row_blocked_scores`); each row's dot product, and
+so every score and objective, is that of the unblocked product.
 
 Model file format (binary): magic ``PLM1``, n_classes u32 LE, d u32 LE,
 class_index (n_classes x i64 LE), weights (n_classes x d float64 LE,
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +66,22 @@ __all__ = [
 
 _MODEL_MAGIC = b"PLM1"
 
-# Mini-batches per problem gathered by one ``np.take`` in `_run_sgd`; a block
-# spans whole batches, so no batch straddles two blocks.
+# Mini-batches gathered by one ``np.take`` in `_run_sgd`; a block spans whole
+# batches, so no batch straddles two blocks.
 _GATHER_BLOCK_BATCHES = 128
-# Rows per product in `hinge_objective`. OpenBLAS runs a product this small on
-# one thread; a threaded product leaves its idle thread spinning through the
-# thousands of small steps that follow each epoch's objective.
-_OBJECTIVE_BLOCK_ROWS = 8192
+# A row block's product with a weight matrix does about this many
+# multiply-adds and spans at most `_MAX_BLOCK_ROWS` rows. OpenBLAS 0.3.31
+# threads a product above about 5e5 multiply-adds, so a block, even a last one
+# of 1.5 blocks, stays on one thread. A threaded product leaves its idle
+# thread spinning through the small steps that follow, which costs CPU time
+# and saves no wall time.
+_BLOCK_MULTIPLY_ADDS = 200_000
+_MAX_BLOCK_ROWS = 8192
+# Newton steps per binary fit. A fit stops earlier, usually within ten steps,
+# when a full step leaves the rows inside the margin unchanged.
+_NEWTON_MAX_STEPS = 50
+# Root-finding passes of the exact line search along one Newton step.
+_LINE_SEARCH_MAX_STEPS = 60
 
 
 def mix_seed(*parts: int) -> int:
@@ -76,7 +91,7 @@ def mix_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the stochastic subgradient trainer."""
+    """Training knobs. `train_binary` reads only C, class_weighting and fit_bias."""
 
     C: float = 1.0
     epochs: int = 30
@@ -130,10 +145,13 @@ class LinearModel:
         return self.W.shape[1]
 
     def scores(self, X: np.ndarray) -> np.ndarray:
+        """(n, n_classes) scores of the rows of an (n, d) feature matrix."""
         X = np.asarray(X, dtype=np.float64)
-        if X.shape[-1] != self.dim:
-            raise ValueError(f"feature dim {X.shape[-1]} != model dim {self.dim}")
-        return X @ self.W.T + self.b
+        if X.ndim != 2:
+            raise ValueError(f"scores takes an (n, d) matrix, got {X.ndim} dims")
+        if X.shape[1] != self.dim:
+            raise ValueError(f"feature dim {X.shape[1]} != model dim {self.dim}")
+        return _row_blocked_scores(X, self.W, self.b)
 
 
 def score(model: LinearModel, x: np.ndarray) -> np.ndarray:
@@ -171,16 +189,31 @@ def _weight_columns(class_weights: np.ndarray) -> np.ndarray:
     return w[:, None] if w.ndim == 1 else w
 
 
+def _row_blocks(n: int, multiply_adds_per_row: int) -> list[slice]:
+    """Row blocks whose product with a weight matrix OpenBLAS keeps on one thread.
+
+    A block spans a multiple of 8 rows, at most `_MAX_BLOCK_ROWS`, and does
+    about `_BLOCK_MULTIPLY_ADDS` multiply-adds. A last block shorter than
+    half a block joins the one before it: OpenBLAS computes a product of a
+    few rows with another kernel, whose sums can differ in the last bit.
+    """
+    rows = min(_MAX_BLOCK_ROWS, _BLOCK_MULTIPLY_ADDS // max(1, multiply_adds_per_row))
+    step = max(8, rows // 8 * 8)
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < step // 2:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _row_blocked_scores(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``X @ W.T + b``, one product per `_OBJECTIVE_BLOCK_ROWS` rows.
+    """``X @ W.T + b``, one product per block of `_row_blocks`.
 
     Each row's dot products are the unblocked ones, so the scores are
     bit-identical; a dataset of at most one block takes a single product.
     """
     out = np.empty((X.shape[0], W.shape[0]))
-    for start in range(0, X.shape[0], _OBJECTIVE_BLOCK_ROWS):
-        stop = start + _OBJECTIVE_BLOCK_ROWS
-        np.matmul(X[start:stop], W.T, out=out[start:stop])
+    for rows in _row_blocks(X.shape[0], X.shape[1] * W.shape[0]):
+        np.matmul(X[rows], W.T, out=out[rows])
     out += b
     return out
 
@@ -255,17 +288,18 @@ def _sgd_step(
     Xb: np.ndarray,
     Sb: np.ndarray,
     CSb: np.ndarray,
-    lam: np.ndarray,
+    lam: np.ndarray | float,
     eta: np.ndarray,
     fit_bias: bool,
 ) -> None:
     """One mini-batch step on a stack of G problems, updating W and b in place.
 
     Shapes: W (G, K, d), b (G, K), Xb (G, B, d) the batch rows, Sb (G, B, K)
-    their signs, CSb (G, B, K) their signs times class weights, lam (G, 1, 1),
-    eta (G, K). Per problem the arithmetic is `hinge_subgradient`'s, operation
-    for operation, so each slice is bit-identical to a separate fit; batched
-    ``matmul`` keeps that where ``einsum`` would reorder the sums.
+    their signs, CSb (G, B, K) their signs times class weights, lam (G, 1, 1)
+    or a scalar, eta (G, K). Per problem the arithmetic is
+    `hinge_subgradient`'s, operation for operation, so each slice is
+    bit-identical to a separate fit; batched ``matmul`` keeps that where
+    ``einsum`` would reorder the sums.
     """
     margins = Sb * (Xb @ W.transpose(0, 2, 1) + b[:, None, :])
     coef = (margins < 1.0) * CSb
@@ -279,19 +313,16 @@ def _run_sgd(
     X: np.ndarray,
     y_pos: np.ndarray,
     n_classes: int,
-    cfgs: tuple[TrainConfig, ...],
+    cfg: TrainConfig,
     class_weights: np.ndarray | None,
     row_ids: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Fit a stack of independent problems, one per config, in one loop.
+    """Fit ``n_classes`` rows sharing one mini-batch schedule.
 
-    Problem g has ``n_classes`` rows sharing one mini-batch schedule, its own
-    lambda = 1 / (C_g * n), its own permutation stream seeded from
-    ``cfgs[g].seed`` and its own step scales and rollbacks. So problem g is
-    bit-identical to fitting ``cfgs[g]`` alone. Returns W (G, K, d), b (G, K)
-    and the per-epoch objectives, each (G, K).
+    Returns W (1, K, d), b (1, K) and the per-epoch objectives, each (1, K):
+    the one-problem stack `_sgd_step` works on.
 
-    Each epoch walks its permutations in blocks of `_GATHER_BLOCK_BATCHES`
+    Each epoch walks its permutation in blocks of `_GATHER_BLOCK_BATCHES`
     batches: one ``np.take`` each for X, S and CS, and one division for the
     block's step sizes step_scale / (lambda * t), with t as float64. The
     block is a whole number of batches, so each step takes a slice of it
@@ -305,10 +336,6 @@ def _run_sgd(
     n, d = X.shape
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    shared = {replace(c, C=1.0, seed=0, step_scale=1.0) for c in cfgs}
-    if len(shared) != 1:
-        raise ValueError("stacked configs may differ only in C, seed and step_scale")
-    cfg = cfgs[0]
 
     # canonical row order: the result must not depend on caller row order
     if row_ids is not None:
@@ -320,40 +347,35 @@ def _run_sgd(
         if class_weights is not None:
             class_weights = class_weights[order]
 
-    G = len(cfgs)
-    lam = np.asarray([1.0 / (c.C * n) for c in cfgs])
-    W = np.zeros((G, n_classes, d))
-    b = np.zeros((G, n_classes))
-    step_scale = np.repeat([[c.step_scale] for c in cfgs], n_classes, axis=1)
+    lam = 1.0 / (cfg.C * n)
+    W = np.zeros((1, n_classes, d))
+    b = np.zeros((1, n_classes))
+    step_scale = np.full((1, n_classes), cfg.step_scale)
     S = _signs(y_pos, n_classes)
     CS = S if class_weights is None else _weight_columns(class_weights) * S
 
     def objective() -> np.ndarray:
-        return np.stack([hinge_objective(W[g], b[g], X, y_pos, lam[g], class_weights) for g in range(G)])
+        return hinge_objective(W[0], b[0], X, y_pos, lam, class_weights)[None]
 
     history = [objective()]
-    rngs = [np.random.default_rng(np.random.SeedSequence([c.seed, n, d, n_classes])) for c in cfgs]
-    perm = np.empty((G, n), dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
-
-    lam_rows, lam_steps = lam[:, None], lam[:, None, None]
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n, d, n_classes]))
     B = cfg.batch_size
     block = _GATHER_BLOCK_BATCHES * B
     t = 0
     for _epoch in range(cfg.epochs):
         prev_W, prev_b = W.copy(), b.copy()
         prev_obj = history[-1]
-        for g, rng in enumerate(rngs):
-            perm[g] = rng.permutation(n)
+        perm = rng.permutation(n).astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)[None]
         for start in range(0, n, block):
             idx = perm[:, start : start + block]
             Xs, Ss, CSs = np.take(X, idx, axis=0), np.take(S, idx, axis=0), np.take(CS, idx, axis=0)
             steps = -(-idx.shape[1] // B)  # the epoch's last batch may be short
             ts = np.arange(t + 1, t + steps + 1, dtype=np.float64)
-            etas = step_scale / (lam_rows * ts[:, None, None])
+            etas = step_scale / (lam * ts[:, None, None])
             t += steps
             for j in range(steps):
                 rows = slice(j * B, (j + 1) * B)
-                _sgd_step(W, b, Xs[:, rows], Ss[:, rows], CSs[:, rows], lam_steps, etas[j], cfg.fit_bias)
+                _sgd_step(W, b, Xs[:, rows], Ss[:, rows], CSs[:, rows], lam, etas[j], cfg.fit_bias)
         obj = objective()
         worse = obj > prev_obj
         if np.any(worse):
@@ -387,60 +409,190 @@ def train_multiclass(
     cw = None
     if cfg.class_weighting == "inverse-frequency":
         cw = _inverse_frequency_weights(y_pos, class_index.size)
-    W, b, history = _run_sgd(X, y_pos, class_index.size, (cfg,), cw, row_ids)
+    W, b, history = _run_sgd(X, y_pos, class_index.size, cfg, cw, row_ids)
     return LinearModel(W[0], b[0], class_index, objective_history=[h[0] for h in history])
+
+
+def _squared_hinge(margins: np.ndarray, c: np.ndarray, lam: float, w: np.ndarray) -> float:
+    """(lam/2)||w||^2 + (1/n) sum_i c_i max(0, 1 - margin_i)^2."""
+    slack = np.maximum(0.0, 1.0 - margins)
+    return float(0.5 * lam * (w @ w) + (c * slack * slack).sum() / margins.shape[0])
+
+
+def _newton_system(
+    X: np.ndarray, margins: np.ndarray, s: np.ndarray, c: np.ndarray, lam: float, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and generalized Hessian of the squared-hinge objective in (w, b).
+
+    Only rows inside the margin contribute. They are gathered one row block
+    at a time, so no (n, d + 1) copy of X is made. The bias is the last
+    coordinate and is not regularized.
+    """
+    n, d = X.shape
+    H = np.zeros((d + 1, d + 1))
+    g = np.zeros(d + 1)
+    for rows in _row_blocks(n, d * d):
+        inside = margins[rows] < 1.0
+        Xa = X[rows][inside]
+        ca = c[rows][inside]
+        ua = ca * s[rows][inside] * (1.0 - margins[rows][inside])
+        Xc = Xa * ca[:, None]
+        H[:d, :d] += Xc.T @ Xa
+        H[:d, d] += Xc.sum(axis=0)
+        H[d, d] += ca.sum()
+        g[:d] -= ua @ Xa
+        g[d] -= ua.sum()
+    H *= 2.0 / n
+    g *= 2.0 / n
+    H[d, :d] = H[:d, d]
+    H[np.arange(d), np.arange(d)] += lam
+    g[:d] += lam * w
+    return g, H
+
+
+def _line_search(
+    margins: np.ndarray, q: np.ndarray, c: np.ndarray, lam: float, w: np.ndarray, dw: np.ndarray
+) -> float:
+    """The t > 0 minimising phi(t) = (lam/2)||w + t dw||^2 + (1/n) sum c (1 - margins - t q)_+^2.
+
+    phi' is continuous, non-decreasing and linear between the points where a
+    row crosses the margin. A Newton step on phi' lands on the root of the
+    piece it starts in; when the rows inside the margin there are those of
+    that piece, the root is exact. Otherwise the search continues inside the
+    bracket of the root, bisecting when a Newton step would leave it. Long
+    dot products are written as sums because OpenBLAS threads a ``dot`` of
+    more than about 10^4 elements.
+    """
+    n = margins.shape[0]
+    a0, a1 = lam * (w @ dw), lam * (dw @ dw)
+    lo, hi, t = 0.0, np.inf, 1.0
+    root_of = None  # the rows inside the margin on the piece whose root t is
+    for _ in range(_LINE_SEARCH_MAX_STEPS):
+        slack = 1.0 - margins - t * q
+        inside = slack > 0.0
+        if root_of is not None and np.array_equal(inside, root_of):
+            return t
+        cq = c[inside] * q[inside]
+        slope = a0 + a1 * t - 2.0 / n * (cq * slack[inside]).sum()
+        if slope == 0.0:
+            return t
+        if slope < 0.0:
+            lo = t
+        else:
+            hi = t
+        curvature = a1 + 2.0 / n * (cq * q[inside]).sum()
+        root = t - slope / curvature if curvature > 0.0 else np.inf
+        if lo < root < hi:
+            t, root_of = root, inside
+        else:
+            t, root_of = (2.0 * t if hi == np.inf else 0.5 * (lo + hi)), None
+    return lo
+
+
+def _newton(
+    X: np.ndarray, s: np.ndarray, c: np.ndarray, lam: float, fit_bias: bool, w: np.ndarray, b: float
+) -> tuple[np.ndarray, float, list[np.ndarray]]:
+    """Minimise the squared-hinge objective from (w, b) by primal Newton.
+
+    Every step lowers the objective, so the returned history is strictly
+    decreasing. The fit stops when a full step leaves the rows inside the
+    margin unchanged: the step then minimised the objective's quadratic piece
+    exactly, and that point is the optimum. It also stops when a step no
+    longer lowers the objective, and after `_NEWTON_MAX_STEPS` steps.
+    """
+    d = X.shape[1]
+    margins = s * _row_blocked_scores(X, w[None], np.asarray([b]))[:, 0]
+    obj = _squared_hinge(margins, c, lam, w)
+    history = [np.asarray([obj])]
+    for _ in range(_NEWTON_MAX_STEPS):
+        inside = margins < 1.0
+        g, H = _newton_system(X, margins, s, c, lam, w)
+        if not fit_bias:
+            g, H = g[:d], H[:d, :d]
+        elif H[d, d] == 0.0:
+            H[d, d] = 1.0  # no row inside the margin: the bias has zero gradient and curvature
+        step = np.linalg.solve(H, -g)
+        dw, db = step[:d], (float(step[d]) if fit_bias else 0.0)
+        q = s * _row_blocked_scores(X, dw[None], np.asarray([db]))[:, 0]
+        full = margins + q
+        converged = np.array_equal(full < 1.0, inside)
+        t = 1.0 if converged else _line_search(margins, q, c, lam, w, dw)
+        new_margins = full if converged else margins + t * q
+        new_w = w + t * dw
+        new_obj = _squared_hinge(new_margins, c, lam, new_w)
+        if not new_obj < obj:
+            break
+        w, b, margins, obj = new_w, b + t * db, new_margins, new_obj
+        history.append(np.asarray([obj]))
+        if converged:
+            break
+    return w, b, history
 
 
 @dataclass(frozen=True)
 class ModelGrid:
-    """Binary models fitted side by side on one dataset, one per config.
-
-    ``models[k]`` is bit-identical to ``train_binary(X, y, cfgs[k])``.
-    """
+    """Binary models fitted on one dataset, one per config, in config order."""
 
     models: tuple[LinearModel, ...]
 
     @property
     def objective_history(self) -> list[np.ndarray]:
-        """Per epoch, every model's objective in config order."""
-        return [np.concatenate(epoch) for epoch in zip(*(m.objective_history for m in self.models))]
+        """Every model's objective history, in config order, one after another."""
+        return [h for m in self.models for h in m.objective_history]
 
 
 def train_binary(
     X: np.ndarray,
     y_pm: np.ndarray,
     cfg: TrainConfig | Sequence[TrainConfig] = TrainConfig(class_weighting="inverse-frequency"),
-    row_ids: np.ndarray | None = None,
+    init: LinearModel | None = None,
 ) -> LinearModel | ModelGrid:
-    """Binary linear SVM on +-1 labels; one weight row scoring the positive class.
+    """Binary L2-loss linear SVM on +-1 labels; one weight row scoring the positive class.
 
-    With ``class_weighting="inverse-frequency"`` each example is weighted by
-    n / (2 * n_its_side), so both sides contribute equal total loss mass.
-    Given a sequence of configs (differing only in C, seed and step_scale),
-    fits one model per config in a single pass and returns a `ModelGrid`.
+    Minimises (lambda/2)||w||^2 + (1/n) sum_i c_i max(0, 1 - s_i(w.x_i + b))^2
+    with lambda = 1 / (C * n) by primal Newton; the bias is unregularized and
+    fixed at 0 unless ``fit_bias``. With ``class_weighting="inverse-frequency"``
+    each example is weighted by c_i = n / (2 * n_its_side), so both sides
+    contribute equal total loss mass; otherwise c_i = 1. Only C,
+    class_weighting and fit_bias of a config are read.
+
+    Given a sequence of configs (agreeing on class_weighting and fit_bias),
+    fits them in ascending C, each from the previous optimum, and returns a
+    `ModelGrid` in config order. The first fit starts from ``init`` when
+    given, else from zero.
     """
     cfgs = (cfg,) if isinstance(cfg, TrainConfig) else tuple(cfg)
     if not cfgs:
         raise ValueError("no training configs")
+    if len({(c.class_weighting, c.fit_bias) for c in cfgs}) != 1:
+        raise ValueError("grid configs must agree on class_weighting and fit_bias")
+    X = np.asarray(X, dtype=np.float64)
     y_pm = np.asarray(y_pm, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] != y_pm.shape[0]:
+        raise ValueError("features and labels disagree on row count")
     if not np.all(np.isin(y_pm, (-1, 1))):
         raise ValueError("binary labels must be +-1")
-    if np.unique(y_pm).size < 2:
+    n, d = X.shape
+    n_pos = int(np.sum(y_pm > 0))
+    if n_pos in (0, n):
         raise ValueError("degenerate problem: both classes must be present")
-    # one class row (index 0); positives must satisfy y_pos == 0 to get sign +1
-    y_pos = np.where(y_pm > 0, 0, 1)
-    cw = None
+    s = np.where(y_pm > 0, 1.0, -1.0)
     if cfgs[0].class_weighting == "inverse-frequency":
-        n = y_pm.shape[0]
-        n_pos = int(np.sum(y_pm > 0))
-        per_example = np.where(y_pm > 0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
-        cw = per_example[:, None]
-    W, b, history = _run_sgd(X, y_pos, 1, cfgs, cw, row_ids)
-    models = tuple(
-        LinearModel(W[g], b[g], np.asarray([1], dtype=np.int64), objective_history=[h[g] for h in history])
-        for g in range(len(cfgs))
-    )
-    return models[0] if isinstance(cfg, TrainConfig) else ModelGrid(models)
+        c = np.where(y_pm > 0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+    else:
+        c = np.ones(n)
+    if init is None:
+        w, b = np.zeros(d), 0.0
+    else:
+        if init.W.shape != (1, d):
+            raise ValueError(f"initial model is {init.W.shape}, expected (1, {d})")
+        w, b = init.W[0].copy(), (float(init.b[0]) if cfgs[0].fit_bias else 0.0)
+
+    models: list[LinearModel | None] = [None] * len(cfgs)
+    for k in sorted(range(len(cfgs)), key=lambda k: cfgs[k].C):
+        w, b, history = _newton(X, s, c, 1.0 / (cfgs[k].C * n), cfgs[k].fit_bias, w, b)
+        models[k] = LinearModel(w[None], np.asarray([b]), np.asarray([1]), objective_history=history)
+    return models[0] if isinstance(cfg, TrainConfig) else ModelGrid(tuple(models))
 
 
 def write_model_bytes(model: LinearModel) -> bytes:

@@ -163,12 +163,16 @@ def test_learn_weights_outputs(trained_dir, tmp_path):
     fw = read_weights(out / "weights.tsv")
     assert fw.w.shape == (5,)
     lines = (out / "gridsearch.csv").read_text().strip().split("\n")
-    assert lines[0] == "C,balanced_accuracy"
+    assert lines[0] == "C,balanced_accuracy,objective"
     assert len(lines) == 3
     grid = [float(line.split(",")[0]) for line in lines[1:]]
     assert grid == [0.25, 4.0]
+    # the regularizer weighs less at the larger C, so the optimum is lower
+    objectives = [float(line.split(",")[2]) for line in lines[1:]]
+    assert 0.0 < objectives[1] < objectives[0]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["best_C"] in grid
+    assert manifest["config"]["loss"] == "squared_hinge"
 
 
 def test_eval_recognition_on_clean_data(clean_dir, tmp_path):

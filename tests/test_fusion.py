@@ -19,7 +19,7 @@ from partfusion import (
     write_weights,
 )
 from partfusion.fusion import _balanced_accuracy, _pair_dataset
-from partfusion.svm import TrainConfig, mix_seed, train_binary
+from partfusion.svm import TrainConfig, train_binary
 
 
 class TestCoverageMass:
@@ -215,6 +215,15 @@ def _tables_from_scores(scores, labels, n_y):
     return tables
 
 
+def _squared_hinge_objective(w, b, X, y, C):
+    """The inverse-frequency weighted L2-loss SVM objective weight learning minimises."""
+    n = y.shape[0]
+    n_pos = np.sum(y > 0)
+    c = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+    slack = np.maximum(0.0, 1.0 - y * (X @ w + b))
+    return 0.5 / (C * n) * float(w @ w) + float(np.sum(c * slack**2)) / n
+
+
 class TestLearnWeights:
     def _planted_setup(self, seed, n=60, n_y=6, parts=4, informative=2):
         rng = np.random.default_rng(seed)
@@ -232,14 +241,15 @@ class TestLearnWeights:
 
     def test_planted_informative_part_wins(self):
         tables, labels, halves = self._planted_setup(31)
-        fw, info = learn_weights(tables, labels, halves, seed=0)
+        fw, info = learn_weights(tables, labels, halves)
         assert int(np.argmax(np.abs(fw.w))) == 2
         assert info.n_pairs == len(labels) * 6
 
     def test_deterministic_given_seed(self):
+        # the solver is exact and draws no random numbers: two runs agree bit for bit
         tables, labels, halves = self._planted_setup(32)
-        fw1, _ = learn_weights(tables, labels, halves, seed=5)
-        fw2, _ = learn_weights(tables, labels, halves, seed=5)
+        fw1, _ = learn_weights(tables, labels, halves)
+        fw2, _ = learn_weights(tables, labels, halves)
         np.testing.assert_array_equal(fw1.w, fw2.w)
         assert fw1.bias == fw2.bias
 
@@ -252,7 +262,7 @@ class TestLearnWeights:
         S[np.arange(n), truth] += 2.0
         tables = _tables_from_scores({0: S, 1: S.copy(), 2: S.copy()}, labels, n_y)
         halves = {i + 1: (i % 2) for i in range(n)}
-        fw, _ = learn_weights(tables, labels, halves, seed=1)
+        fw, _ = learn_weights(tables, labels, halves)
         # s = (sum of w) * P: same argmax as one part whenever the sum is positive
         assert fw.w.sum() > 0
         base = np.argmax(tables[0].P, axis=1)
@@ -261,34 +271,37 @@ class TestLearnWeights:
 
     def test_clamp_flag(self):
         tables, labels, halves = self._planted_setup(34)
-        fw, _ = learn_weights(tables, labels, halves, seed=0, clamp_nonnegative=True)
+        fw, _ = learn_weights(tables, labels, halves, clamp_nonnegative=True)
         assert (fw.w >= 0).all()
 
     def test_empty_grid_rejected(self):
         tables, labels, halves = self._planted_setup(35)
         with pytest.raises(ValueError):
-            learn_weights(tables, labels, halves, C_grid=(), seed=0)
+            learn_weights(tables, labels, halves, C_grid=())
 
     def test_grid_matches_one_fit_per_c(self):
-        # oracle: the grid as separate train_binary fits, as learn_weights once ran it
+        # oracle: a cold single fit per C, scored by an objective written here
         tables, labels, halves = self._planted_setup(37, n=50)
-        grid, seed = (0.0625, 1.0, 16.0), 3
-        fw, info = learn_weights(tables, labels, halves, C_grid=grid, seed=seed, epochs=8)
+        grid = (0.0625, 1.0, 16.0)
+        fw, info = learn_weights(tables, labels, halves, C_grid=grid)
 
         X, y, owner = _pair_dataset(tables, labels)
         half = np.asarray([halves[i] for i in owner.tolist()])
         fit, held = half == 0, half == 1
-        expected = []
-        for k, C in enumerate(grid):
-            cfg = TrainConfig(C=C, epochs=8, seed=mix_seed(seed, 1, k), class_weighting="inverse-frequency")
-            model = train_binary(X[fit], y[fit], cfg)
+        expected, objectives = [], []
+        for C in grid:
+            model = train_binary(X[fit], y[fit], TrainConfig(C=C, class_weighting="inverse-frequency"))
             pred = np.where(model.scores(X[held])[:, 0] > 0.0, 1, -1)
             expected.append((C, _balanced_accuracy(y[held], pred)))
+            objectives.append(_squared_hinge_objective(model.W[0], model.b[0], X[fit], y[fit], C))
         assert info.grid_scores == tuple(expected)
-        best_C = info.best_C
-        cfg = TrainConfig(C=best_C, epochs=8, seed=mix_seed(seed, 2, 0), class_weighting="inverse-frequency")
-        final = train_binary(X, y, cfg)
-        assert np.array_equal(fw.w, final.W[0]) and fw.bias == final.b[0]
+        for got, want, C in zip(info.grid_objectives, objectives, grid):
+            assert got == pytest.approx(want, rel=1e-9)
+            assert got <= _squared_hinge_objective(np.zeros(X.shape[1]), 0.0, X[fit], y[fit], C)
+        final = train_binary(X, y, TrainConfig(C=info.best_C, class_weighting="inverse-frequency"))
+        got = _squared_hinge_objective(fw.w, fw.bias, X, y, info.best_C)
+        want = _squared_hinge_objective(final.W[0], final.b[0], X, y, info.best_C)
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_tie_prefers_smaller_c(self):
         # perfectly separable pairs: every C scores 1.0, so the smallest wins
@@ -301,7 +314,7 @@ class TestLearnWeights:
         tables = _tables_from_scores({0: S}, labels, n_y)
         halves = {i + 1: (i % 2) for i in range(n)}
         grid = (0.25, 1.0, 4.0)
-        _, info = learn_weights(tables, labels, halves, C_grid=grid, seed=0)
+        _, info = learn_weights(tables, labels, halves, C_grid=grid)
         scores = dict(info.grid_scores)
         top = max(scores.values())
         assert info.best_C == min(c for c, s in scores.items() if s >= top - 1e-12)

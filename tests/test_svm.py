@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,12 @@ from partfusion import (
     train_multiclass,
 )
 from partfusion.svm import (
+    _BLOCK_MULTIPLY_ADDS,
     _GATHER_BLOCK_BATCHES,
-    _OBJECTIVE_BLOCK_ROWS,
+    _MAX_BLOCK_ROWS,
+    _NEWTON_MAX_STEPS,
     _row_blocked_scores,
+    _row_blocks,
     _run_sgd,
     _sgd_step,
     _signs,
@@ -228,87 +233,191 @@ class TestTrainBinary:
             train_binary(np.ones((4, 2)), np.array([0, 1, 0, 1]), TrainConfig())
 
 
-def _assert_same_fit(got: LinearModel, ref: LinearModel) -> None:
-    assert np.array_equal(got.W, ref.W)
-    assert np.array_equal(got.b, ref.b)
-    assert len(got.objective_history) == len(ref.objective_history)
-    for h_got, h_ref in zip(got.objective_history, ref.objective_history):
-        assert np.array_equal(h_got, h_ref)
+def _example_weights(y_pm, weighting):
+    n = y_pm.shape[0]
+    if weighting == "uniform":
+        return np.ones(n)
+    n_pos = np.sum(y_pm > 0)
+    return np.where(y_pm > 0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
 
 
-def _rolled_back(model: LinearModel) -> int:
-    H = model.objective_history
-    return sum(int(np.sum(b == a)) for a, b in zip(H, H[1:]))
+def _squared_hinge(w, b, X, y_pm, C, weighting="uniform"):
+    """The binary L2-loss SVM objective, written apart from the trainer."""
+    n = y_pm.shape[0]
+    slack = np.maximum(0.0, 1.0 - y_pm * (X @ w + b))
+    return 0.5 / (C * n) * float(w @ w) + float(np.sum(_example_weights(y_pm, weighting) * slack * slack)) / n
+
+
+def _squared_hinge_gradient(w, b, X, y_pm, C, weighting="uniform"):
+    """Gradient of `_squared_hinge` in (w, b), one sum per coordinate."""
+    n, d = X.shape
+    slack = np.maximum(0.0, 1.0 - y_pm * (X @ w + b))
+    coef = -2.0 / n * _example_weights(y_pm, weighting) * slack * y_pm
+    gw = np.array([w[j] / (C * n) + np.sum(coef * X[:, j]) for j in range(d)])
+    return gw, float(np.sum(coef))
+
+
+def _binary_problem(seed, n, d, duplicate=False):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = np.where(X @ rng.normal(size=d) + rng.normal(0, 0.5, n) > 0.3, 1, -1)
+    y[:2] = (1, -1)
+    if duplicate:
+        X, y = np.vstack([X, X[: n // 2]]), np.concatenate([y, y[: n // 2]])
+    return X, y
 
 
 class TestTrainBinaryGrid:
-    """A grid fit must equal separate one-config fits bit for bit."""
-
-    def _problem(self, seed, n, d):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(n, d))
-        y = np.where(X @ rng.normal(size=d) + rng.normal(0, 0.5, n) > 0.3, 1, -1)
-        y[:2] = (1, -1)
-        return X, y
+    """Each model of a warm-started grid is the optimum a cold fit finds."""
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
         seed=st.integers(0, 2**16),
         n=st.integers(4, 150),
         d=st.integers(1, 8),
-        batch_size=st.sampled_from([1, 5, 32]),
-        epochs=st.integers(1, 6),
         weighting=st.sampled_from(["uniform", "inverse-frequency"]),
-        grid=st.lists(
-            st.tuples(st.integers(-8, 8), st.integers(0, 999), st.sampled_from([1.0, 8.0])),
-            min_size=1,
-            max_size=4,
-        ),
+        fit_bias=st.booleans(),
+        log_cs=st.lists(st.integers(-8, 8), min_size=1, max_size=5),
     )
-    def test_rows_equal_separate_fits(self, seed, n, d, batch_size, epochs, weighting, grid):
-        X, y = self._problem(seed, n, d)
-        cfgs = [
-            TrainConfig(
-                C=2.0**log_c,
-                epochs=epochs,
-                batch_size=batch_size,
-                seed=row_seed,
-                class_weighting=weighting,
-                step_scale=scale,
-            )
-            for log_c, row_seed, scale in grid
-        ]
+    def test_rows_equal_separate_fits(self, seed, n, d, weighting, fit_bias, log_cs):
+        X, y = _binary_problem(seed, n, d)
+        cfgs = [TrainConfig(C=2.0**k, class_weighting=weighting, fit_bias=fit_bias) for k in log_cs]
         fitted = train_binary(X, y, cfgs)
         assert isinstance(fitted, ModelGrid)
         assert len(fitted.models) == len(cfgs)
         for cfg, model in zip(cfgs, fitted.models):
-            _assert_same_fit(model, train_binary(X, y, cfg))
+            cold = train_binary(X, y, cfg)
+            got = _squared_hinge(model.W[0], model.b[0], X, y, cfg.C, weighting)
+            want = _squared_hinge(cold.W[0], cold.b[0], X, y, cfg.C, weighting)
+            assert got == pytest.approx(want, rel=1e-9)
+            assert fit_bias or model.b[0] == 0.0
 
-    def test_ragged_last_batch_and_rollback(self):
-        # 101 rows in batches of 32; a large step scale makes some row reject epochs
-        X, y = self._problem(7, 101, 4)
-        cfgs = [
-            TrainConfig(C=C, epochs=12, seed=k, class_weighting="inverse-frequency", step_scale=30.0)
-            for k, C in enumerate((0.01, 1.0, 100.0))
-        ]
-        assert X.shape[0] % cfgs[0].batch_size != 0
-        fitted = train_binary(X, y, cfgs)
-        singles = [train_binary(X, y, cfg) for cfg in cfgs]
-        for model, single in zip(fitted.models, singles):
-            _assert_same_fit(model, single)
-        rolled = [_rolled_back(m) for m in singles]
-        assert any(r > 0 for r in rolled) and not all(r == rolled[0] for r in rolled)
-        # the grid's history stacks the rows, so trace counts add up
+    def test_grid_history_concatenates_models(self):
+        X, y = _binary_problem(7, 101, 4)
+        fitted = train_binary(X, y, [TrainConfig(C=C) for C in (100.0, 0.01, 1.0)])
         H = fitted.objective_history
-        assert all(h.shape == (3,) for h in H)
-        assert sum(int(np.sum(b == a)) for a, b in zip(H, H[1:])) == sum(rolled)
+        assert len(H) == sum(len(m.objective_history) for m in fitted.models)
+        assert all(h.shape == (1,) for h in H)
+        # the smallest C is fitted first, from zero: its history starts at the all-violated objective 1
+        assert fitted.models[1].objective_history[0][0] == 1.0
+        assert fitted.models[0].objective_history[0][0] != 1.0
 
-    def test_configs_must_share_schedule(self):
-        X, y = self._problem(8, 20, 2)
-        with pytest.raises(ValueError, match="differ only"):
-            train_binary(X, y, [TrainConfig(epochs=2), TrainConfig(epochs=3)])
+    def test_configs_must_share_loss(self):
+        X, y = _binary_problem(8, 20, 2)
+        with pytest.raises(ValueError, match="agree on class_weighting and fit_bias"):
+            train_binary(X, y, [TrainConfig(), TrainConfig(class_weighting="inverse-frequency")])
+        with pytest.raises(ValueError, match="agree on class_weighting and fit_bias"):
+            train_binary(X, y, [TrainConfig(), TrainConfig(fit_bias=False)])
         with pytest.raises(ValueError, match="no training configs"):
             train_binary(X, y, [])
+        # seed, epochs, batch size and step scale are not read
+        ignored = TrainConfig(C=8.0, epochs=3, seed=5, batch_size=1, step_scale=9.0)
+        a = train_binary(X, y, [TrainConfig(C=2.0), ignored])
+        b = train_binary(X, y, [TrainConfig(C=2.0), TrainConfig(C=8.0)])
+        for m_a, m_b in zip(a.models, b.models):
+            assert np.array_equal(m_a.W, m_b.W) and np.array_equal(m_a.b, m_b.b)
+
+
+class TestNewton:
+    """The binary solver reaches the exact optimum of the squared-hinge objective."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 80),
+        d=st.integers(1, 6),
+        log_c=st.integers(-6, 8),
+        weighting=st.sampled_from(["uniform", "inverse-frequency"]),
+        fit_bias=st.booleans(),
+        duplicate=st.booleans(),
+    )
+    def test_first_order_optimal_and_unbeaten(self, seed, n, d, log_c, weighting, fit_bias, duplicate):
+        from scipy.optimize import minimize
+
+        X, y = _binary_problem(seed, n, d, duplicate)
+        C = 2.0**log_c
+        model = train_binary(X, y, TrainConfig(C=C, class_weighting=weighting, fit_bias=fit_bias))
+        w, b = model.W[0], model.b[0]
+        assert fit_bias or b == 0.0
+        assert len(model.objective_history) - 1 < _NEWTON_MAX_STEPS
+        gw, gb = _squared_hinge_gradient(w, b, X, y, C, weighting)
+        scale = 1.0 + np.abs(w).max() / (C * X.shape[0])
+        assert np.abs(gw).max() <= 1e-9 * scale
+        assert not fit_bias or abs(gb) <= 1e-9 * scale
+        obj = _squared_hinge(w, b, X, y, C, weighting)
+        assert obj == pytest.approx(float(model.objective_history[-1][0]), rel=1e-12, abs=1e-15)
+
+        def f(z):
+            return _squared_hinge(z[:d], z[d] if fit_bias else 0.0, X, y, C, weighting)
+
+        def grad(z):
+            gw, gb = _squared_hinge_gradient(z[:d], z[d] if fit_bias else 0.0, X, y, C, weighting)
+            return np.append(gw, gb) if fit_bias else gw
+
+        for start in (np.zeros(d + fit_bias), np.append(w, b) if fit_bias else w.copy()):
+            options = {"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12}
+            res = minimize(f, start, jac=grad, method="L-BFGS-B", options=options)
+            assert res.fun >= obj - 1e-12
+
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse-frequency"])
+    def test_objective_history_decreases(self, weighting):
+        X, y = _binary_problem(21, 300, 5)
+        model = train_binary(X, y, TrainConfig(C=4.0, class_weighting=weighting))
+        H = np.asarray(model.objective_history)[:, 0]
+        assert H[0] == pytest.approx(1.0, rel=1e-12) and len(H) > 2
+        assert np.all(np.diff(H) < 0.0)
+
+    def _assert_converged(self, X, y, cfg, init=None):
+        model = train_binary(X, y, cfg, init=init)
+        assert len(model.objective_history) - 1 < _NEWTON_MAX_STEPS
+        gw, gb = _squared_hinge_gradient(model.W[0], model.b[0], X, y, cfg.C, cfg.class_weighting)
+        assert np.abs(gw).max() <= 1e-9 and abs(gb) <= 1e-9
+        return model
+
+    def test_separable_duplicated_pairs(self):
+        # every positive pair is one row and every negative another, far apart
+        X = np.vstack([np.full((30, 1), 0.9996), np.full((90, 1), 1.2e-4)])
+        y = np.array([1] * 30 + [-1] * 90)
+        for C in (0.25, 1.0, 4.0, 256.0):
+            model = self._assert_converged(X, y, TrainConfig(C=C, class_weighting="inverse-frequency"))
+            assert np.all(np.sign(model.scores(X)[:, 0]) == y)
+
+    def test_single_feature(self):
+        X, y = _binary_problem(22, 60, 1)
+        self._assert_converged(X, y, TrainConfig(C=16.0))
+
+    def test_identical_feature_columns(self):
+        X, y = _binary_problem(23, 60, 1)
+        X = np.hstack([X, X, X])
+        model = self._assert_converged(X, y, TrainConfig(C=16.0, class_weighting="inverse-frequency"))
+        # the regularizer splits the weight evenly over identical columns
+        np.testing.assert_allclose(model.W[0], model.W[0, 0], rtol=1e-9)
+
+    def test_step_with_no_row_inside_the_margin(self):
+        X = np.array([[2.0], [1.0], [-1.0], [-2.0]])
+        y = np.array([1, 1, -1, -1])
+        init = LinearModel(np.array([[50.0]]), np.array([0.0]), np.array([1]))
+        assert np.all(y * (X[:, 0] * 50.0) >= 1.0)
+        model = self._assert_converged(X, y, TrainConfig(C=0.01), init=init)
+        assert 0.0 < model.W[0, 0] < 50.0
+
+    def test_memory_stays_near_the_feature_matrix(self):
+        # the 80-identity refit shape: 1600 instances x 80 identities pairs, 10 parts
+        rng = np.random.default_rng(24)
+        n_inst, n_y, d = 1600, 80, 10
+        truth = rng.integers(0, n_y, n_inst)
+        P = rng.dirichlet(np.ones(n_y), size=(n_inst, d)).transpose(0, 2, 1)
+        P[np.arange(n_inst), truth] += 0.3
+        X = np.ascontiguousarray(P.reshape(-1, d))
+        y = np.where(np.arange(n_y)[None, :] == truth[:, None], 1, -1).reshape(-1)
+        assert X.shape == (128000, 10)
+        tracemalloc.start()
+        try:
+            train_binary(X, y, TrainConfig(C=1.0, class_weighting="inverse-frequency"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes
 
 
 class TestSgdStep:
@@ -350,31 +459,27 @@ def _unblocked_objective(W, b, X, y_pos, lam, class_weights):
     return 0.5 * lam * np.sum(W * W, axis=1) + hinge.sum(axis=0) / X.shape[0]
 
 
-def _per_step_run_sgd(X, y_pos, n_classes, cfgs, class_weights):
+def _per_step_run_sgd(X, y_pos, n_classes, cfg, class_weights):
     """The trainer's loop with one gather and one step size per mini-batch."""
     n, d = X.shape
-    cfg = cfgs[0]
-    G = len(cfgs)
-    lam = np.asarray([1.0 / (c.C * n) for c in cfgs])
-    W = np.zeros((G, n_classes, d))
-    b = np.zeros((G, n_classes))
-    step_scale = np.repeat([[c.step_scale] for c in cfgs], n_classes, axis=1)
+    lam = np.asarray([1.0 / (cfg.C * n)])
+    W = np.zeros((1, n_classes, d))
+    b = np.zeros((1, n_classes))
+    step_scale = np.full((1, n_classes), cfg.step_scale)
     S = _signs(y_pos, n_classes)
     CS = S if class_weights is None else class_weights * S
 
     def objective():
-        return np.stack([_unblocked_objective(W[g], b[g], X, y_pos, lam[g], class_weights) for g in range(G)])
+        return _unblocked_objective(W[0], b[0], X, y_pos, lam[0], class_weights)[None]
 
     history = [objective()]
-    rngs = [np.random.default_rng(np.random.SeedSequence([c.seed, n, d, n_classes])) for c in cfgs]
-    perm = np.empty((G, n), dtype=np.int32)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n, d, n_classes]))
     lam_rows, lam_steps = lam[:, None], lam[:, None, None]
     t = 0
     for _epoch in range(cfg.epochs):
         prev_W, prev_b = W.copy(), b.copy()
         prev_obj = history[-1]
-        for g, rng in enumerate(rngs):
-            perm[g] = rng.permutation(n)
+        perm = rng.permutation(n)[None]
         for start in range(0, n, cfg.batch_size):
             idx = perm[:, start : start + cfg.batch_size]
             t += 1
@@ -395,16 +500,16 @@ def _per_step_run_sgd(X, y_pos, n_classes, cfgs, class_weights):
 class TestBlockedLoop:
     """The block-gathered loop equals the per-step loop bit for bit."""
 
-    def _case(self, seed, n, d, K, weighted, cfgs):
+    def _case(self, seed, n, d, K, weighted, cfg):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d))
         if K > 1:
             y_pos = np.argmax(X @ rng.normal(size=(d, K)) + rng.normal(0, 0.5, (n, K)), axis=1)
-        else:  # binary: y_pos 0 marks the positives of the one class row
+        else:  # one class row: y_pos 0 marks its positives
             y_pos = (X[:, 0] + rng.normal(0, 0.5, n) < 0.3).astype(np.int64)
         cw = rng.uniform(0.5, 2.0, (n, K)) if weighted else None
-        got = _run_sgd(X, y_pos, K, cfgs, cw, None)
-        ref = _per_step_run_sgd(X, y_pos, K, cfgs, cw)
+        got = _run_sgd(X, y_pos, K, cfg, cw, None)
+        ref = _per_step_run_sgd(X, y_pos, K, cfg, cw)
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1])
         assert len(got[2]) == len(ref[2])
@@ -422,28 +527,23 @@ class TestBlockedLoop:
         extra=st.integers(1, 40),
         epochs=st.integers(1, 4),
         weighted=st.booleans(),
-        grid=st.lists(
-            st.tuples(st.integers(-6, 6), st.integers(0, 999), st.sampled_from([1.0, 30.0])),
-            min_size=1,
-            max_size=3,
-        ),
+        log_c=st.integers(-6, 6),
+        row_seed=st.integers(0, 999),
+        scale=st.sampled_from([1.0, 30.0]),
     )
-    def test_equals_per_step_loop(self, seed, K, d, batch_size, blocks, extra, epochs, weighted, grid):
+    def test_equals_per_step_loop(
+        self, seed, K, d, batch_size, blocks, extra, epochs, weighted, log_c, row_seed, scale
+    ):
         n = blocks * _GATHER_BLOCK_BATCHES * batch_size + extra
-        cfgs = tuple(
-            TrainConfig(C=2.0**log_c, epochs=epochs, batch_size=batch_size, seed=row_seed, step_scale=scale)
-            for log_c, row_seed, scale in grid
-        )
-        self._case(seed, n, d, K, weighted, cfgs)
+        cfg = TrainConfig(C=2.0**log_c, epochs=epochs, batch_size=batch_size, seed=row_seed, step_scale=scale)
+        self._case(seed, n, d, K, weighted, cfg)
 
     @pytest.mark.parametrize("K,weighted", [(1, True), (3, False)])
     def test_rolls_back_across_blocks(self, K, weighted):
         # block + 17 rows in batches of 8: two gather blocks and a short last batch
         n = _GATHER_BLOCK_BATCHES * 8 + 17
-        cfgs = tuple(
-            TrainConfig(C=C, epochs=8, batch_size=8, seed=k, step_scale=30.0) for k, C in enumerate((0.01, 1.0, 100.0))
-        )
-        history = self._case(5, n, 4, K, weighted, cfgs)
+        cfg = TrainConfig(C=100.0, epochs=8, batch_size=8, seed=2, step_scale=30.0)
+        history = self._case(5, n, 4, K, weighted, cfg)
         assert sum(int(np.sum(b == a)) for a, b in zip(history, history[1:])) > 0
 
 
@@ -453,7 +553,7 @@ class TestBlockedObjective:
     @pytest.mark.parametrize("K", [1, 4])
     def test_matches_unblocked_product(self, K):
         rng = np.random.default_rng(20 + K)
-        n, d = 2 * _OBJECTIVE_BLOCK_ROWS + 123, 10
+        n, d = 2 * _MAX_BLOCK_ROWS + 123, 10
         X = rng.normal(size=(n, d))
         W = rng.normal(size=(K, d))
         b = rng.normal(size=K)
@@ -463,6 +563,33 @@ class TestBlockedObjective:
         for weights in (None, cw):
             expected = _unblocked_objective(W, b, X, y_pos, 0.01, weights)
             assert np.array_equal(hinge_objective(W, b, X, y_pos, 0.01, weights), expected)
+
+    def test_blocks_sized_by_work(self):
+        # a wide multiclass product takes short blocks, a binary one the row cap
+        wide = [r.stop - r.start for r in _row_blocks(10**6, 32 * 60)]
+        assert all(rows * 32 * 60 <= _BLOCK_MULTIPLY_ADDS for rows in wide[:-1])
+        assert wide[-1] * 32 * 60 <= 1.5 * _BLOCK_MULTIPLY_ADDS
+        assert [r.stop - r.start for r in _row_blocks(3 * _MAX_BLOCK_ROWS, 10)] == [_MAX_BLOCK_ROWS] * 3
+        # blocks tile the rows in order; a short tail joins the block before it
+        for n, work in ((0, 10), (5, 10), (2 * _MAX_BLOCK_ROWS + 17, 10), (999, 32 * 60), (10**4, 10**9)):
+            blocks = _row_blocks(n, work)
+            assert [r.start for r in blocks[1:]] == [r.stop for r in blocks[:-1]]
+            assert (blocks[0].start, blocks[-1].stop) == (0, n) if n else blocks == []
+            assert all(r.start % 8 == 0 for r in blocks)
+            sizes = [r.stop - r.start for r in blocks]
+            assert len(sizes) < 2 or sizes[-1] >= sizes[0] // 2
+
+        rng = np.random.default_rng(25)
+        K, d = 60, 32
+        block = _row_blocks(10**6, d * K)[0].stop
+        n = 2 * block + 17
+        X = rng.normal(size=(n, d))
+        W = rng.normal(size=(K, d))
+        b = rng.normal(size=K)
+        assert len(_row_blocks(n, d * K)) == 2
+        assert np.array_equal(_row_blocked_scores(X, W, b), X @ W.T + b)
+        model = LinearModel(W, b, np.arange(K))
+        assert np.array_equal(model.scores(X), X @ W.T + b)
 
 
 class TestTrainConfig:
