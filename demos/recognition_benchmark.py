@@ -9,12 +9,7 @@ component ablation.
 import numpy as np
 
 from partfusion import FusionWeights, SynthConfig, generate
-from partfusion.protocols import (
-    eval_ablation,
-    eval_recognition,
-    eval_recognition_no_fill,
-    learn_fusion_weights,
-)
+from partfusion.protocols import eval_ablation, eval_recognition, learn_fusion_weights
 
 data = generate(SynthConfig())
 print(
@@ -31,7 +26,7 @@ for part, w in zip(data.registry.parts, fw.w):
     print(f"  {part.name:<12} {w:.4f}")
 
 full = eval_recognition(data.dataset, data.features, data.registry, fw, split="test")
-nofill = eval_recognition_no_fill(data.dataset, data.features, data.registry, fw, split="test")
+nofill = eval_recognition(data.dataset, data.features, data.registry, fw, split="test", fill=False)
 globl = eval_recognition(
     data.dataset,
     data.features,

@@ -41,7 +41,6 @@ from .protocols import (
     eval_faces_split,
     eval_oneshot,
     eval_recognition,
-    eval_recognition_no_fill,
     half_split_training,
     run_retrieval_protocol,
     write_report,
@@ -185,18 +184,18 @@ def cmd_train_parts(args) -> int:
     dataset = load_index(args.dataset)
     features = _load_features_dir(args.features)
     registry = _registry_for(features, args.no_face)
-    art = half_split_training(
+    trained = half_split_training(
         dataset, features, registry, args.split, args.seed, _train_cfg(args)
     )
 
     outputs: list[Path] = []
     tables_dir = out / "tables"
     tables_dir.mkdir(exist_ok=True)
-    for pid, table in sorted(art.tables.items()):
+    for pid, table in sorted(trained.tables.items()):
         p = tables_dir / f"part_{pid:03d}.ppt"
         write_prob_table(p, table)
         outputs.append(p)
-    for half, models in sorted(art.models.items()):
+    for half, models in sorted(trained.models.items()):
         mdir = out / "models" / f"half{half}"
         mdir.mkdir(parents=True, exist_ok=True)
         for pid, model in sorted(models.items()):
@@ -209,13 +208,13 @@ def cmd_train_parts(args) -> int:
     labels_path = out / "labels.tsv"
     atomic_write_text(
         labels_path,
-        "".join(f"{iid}\t{lab}\n" for iid, lab in sorted(art.labels_of.items())),
+        "".join(f"{iid}\t{lab}\n" for iid, lab in sorted(trained.label_of.items())),
     )
     outputs.append(labels_path)
     halves_path = out / "halves.tsv"
     atomic_write_text(
         halves_path,
-        "".join(f"{iid}\t{h}\n" for iid, h in sorted(art.halves.items())),
+        "".join(f"{iid}\t{h}\n" for iid, h in sorted(trained.halves.assignment.items())),
     )
     outputs.append(halves_path)
 
@@ -226,9 +225,9 @@ def cmd_train_parts(args) -> int:
         "svm_c": args.svm_c,
         "epochs": args.epochs,
         "no_face": args.no_face,
-        "n_identities": art.n_identities,
-        "excluded_identities": art.excluded_identities,
-        "excluded_instances": art.excluded_instances,
+        "n_identities": trained.n_identities,
+        "excluded_identities": trained.excluded_identities,
+        "excluded_instances": trained.excluded_instances,
     }
     inputs = [Path(args.dataset)] + _feature_inputs(args.features)
     _write_manifest(out, "train-parts", config, inputs, outputs, args.seed)
@@ -297,14 +296,9 @@ def cmd_eval(args) -> int:
     mask = args.mask if args.mask and args.mask != "all" else None
 
     outputs: list[Path] = []
-    if args.protocol == "recognition":
-        report = eval_recognition(dataset, features, registry, fw, args.split, args.seed, mask, cfg)
-        write_report(report, out / "report.txt")
-        outputs.append(out / "report.txt")
-    elif args.protocol == "recognition-no-fill":
-        report = eval_recognition_no_fill(
-            dataset, features, registry, fw, args.split, args.seed, mask, cfg
-        )
+    if args.protocol in ("recognition", "recognition-no-fill"):
+        fill = args.protocol == "recognition"
+        report = eval_recognition(dataset, features, registry, fw, args.split, args.seed, mask, cfg, fill=fill)
         write_report(report, out / "report.txt")
         outputs.append(out / "report.txt")
     elif args.protocol == "oneshot":

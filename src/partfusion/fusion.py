@@ -151,22 +151,23 @@ def fill_sparsity(
 
     Not activated: the global row, exactly. Activated: blend p_hat (supported
     on F_i, zero elsewhere) with the global row, weighted by how much global
-    mass sits on F_i. Raises if p_hat carries mass outside F_i.
+    mass sits on F_i. Raises if p_hat carries mass outside F_i. The blend is
+    `fill_sparsity_rows` on one row.
     """
     p0_row = np.asarray(p0_row, dtype=np.float64)
-    if not activated:
-        return p0_row.copy()
-    if p_hat is None:
-        raise ValueError("activated fill needs a part prediction")
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    if p_hat.shape != p0_row.shape:
-        raise ValueError("p_hat and p0_row must share the identity set")
-    outside = np.ones(p_hat.shape[0], dtype=bool)
-    outside[np.asarray(F_i, dtype=np.int64)] = False
-    if np.any(p_hat[outside] != 0.0):
-        raise ValueError("p_hat has mass outside the part's coverage set")
-    mass = coverage_mass(p0_row, F_i)
-    return mass * p_hat + (1.0 - mass) * p0_row
+    if activated:
+        if p_hat is None:
+            raise ValueError("activated fill needs a part prediction")
+        p_hat = np.asarray(p_hat, dtype=np.float64)
+        if p_hat.shape != p0_row.shape:
+            raise ValueError("p_hat and p0_row must share the identity set")
+        outside = np.ones(p_hat.shape[0], dtype=bool)
+        outside[np.asarray(F_i, dtype=np.int64)] = False
+        if np.any(p_hat[outside] != 0.0):
+            raise ValueError("p_hat has mass outside the part's coverage set")
+    else:
+        p_hat = p0_row  # not consulted
+    return fill_sparsity_rows(p_hat[None], p0_row[None], F_i, np.asarray([bool(activated)]))[0]
 
 
 def fill_sparsity_rows(
@@ -175,7 +176,7 @@ def fill_sparsity_rows(
     F_i: np.ndarray,
     activated: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized `fill_sparsity` over a block of instances.
+    """Sparsity filling over a block of instances, one row per instance.
 
     ``P_hat`` rows are consulted only where ``activated`` is set; inactive
     rows copy the global rows.
@@ -247,22 +248,16 @@ def fuse(
     Every table must hold a (filled) row for the instance; scores are a
     weighted sum of distributions, deliberately not renormalized.
     """
-    s: np.ndarray | None = None
-    for part_id in sorted(tables):
-        table = tables[part_id]
-        if part_id >= len(fw):
-            raise ValueError(f"no fusion weight for part {part_id}")
-        row = table.row(instance_id)  # raises KeyError if the row is missing
-        s = fw.w[part_id] * row if s is None else s + fw.w[part_id] * row
-    if s is None:
-        raise ValueError("fuse needs at least one table")
-    return s
+    # table.row raises KeyError if the row is missing
+    return fuse_matrix({pid: table.row(instance_id) for pid, table in tables.items()}, fw)
 
 
 def fuse_matrix(prob: dict[int, np.ndarray], fw: FusionWeights) -> np.ndarray:
     """Weighted sum of per-part probability matrices (rows aligned across parts)."""
     s: np.ndarray | None = None
     for part_id, P in sorted(prob.items()):
+        if part_id >= len(fw):
+            raise ValueError(f"no fusion weight for part {part_id}")
         s = fw.w[part_id] * P if s is None else s + fw.w[part_id] * P
     if s is None:
         raise ValueError("fuse needs at least one part")
@@ -346,8 +341,10 @@ def learn_weights(
     if n_y < 2:
         raise ValueError("need at least 2 identities to learn weights")
 
-    X, y, owner = _pair_dataset(tables, labels_of)
-    half_of_pair = np.asarray([halves[i] for i in owner.tolist()], dtype=np.int64)
+    X, y, _ = _pair_dataset(tables, labels_of)
+    # each instance owns n_y consecutive pairs: one half lookup per instance
+    ids = tables[sorted(tables)[0]].instance_ids
+    half_of_pair = np.repeat(np.asarray([halves[i] for i in ids.tolist()], dtype=np.int64), n_y)
     fit_idx = np.flatnonzero(half_of_pair == 0)
     held_idx = np.flatnonzero(half_of_pair == 1)
     if fit_idx.size == 0 or held_idx.size == 0:

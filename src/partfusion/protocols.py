@@ -1,12 +1,16 @@
 """Evaluation protocols: half-split recognition, ablations, one-shot, retrieval.
 
-The recognition protocol splits an evaluation set into two stratified halves,
-trains every part's SVM on each half, scores the other half, sparsity-fills
-the part predictions against the global model, fuses them with the learned
-mixing weights, and averages the two halves' accuracies. Training and
-scoring are separate steps, so the ablation trains each (half, part) model
-once and scores every component mask from it. The face/non-face, one-shot,
-and retrieval protocols reuse the same machinery.
+Every protocol is one choice of training and evaluation ids around a single
+core: `_train_part_models` fits one multiclass SVM per part, and
+`_score_fold` sparsity-fills the part predictions against the global model,
+fuses them with the mixing weights and scores the argmax. Recognition
+splits a set into two stratified halves (`HalfModels`), trains on each and
+scores the other, and averages the two accuracies; ``fill=False`` scores
+the raw part predictions instead. The ablation trains each (half, part)
+model once and scores every component mask from it. One-shot repeats the
+core on sampled training sets, retrieval trains once on a reference split
+and embeds with the fused scores, and `half_split_training` keeps the
+filled per-part tables that weight learning reads.
 
 Reports serialize as a flat key-value text file (``key<TAB>value`` lines)
 plus, for protocols with a curve, a CSV with header ``x,mean,sigma``.
@@ -14,6 +18,7 @@ plus, for protocols with a curve, a CSV with header ``x,mean,sigma``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -40,19 +45,17 @@ from .svm import LinearModel, TrainConfig, mix_seed, softmax, train_multiclass
 __all__ = [
     "DEFAULT_TRAIN_CFG",
     "EvalReport",
+    "HalfModels",
     "HalfSplit",
     "ReferenceModels",
     "build_identity_embedding",
-    "compute_validation_tables",
     "curve_csv",
     "eval_ablation",
     "eval_faces_split",
     "eval_oneshot",
     "eval_recognition",
-    "eval_recognition_no_fill",
     "eval_retrieval",
     "half_split_training",
-    "HalfSplitArtifacts",
     "learn_fusion_weights",
     "report_text",
     "run_retrieval_protocol",
@@ -160,9 +163,7 @@ def _kept_instances(
     Returns (kept instances, split-identity -> local id, excluded identity
     count, excluded instance count).
     """
-    counts: dict[int, int] = {}
-    for inst in instances:
-        counts[inst.identity] = counts.get(inst.identity, 0) + 1
+    counts = Counter(inst.identity for inst in instances)
     keep = sorted(ident for ident, c in counts.items() if c >= min_per_identity)
     local_of = {ident: k for k, ident in enumerate(keep)}
     kept = [inst for inst in instances if inst.identity in local_of]
@@ -256,26 +257,50 @@ def _part_probabilities(
 
 
 @dataclass
-class _HalfModels:
+class HalfModels:
     """Part models trained on each stratified half of one split.
 
     Part SVMs depend only on the training half, the part and the seed, never
     on the component mask, ``fill`` or the fusion weights, so one training
-    pass serves every scoring of the split.
+    pass serves every scoring of the split. `half_split_training` also fills
+    ``tables``: each part's filled rows for the whole split, every row from
+    the opposite half's model.
     """
 
     features: dict[int, FeatureMatrix]  # L2-normalized
     halves: HalfSplit
     label_of: dict[int, int]  # instance_id -> local identity
     models: dict[int, dict[int, LinearModel | None]]  # train half -> part -> model
-    n_y: int
+    n_identities: int
     excluded_identities: int
     excluded_instances: int
+    tables: dict[int, ProbabilityTable] | None = None
 
     def eval_ids(self, eval_half: int) -> np.ndarray:
         return np.asarray(
             sorted(i for i, h in self.halves.assignment.items() if h == eval_half), dtype=np.int64
         )
+
+
+def _split_halves(
+    dataset: Dataset,
+    features: dict[int, FeatureMatrix],
+    split: str,
+    seed: int,
+    halves: HalfSplit | None = None,
+) -> HalfModels:
+    """Normalized features, kept identities and stratified halves of a split; no models yet."""
+    kept, local_of, excl_ids, excl_insts = _kept_instances(dataset.split_instances(split), 2)
+    if len(local_of) < 2:
+        raise ValueError(f"split {split!r} has fewer than 2 usable identities")
+    if halves is None:
+        halves = stratified_half_split(kept, seed)
+    label_of = {
+        inst.instance_id: local_of[inst.identity]
+        for inst in kept
+        if inst.instance_id in halves.assignment
+    }
+    return HalfModels(_normalized(features), halves, label_of, {}, len(local_of), excl_ids, excl_insts)
 
 
 def _train_halves(
@@ -286,99 +311,80 @@ def _train_halves(
     part_ids: tuple[int, ...],
     cfg: TrainConfig,
     halves: HalfSplit | None = None,
-) -> _HalfModels:
+) -> HalfModels:
     """Train the given parts' SVMs on each half, seeded per (seed, eval half, part)."""
-    features = _normalized(features)
-    instances = dataset.split_instances(split)
-    kept, local_of, excl_ids, excl_insts = _kept_instances(instances, 2)
-    if len(local_of) < 2:
-        raise ValueError(f"split {split!r} has fewer than 2 usable identities")
-    if halves is None:
-        halves = stratified_half_split(kept, seed)
-    label_of = {
-        inst.instance_id: local_of[inst.identity]
-        for inst in kept
-        if inst.instance_id in halves.assignment
-    }
-    trained = _HalfModels(features, halves, label_of, {}, len(local_of), excl_ids, excl_insts)
+    trained = _split_halves(dataset, features, split, seed, halves)
     for eval_half in (0, 1):
         trained.models[1 - eval_half] = _train_part_models(
-            part_ids, features, trained.eval_ids(1 - eval_half), label_of, cfg, (seed, eval_half)
+            part_ids, trained.features, trained.eval_ids(1 - eval_half), trained.label_of, cfg, (seed, eval_half)
         )
     return trained
 
 
-@dataclass
-class _Scores:
-    preds: dict[int, int]
-    half_accuracies: tuple[float, float]
-    accuracy: float
-    face_activated: dict[int, bool]
-    tables: dict[int, ProbabilityTable] | None
-
-
-def _score_halves(
-    trained: _HalfModels,
-    registry: PartRegistry,
+def _score_fold(
+    models: dict[int, LinearModel | None],
+    features: dict[int, FeatureMatrix],
+    eval_ids: np.ndarray,
+    label_of: dict[int, int],
+    n_y: int,
     mask_ids: tuple[int, ...],
     fill: bool,
     fw: FusionWeights,
-    collect_tables: bool = False,
-) -> _Scores:
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Fill (or not) and fuse the masked parts; is each row's argmax its identity?
+
+    Returns (per-row correctness, the parts' activation masks).
+    """
+    matrices, activations = _part_probabilities(models, features, eval_ids, n_y, mask_ids, fill)
+    truth = np.asarray([label_of[i] for i in eval_ids.tolist()], dtype=np.int64)
+    return np.argmax(fuse_matrix(matrices, fw), axis=1) == truth, activations
+
+
+def _score_halves(
+    trained: HalfModels, mask_ids: tuple[int, ...], fill: bool, fw: FusionWeights
+) -> list[tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]]:
     """Score each half with the opposite half's models for the masked parts.
 
-    Only the masked parts' models reach ``_part_probabilities``, so a mask
-    without the global part fills from the uniform row.
+    Returns (eval ids, correctness, activations) per half. Only the masked
+    parts' models reach ``_part_probabilities``, so a mask without the
+    global part fills from the uniform row.
     """
-    face_parts = registry.ids_of_kind("face")
-    face_activated: dict[int, bool] = {}
-    preds: dict[int, int] = {}
-    half_accs: list[float] = []
-    fold_tables: dict[int, list[ProbabilityTable]] = {pid: [] for pid in mask_ids}
+    folds = []
     for eval_half in (0, 1):
-        eval_ids = trained.eval_ids(eval_half)
+        ids = trained.eval_ids(eval_half)
         models = {pid: trained.models[1 - eval_half][pid] for pid in mask_ids}
-        matrices, activations = _part_probabilities(
-            models, trained.features, eval_ids, trained.n_y, mask_ids, fill
+        correct, activations = _score_fold(
+            models, trained.features, ids, trained.label_of, trained.n_identities, mask_ids, fill, fw
         )
-        fold_preds = np.argmax(fuse_matrix(matrices, fw), axis=1)
-        truth = np.asarray([trained.label_of[i] for i in eval_ids.tolist()], dtype=np.int64)
-        half_accs.append(float(np.mean(fold_preds == truth)))
-        for k, iid in enumerate(eval_ids.tolist()):
-            preds[iid] = int(fold_preds[k])
-            face_activated[iid] = bool(any(activations[p][k] for p in face_parts if p in activations))
-        if collect_tables:
-            for pid in mask_ids:
-                fold_tables[pid].append(ProbabilityTable(pid, eval_ids, matrices[pid], activations[pid]))
-
-    tables = None
-    if collect_tables:
-        tables = {}
-        for pid, (a, b) in fold_tables.items():
-            tables[pid] = ProbabilityTable(
-                pid,
-                np.concatenate([a.instance_ids, b.instance_ids]),
-                np.concatenate([a.P, b.P], axis=0),
-                np.concatenate([a.activated, b.activated]),
-            )
-    return _Scores(preds, (half_accs[0], half_accs[1]), float(np.mean(half_accs)), face_activated, tables)
+        folds.append((ids, correct, activations))
+    return folds
 
 
-def _recognition_report(
-    protocol: str, trained: _HalfModels, scores: _Scores, component_mask: str | None, seed: int
+def _report(
+    trained: HalfModels, protocol: str, component_mask: str | None, seed: int, n_test: int, **figures
 ) -> EvalReport:
-    n_kept = len(trained.label_of)
     return EvalReport(
         protocol=protocol,
         component_mask=component_mask or "all",
         seed=seed,
-        n_train=n_kept,
-        n_test=n_kept,
-        n_identities=trained.n_y,
-        accuracy=scores.accuracy,
-        half_accuracies=scores.half_accuracies,
+        n_train=len(trained.label_of),
+        n_test=n_test,
+        n_identities=trained.n_identities,
         excluded_identities=trained.excluded_identities,
         excluded_instances=trained.excluded_instances,
+        **figures,
+    )
+
+
+def _recognition(
+    trained: HalfModels, registry: PartRegistry, fw: FusionWeights, component_mask: str | None, seed: int, fill: bool
+) -> EvalReport:
+    folds = _score_halves(trained, registry.resolve_mask(component_mask), fill, fw)
+    accs = [float(np.mean(correct)) for _, correct, _ in folds]
+    protocol = "recognition" if fill else "recognition-no-fill"
+    return _report(
+        trained, protocol, component_mask, seed, len(trained.label_of),
+        accuracy=float(np.mean(accs)), half_accuracies=(accs[0], accs[1]),
     )
 
 
@@ -392,35 +398,18 @@ def eval_recognition(
     component_mask: str | None = None,
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
     halves: HalfSplit | None = None,
+    fill: bool = True,
 ) -> EvalReport:
     """Half-split recognition accuracy with sparsity filling and fusion.
 
     ``component_mask`` (e.g. ``"global"`` or ``"global,face"``) restricts the
     fused parts; a masked-out global part is replaced by the uniform
-    distribution as the filling source.
+    distribution as the filling source. With ``fill=False`` sparse rows
+    contribute zeros and the report's protocol is ``recognition-no-fill``.
     """
     mask_ids = registry.resolve_mask(component_mask)
     trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg, halves)
-    scores = _score_halves(trained, registry, mask_ids, True, fw)
-    return _recognition_report("recognition", trained, scores, component_mask, seed)
-
-
-def eval_recognition_no_fill(
-    dataset: Dataset,
-    features: dict[int, FeatureMatrix],
-    registry: PartRegistry,
-    fw: FusionWeights,
-    split: str = "test",
-    seed: int = 0,
-    component_mask: str | None = None,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
-    halves: HalfSplit | None = None,
-) -> EvalReport:
-    """Recognition without sparsity filling: sparse rows contribute zeros."""
-    mask_ids = registry.resolve_mask(component_mask)
-    trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg, halves)
-    scores = _score_halves(trained, registry, mask_ids, False, fw)
-    return _recognition_report("recognition-no-fill", trained, scores, component_mask, seed)
+    return _recognition(trained, registry, fw, component_mask, seed, fill)
 
 
 def eval_faces_split(
@@ -441,31 +430,26 @@ def eval_faces_split(
     """
     mask_ids = registry.resolve_mask(component_mask)
     trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg)
-    scores = _score_halves(trained, registry, mask_ids, True, fw)
-    is_face = face_mask if face_mask is not None else scores.face_activated
+    folds = _score_halves(trained, mask_ids, True, fw)
+    face_parts = [p for p in registry.ids_of_kind("face") if p in mask_ids]
 
-    def subset_report(name: str, want_face: bool) -> EvalReport:
-        ids = [i for i in scores.preds if bool(is_face.get(i, False)) == want_face]
-        flags: dict[str, str] = {}
-        if ids:
-            acc = float(np.mean([scores.preds[i] == trained.label_of[i] for i in ids]))
-        else:
-            acc = None
-            flags["empty_subset"] = "true"
-        return EvalReport(
-            protocol=name,
-            component_mask=component_mask or "all",
-            seed=seed,
-            n_train=len(trained.label_of),
-            n_test=len(ids),
-            n_identities=trained.n_y,
-            accuracy=acc,
-            excluded_identities=trained.excluded_identities,
-            excluded_instances=trained.excluded_instances,
-            flags=flags,
-        )
+    def is_face(ids: np.ndarray, activations: dict[int, np.ndarray]) -> np.ndarray:
+        if face_mask is not None:
+            return np.asarray([bool(face_mask.get(i, False)) for i in ids.tolist()], dtype=bool)
+        face = np.zeros(ids.shape[0], dtype=bool)
+        for p in face_parts:
+            face |= activations[p]
+        return face
 
-    return subset_report("recognition-faces", True), subset_report("recognition-nonfaces", False)
+    correct = np.concatenate([c for _, c, _ in folds])
+    face = np.concatenate([is_face(ids, activations) for ids, _, activations in folds])
+
+    def subset_report(name: str, rows: np.ndarray) -> EvalReport:
+        if not rows.any():
+            return _report(trained, name, component_mask, seed, 0, flags={"empty_subset": "true"})
+        return _report(trained, name, component_mask, seed, int(rows.sum()), accuracy=float(np.mean(correct[rows])))
+
+    return subset_report("recognition-faces", face), subset_report("recognition-nonfaces", ~face)
 
 
 def eval_ablation(
@@ -484,13 +468,8 @@ def eval_ablation(
     score those same models, so each report equals its own recognition run.
     """
     trained = _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
-    out: dict[str, EvalReport] = {}
-    for mask in masks:
-        component_mask = None if mask == "all" else mask
-        scores = _score_halves(trained, registry, registry.resolve_mask(component_mask), True, fw)
-        out[mask] = _recognition_report("recognition", trained, scores, component_mask, seed)
-    scores = _score_halves(trained, registry, registry.part_ids, False, fw)
-    out["no-fill"] = _recognition_report("recognition-no-fill", trained, scores, None, seed)
+    out = {mask: _recognition(trained, registry, fw, None if mask == "all" else mask, seed, True) for mask in masks}
+    out["no-fill"] = _recognition(trained, registry, fw, None, seed, False)
     return out
 
 
@@ -510,10 +489,13 @@ def eval_oneshot(
 
     Per repeat, identities with at least shots+1 instances contribute; the
     sampled instances train the part SVMs and the rest are scored. The curve
-    holds (shots, mean accuracy, sample sigma) per shot count.
+    holds (shots, mean accuracy, sample sigma) per shot count. Every shot
+    count must be at least 1.
     """
     if repeats < 2:
         raise ValueError("need repeats >= 2 to report a sigma")
+    if not shots or min(shots) < 1:
+        raise ValueError(f"one-shot needs shot counts >= 1, got {list(shots)}")
     mask_ids = registry.resolve_mask(component_mask)
     features = _normalized(features)
     instances = dataset.split_instances(split)
@@ -529,38 +511,26 @@ def eval_oneshot(
         flags[f"excluded_identities_shot_{s}"] = str(excl_ids)
         max_kept = max(max_kept, len(kept))
         max_n_y = max(max_n_y, len(local_of))
-        by_identity: dict[int, list[int]] = {}
-        for inst in kept:
-            by_identity.setdefault(local_of[inst.identity], []).append(inst.instance_id)
         label_of = {inst.instance_id: local_of[inst.identity] for inst in kept}
+        all_ids = np.asarray(sorted(label_of), dtype=np.int64)
+        labels = np.asarray([label_of[i] for i in all_ids.tolist()], dtype=np.int64)
+        pools = [all_ids[labels == y] for y in range(len(local_of))]
 
         accs = []
         for r in range(repeats):
             rng = np.random.default_rng(np.random.SeedSequence([seed, s, r]))
-            train_list: list[int] = []
-            for ident in sorted(by_identity):
-                ids = np.asarray(sorted(by_identity[ident]), dtype=np.int64)
-                train_list.extend(rng.choice(ids, size=s, replace=False).tolist())
-            train_ids = np.asarray(sorted(train_list), dtype=np.int64)
-            eval_ids = np.asarray(
-                sorted(set(label_of) - set(train_ids.tolist())), dtype=np.int64
-            )
-            models = _train_part_models(
-                mask_ids, features, train_ids, label_of, train_cfg, (seed, s, r)
-            )
-            matrices, _ = _part_probabilities(
-                models, features, eval_ids, len(local_of), mask_ids, fill=True
-            )
-            fused = fuse_matrix(matrices, fw)
-            truth = np.asarray([label_of[i] for i in eval_ids.tolist()], dtype=np.int64)
-            accs.append(float(np.mean(np.argmax(fused, axis=1) == truth)))
+            train_ids = np.sort(np.concatenate([rng.choice(pool, size=s, replace=False) for pool in pools]))
+            eval_ids = np.setdiff1d(all_ids, train_ids)
+            models = _train_part_models(mask_ids, features, train_ids, label_of, train_cfg, (seed, s, r))
+            correct, _ = _score_fold(models, features, eval_ids, label_of, len(local_of), mask_ids, True, fw)
+            accs.append(float(np.mean(correct)))
         curve.append((float(s), float(np.mean(accs)), float(np.std(accs, ddof=1))))
 
     return EvalReport(
         protocol="oneshot",
         component_mask=component_mask or "all",
         seed=seed,
-        n_train=int(shots[-1]) * max_n_y,
+        n_train=int(max(shots)) * max_n_y,
         n_test=max_kept,
         n_identities=max_n_y,
         curve=tuple(curve),
@@ -587,24 +557,11 @@ def train_reference_models(
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> ReferenceModels:
     """Train all part SVMs on half 0 of the given split's stratified halves."""
-    features = _normalized(features)
-    instances = dataset.split_instances(split)
-    kept, local_of, _, _ = _kept_instances(instances, 2)
-    if len(local_of) < 2:
-        raise ValueError(f"split {split!r} has fewer than 2 usable identities")
-    halves = stratified_half_split(kept, seed)
-    label_of = {
-        inst.instance_id: local_of[inst.identity]
-        for inst in kept
-        if inst.instance_id in halves.assignment
-    }
-    train_ids = np.asarray(
-        sorted(i for i, h in halves.assignment.items() if h == 0), dtype=np.int64
-    )
+    split_set = _split_halves(dataset, features, split, seed)
     models = _train_part_models(
-        registry.part_ids, features, train_ids, label_of, train_cfg, (seed, 7)
+        registry.part_ids, split_set.features, split_set.eval_ids(0), split_set.label_of, train_cfg, (seed, 7)
     )
-    return ReferenceModels(models, len(local_of), split, seed)
+    return ReferenceModels(models, split_set.n_identities, split, seed)
 
 
 def build_identity_embedding(
@@ -616,11 +573,7 @@ def build_identity_embedding(
     registry: PartRegistry | None = None,
 ) -> np.ndarray:
     """Fused probability vector over the reference identities for one instance."""
-    mask_ids = (
-        registry.resolve_mask(component_mask)
-        if registry is not None
-        else tuple(sorted(ref.models))
-    )
+    mask_ids = registry.resolve_mask(component_mask) if registry is not None else tuple(sorted(ref.models))
     return _build_embeddings(np.asarray([instance_id], dtype=np.int64), features, ref, fw, mask_ids)[0]
 
 
@@ -745,19 +698,6 @@ def run_retrieval_protocol(
     return report
 
 
-@dataclass
-class HalfSplitArtifacts:
-    """Everything the half-split training pass produces for one split."""
-
-    tables: dict[int, ProbabilityTable]  # filled, rows from opposite-half models
-    labels_of: dict[int, int]  # instance_id -> local identity
-    halves: dict[int, int]  # instance_id -> 0/1
-    models: dict[int, dict[int, LinearModel | None]]  # train half -> part -> model
-    n_identities: int
-    excluded_identities: int
-    excluded_instances: int
-
-
 def half_split_training(
     dataset: Dataset,
     features: dict[int, FeatureMatrix],
@@ -765,37 +705,30 @@ def half_split_training(
     split: str = "val",
     seed: int = 0,
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
-) -> HalfSplitArtifacts:
-    """Train per-part SVMs on both halves and tabulate filled probabilities."""
-    trained = _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
-    fw_ones = FusionWeights(np.ones(len(registry.parts)))
-    scores = _score_halves(trained, registry, registry.part_ids, True, fw_ones, collect_tables=True)
-    return HalfSplitArtifacts(
-        tables=scores.tables,
-        labels_of=trained.label_of,
-        halves=dict(trained.halves.assignment),
-        models=trained.models,
-        n_identities=trained.n_y,
-        excluded_identities=trained.excluded_identities,
-        excluded_instances=trained.excluded_instances,
-    )
+) -> HalfModels:
+    """Train per-part SVMs on both halves and tabulate filled probabilities.
 
-
-def compute_validation_tables(
-    dataset: Dataset,
-    features: dict[int, FeatureMatrix],
-    registry: PartRegistry,
-    split: str = "val",
-    seed: int = 0,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
-) -> tuple[dict[int, ProbabilityTable], dict[int, int], dict[int, int]]:
-    """Filled probability tables for weight learning, per the half-split rule.
-
-    Each instance's row comes from models trained on the opposite half.
-    Returns (tables per part, instance -> local identity, instance -> half).
+    The result's ``tables`` are what weight learning reads: each instance's
+    row comes from the model trained on the opposite half.
     """
-    art = half_split_training(dataset, features, registry, split, seed, train_cfg)
-    return art.tables, art.labels_of, art.halves
+    trained = _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
+    folds = []
+    for eval_half in (0, 1):
+        ids = trained.eval_ids(eval_half)
+        matrices, activations = _part_probabilities(
+            trained.models[1 - eval_half], trained.features, ids, trained.n_identities, registry.part_ids, True
+        )
+        folds.append((ids, matrices, activations))
+    trained.tables = {
+        pid: ProbabilityTable(
+            pid,
+            np.concatenate([ids for ids, _, _ in folds]),
+            np.concatenate([matrices[pid] for _, matrices, _ in folds], axis=0),
+            np.concatenate([activations[pid] for _, _, activations in folds]),
+        )
+        for pid in registry.part_ids
+    }
+    return trained
 
 
 def learn_fusion_weights(
@@ -809,7 +742,7 @@ def learn_fusion_weights(
     clamp_nonnegative: bool = False,
 ) -> tuple[FusionWeights, WeightLearningInfo]:
     """Full weight-learning pipeline on a validation split."""
-    tables, labels_of, halves = compute_validation_tables(
-        dataset, features, registry, split, seed, train_cfg
+    trained = half_split_training(dataset, features, registry, split, seed, train_cfg)
+    return learn_weights(
+        trained.tables, trained.label_of, trained.halves.assignment, C_grid=C_grid, clamp_nonnegative=clamp_nonnegative
     )
-    return learn_weights(tables, labels_of, halves, C_grid=C_grid, clamp_nonnegative=clamp_nonnegative)

@@ -288,25 +288,22 @@ def _sgd_step(
     Xb: np.ndarray,
     Sb: np.ndarray,
     CSb: np.ndarray,
-    lam: np.ndarray | float,
+    lam: float,
     eta: np.ndarray,
     fit_bias: bool,
 ) -> None:
-    """One mini-batch step on a stack of G problems, updating W and b in place.
+    """One mini-batch step, updating W and b in place.
 
-    Shapes: W (G, K, d), b (G, K), Xb (G, B, d) the batch rows, Sb (G, B, K)
-    their signs, CSb (G, B, K) their signs times class weights, lam (G, 1, 1)
-    or a scalar, eta (G, K). Per problem the arithmetic is
-    `hinge_subgradient`'s, operation for operation, so each slice is
-    bit-identical to a separate fit; batched ``matmul`` keeps that where
-    ``einsum`` would reorder the sums.
+    Shapes: W (K, d), b (K,), Xb (B, d) the batch rows, Sb (B, K) their
+    signs, CSb (B, K) their signs times class weights, eta (K,). The
+    arithmetic is `hinge_subgradient`'s, operation for operation.
     """
-    margins = Sb * (Xb @ W.transpose(0, 2, 1) + b[:, None, :])
+    margins = Sb * (Xb @ W.T + b)
     coef = (margins < 1.0) * CSb
-    n = Xb.shape[1]
-    W -= eta[:, :, None] * (lam * W - (coef.transpose(0, 2, 1) @ Xb) / n)
+    n = Xb.shape[0]
+    W -= eta[:, None] * (lam * W - (coef.T @ Xb) / n)
     if fit_bias:
-        b -= eta * (-coef.sum(axis=1) / n)
+        b -= eta * (-coef.sum(axis=0) / n)
 
 
 def _run_sgd(
@@ -319,8 +316,7 @@ def _run_sgd(
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Fit ``n_classes`` rows sharing one mini-batch schedule.
 
-    Returns W (1, K, d), b (1, K) and the per-epoch objectives, each (1, K):
-    the one-problem stack `_sgd_step` works on.
+    Returns W (K, d), b (K,) and the per-epoch objectives, each (K,).
 
     Each epoch walks its permutation in blocks of `_GATHER_BLOCK_BATCHES`
     batches: one ``np.take`` each for X, S and CS, and one division for the
@@ -348,16 +344,13 @@ def _run_sgd(
             class_weights = class_weights[order]
 
     lam = 1.0 / (cfg.C * n)
-    W = np.zeros((1, n_classes, d))
-    b = np.zeros((1, n_classes))
-    step_scale = np.full((1, n_classes), cfg.step_scale)
+    W = np.zeros((n_classes, d))
+    b = np.zeros(n_classes)
+    step_scale = np.full(n_classes, cfg.step_scale)
     S = _signs(y_pos, n_classes)
     CS = S if class_weights is None else _weight_columns(class_weights) * S
 
-    def objective() -> np.ndarray:
-        return hinge_objective(W[0], b[0], X, y_pos, lam, class_weights)[None]
-
-    history = [objective()]
+    history = [hinge_objective(W, b, X, y_pos, lam, class_weights)]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n, d, n_classes]))
     B = cfg.batch_size
     block = _GATHER_BLOCK_BATCHES * B
@@ -365,18 +358,18 @@ def _run_sgd(
     for _epoch in range(cfg.epochs):
         prev_W, prev_b = W.copy(), b.copy()
         prev_obj = history[-1]
-        perm = rng.permutation(n).astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)[None]
+        perm = rng.permutation(n).astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
         for start in range(0, n, block):
-            idx = perm[:, start : start + block]
+            idx = perm[start : start + block]
             Xs, Ss, CSs = np.take(X, idx, axis=0), np.take(S, idx, axis=0), np.take(CS, idx, axis=0)
-            steps = -(-idx.shape[1] // B)  # the epoch's last batch may be short
+            steps = -(-idx.shape[0] // B)  # the epoch's last batch may be short
             ts = np.arange(t + 1, t + steps + 1, dtype=np.float64)
-            etas = step_scale / (lam * ts[:, None, None])
+            etas = step_scale / (lam * ts[:, None])
             t += steps
             for j in range(steps):
                 rows = slice(j * B, (j + 1) * B)
-                _sgd_step(W, b, Xs[:, rows], Ss[:, rows], CSs[:, rows], lam, etas[j], cfg.fit_bias)
-        obj = objective()
+                _sgd_step(W, b, Xs[rows], Ss[rows], CSs[rows], lam, etas[j], cfg.fit_bias)
+        obj = hinge_objective(W, b, X, y_pos, lam, class_weights)
         worse = obj > prev_obj
         if np.any(worse):
             # reject the epoch for regressed rows and damp their step
@@ -410,7 +403,7 @@ def train_multiclass(
     if cfg.class_weighting == "inverse-frequency":
         cw = _inverse_frequency_weights(y_pos, class_index.size)
     W, b, history = _run_sgd(X, y_pos, class_index.size, cfg, cw, row_ids)
-    return LinearModel(W[0], b[0], class_index, objective_history=[h[0] for h in history])
+    return LinearModel(W, b, class_index, objective_history=history)
 
 
 def _squared_hinge(margins: np.ndarray, c: np.ndarray, lam: float, w: np.ndarray) -> float:

@@ -17,7 +17,6 @@ from partfusion.matching import match_bruteforce, match_detections
 from partfusion.protocols import (
     eval_oneshot,
     eval_recognition,
-    eval_recognition_no_fill,
     learn_fusion_weights,
     run_retrieval_protocol,
 )
@@ -128,8 +127,8 @@ def test_criterion_05_filling_and_fusion_beat_the_baselines(bench, uniform_weigh
     full = eval_recognition(
         bench.dataset, bench.features, bench.registry, learned_weights, split="test", seed=0
     ).accuracy
-    nofill = eval_recognition_no_fill(
-        bench.dataset, bench.features, bench.registry, learned_weights, split="test", seed=0
+    nofill = eval_recognition(
+        bench.dataset, bench.features, bench.registry, learned_weights, split="test", seed=0, fill=False
     ).accuracy
     glob = eval_recognition(
         bench.dataset, bench.features, bench.registry, uniform_weights,

@@ -245,6 +245,25 @@ def test_eval_oneshot_curve(data_dir, tmp_path):
     assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("shots", ["0", "2,0"])
+def test_eval_oneshot_rejects_shot_counts_below_one(data_dir, tmp_path, capsys, shots):
+    out = tmp_path / "oneshot"
+    rc = main(
+        [
+            "eval",
+            "--protocol", "oneshot",
+            "--dataset", str(data_dir / "index.tsv"),
+            "--features", str(data_dir / "features"),
+            "--shots", shots,
+            "--repeats", "2",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "shot counts >= 1" in capsys.readouterr().err
+    assert not (out / "report.txt").exists()
+
+
 def test_eval_retrieval_curve_nondecreasing(data_dir, tmp_path):
     out = tmp_path / "retrieval"
     rc = main(

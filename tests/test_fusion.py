@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partfusion import (
     FusionWeights,
@@ -78,19 +80,43 @@ class TestFillSparsity:
             assert abs(out.sum() - 1.0) < 1e-9
             assert (out >= -1e-12).all()
 
-    def test_vectorized_rows_match_scalar(self):
-        rng = np.random.default_rng(22)
-        n, rows = 7, 20
-        P0 = np.vstack([rng.dirichlet(np.ones(n)) for _ in range(rows)])
-        F = np.array([0, 2, 5])
-        P_hat = np.zeros((rows, n))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_y=st.integers(1, 200),
+        rows=st.integers(1, 16),
+        coverage=st.floats(0.0, 1.0),
+        p_active=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_vectorized_rows_match_scalar(self, seed, n_y, rows, coverage, p_active):
+        rng = np.random.default_rng(seed)
+        P0 = rng.dirichlet(np.ones(n_y), size=rows)
+        F = np.flatnonzero(rng.random(n_y) < coverage)  # may be empty
+        P_hat = np.zeros((rows, n_y))
+        if F.size:
+            P_hat[:, F] = rng.dirichlet(np.ones(F.size), size=rows)
+        activated = rng.random(rows) < p_active
+        block = fill_sparsity_rows(P_hat, P0, F, activated)
         for r in range(rows):
-            P_hat[r, F] = rng.dirichlet(np.ones(len(F)))
-        activated = rng.random(rows) < 0.5
-        out = fill_sparsity_rows(P_hat, P0, F, activated)
-        for r in range(rows):
-            expect = fill_sparsity(P_hat[r], P0[r], F, bool(activated[r]))
-            np.testing.assert_allclose(out[r], expect, atol=1e-12)
+            act = bool(activated[r])
+            expect = _scalar_fill(P_hat[r], P0[r], F, act)
+            assert np.array_equal(fill_sparsity(P_hat[r] if act else None, P0[r], F, act), expect)
+            one_row = fill_sparsity_rows(P_hat[r : r + 1], P0[r : r + 1], F, activated[r : r + 1])
+            assert np.array_equal(one_row[0], expect)
+            # over several rows numpy sums the coverage mass of a column
+            # gather in sequence, not pairwise: the mass may move by an ulp
+            # per covered identity, and the row by twice that
+            np.testing.assert_allclose(block[r], expect, rtol=0.0, atol=2 * max(F.size, 1) * np.finfo(np.float64).eps)
+            if not act:
+                assert np.array_equal(block[r], P0[r])
+
+
+def _scalar_fill(p_hat, p0_row, F_i, activated):
+    """The fill rule one instance at a time: the oracle for both fill routines."""
+    if not activated:
+        return p0_row.copy()
+    mass = coverage_mass(p0_row, F_i)
+    return mass * p_hat + (1.0 - mass) * p0_row
 
 
 class TestFusePredict:
@@ -129,6 +155,14 @@ class TestFusePredict:
     def test_predict_empty_rejected(self):
         with pytest.raises(ValueError):
             predict(np.array([]))
+
+    def test_part_without_weight_rejected(self):
+        P = {0: np.full((2, 3), 1.0 / 3.0), 2: np.full((2, 3), 1.0 / 3.0)}
+        with pytest.raises(ValueError, match="no fusion weight for part 2"):
+            fuse_matrix(P, FusionWeights(np.ones(2)))
+        tables = {pid: self._table(pid, [1, 2], m) for pid, m in P.items()}
+        with pytest.raises(ValueError, match="no fusion weight for part 2"):
+            fuse(tables, FusionWeights(np.ones(2)), 1)
 
     def test_fuse_linear_in_weights(self):
         rng = np.random.default_rng(23)

@@ -17,13 +17,11 @@ from partfusion.protocols import (
     HalfSplit,
     ReferenceModels,
     build_identity_embedding,
-    compute_validation_tables,
     curve_csv,
     eval_ablation,
     eval_faces_split,
     eval_oneshot,
     eval_recognition,
-    eval_recognition_no_fill,
     eval_retrieval,
     half_split_training,
     learn_fusion_weights,
@@ -125,7 +123,7 @@ def test_masked_global_equals_plain_multiclass_baseline(small, small_fw):
 def test_full_part_coverage_makes_no_fill_exact(small_fw):
     data = generate(replace(SMALL, activation_prob=1.0, seed=12))
     filled = eval_recognition(data.dataset, data.features, data.registry, small_fw, split="test")
-    sparse = eval_recognition_no_fill(data.dataset, data.features, data.registry, small_fw, split="test")
+    sparse = eval_recognition(data.dataset, data.features, data.registry, small_fw, split="test", fill=False)
     assert filled.half_accuracies == sparse.half_accuracies
     assert filled.accuracy == sparse.accuracy
 
@@ -134,7 +132,7 @@ def test_never_active_parts_collapse_to_global(small_fw):
     data = generate(replace(SMALL, activation_prob=0.0, n_identities=6, seed=3))
     fw = FusionWeights(np.ones(len(data.registry.parts)))
     filled = eval_recognition(data.dataset, data.features, data.registry, fw, split="test")
-    sparse = eval_recognition_no_fill(data.dataset, data.features, data.registry, fw, split="test")
+    sparse = eval_recognition(data.dataset, data.features, data.registry, fw, split="test", fill=False)
     only_global = eval_recognition(
         data.dataset, data.features, data.registry, fw, split="test", component_mask="global"
     )
@@ -226,8 +224,8 @@ def test_ablation_reports_equal_separate_recognition_runs(small, small_fw):
             split="test", seed=3, component_mask=None if mask == "all" else mask,
         )
         assert report_text(reports[mask]) == report_text(alone), mask
-    no_fill = eval_recognition_no_fill(
-        small.dataset, small.features, small.registry, small_fw, split="test", seed=3
+    no_fill = eval_recognition(
+        small.dataset, small.features, small.registry, small_fw, split="test", seed=3, fill=False
     )
     assert report_text(reports["no-fill"]) == report_text(no_fill)
 
@@ -272,11 +270,23 @@ def test_oneshot_excludes_identities_without_enough_instances(small_fw):
 def test_oneshot_rejects_degenerate_settings(small, small_fw):
     with pytest.raises(ValueError, match="repeats"):
         eval_oneshot(small.dataset, small.features, small.registry, small_fw, repeats=1, split="test")
+    for shots in ((), (0,), (2, -1)):
+        with pytest.raises(ValueError, match="shot counts >= 1"):
+            eval_oneshot(small.dataset, small.features, small.registry, small_fw, split="test", shots=shots)
     with pytest.raises(ValueError, match="usable identities"):
         eval_oneshot(
             small.dataset, small.features, small.registry, small_fw,
             split="test", shots=(50,), repeats=2,
         )
+
+
+def test_oneshot_n_train_counts_the_largest_shot(small, small_fw):
+    # every identity has 6 instances, so each shot count keeps all of them
+    rep = eval_oneshot(
+        small.dataset, small.features, small.registry, small_fw, split="test", shots=(3, 1), repeats=2
+    )
+    assert [pt[0] for pt in rep.curve] == [3.0, 1.0]
+    assert rep.n_train == 3 * rep.n_identities == 3 * SMALL.n_identities
 
 
 def _retrieval_triplet(swap=False):
@@ -456,20 +466,14 @@ def test_embedding_requires_global_model(small, small_fw):
 def test_half_split_training_artifacts(small):
     art = half_split_training(small.dataset, small.features, small.registry, split="test")
     kept = {i.instance_id for i in small.dataset.split_instances("test")}
-    assert set(art.halves) == kept
+    assert set(art.halves.assignment) == set(art.label_of) == kept
     assert art.excluded_identities == 0 and art.excluded_instances == 0
     assert set(art.models) == {0, 1}
+    assert set(art.tables) == set(small.registry.part_ids)
     for pid, table in art.tables.items():
         assert set(table.instance_ids.tolist()) == kept
         np.testing.assert_allclose(table.P.sum(axis=1), 1.0, atol=1e-9)
         assert table.P.shape == (len(kept), art.n_identities)
-
-    tables, labels_of, halves = compute_validation_tables(
-        small.dataset, small.features, small.registry, split="test"
-    )
-    assert halves == art.halves
-    assert labels_of == art.labels_of
-    assert set(tables) == set(art.tables)
 
 
 def test_learn_fusion_weights_recovers_planted_part():
