@@ -13,8 +13,11 @@ pure maximum-weight objective does not guarantee.
 
 The solver reduces to a rectangular linear sum assignment by adding a
 constant bonus to every admissible edge large enough that one extra pair
-always beats any redistribution of weights. A brute-force enumerator with
-identical semantics serves as the test oracle for small photos.
+always beats any redistribution of weights. The assignment itself is solved
+in this module by shortest augmenting paths with dual potentials (the
+Hungarian method of Kuhn 1955 in the rectangular form of Crouse 2016). A
+brute-force enumerator with identical semantics serves as the test oracle
+for small photos.
 
 Detection file format: line-delimited, tab-separated, UTF-8; per detection:
 photo_id, detection_id, person box x/y/w/h, score, then repeated groups of
@@ -138,15 +141,75 @@ def _augmented(adm: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.where(adm, W + bonus, 0.0)
 
 
-def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's rectangular assignment solver, imported on first use.
+def _min_cost_columns(cost: list[list[float]], m: int) -> list[int]:
+    """Column of each row in a minimum-cost assignment of len(cost) <= m rows.
 
-    Only matching needs scipy, and importing it costs about half a second,
-    so the commands that never match do not pay for it.
+    Each row joins by one shortest augmenting path in reduced costs, grown
+    from the new row until it reaches a free column; the potentials u, v
+    then absorb the path lengths so that reduced costs stay non-negative.
+    Every step of a path adds a column, so a row takes at most m steps.
     """
-    from scipy.optimize import linear_sum_assignment as solve
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * m
+    col_of, row_of = [-1] * n, [-1] * m
+    for start in range(n):
+        dist, path, reached = [math.inf] * m, [-1] * m, [False] * m
+        tree_rows = [start]
+        i, d, sink = start, 0.0, -1
+        while sink < 0:
+            ci, ui = cost[i], u[i]
+            low, jl = math.inf, -1
+            for j in range(m):
+                if reached[j]:
+                    continue
+                r = d + ci[j] - ui - v[j]
+                if r < dist[j]:
+                    dist[j], path[j] = r, i
+                if jl < 0 or dist[j] < low or (dist[j] == low and row_of[j] < 0):
+                    low, jl = dist[j], j
+            d = low
+            reached[jl] = True
+            if row_of[jl] < 0:
+                sink = jl
+            else:
+                i = row_of[jl]
+                tree_rows.append(i)
+        u[start] += d
+        for i in tree_rows[1:]:
+            u[i] += d - dist[col_of[i]]
+        for j in range(m):
+            if reached[j]:
+                v[j] -= d - dist[j]
+        j = sink
+        while True:  # flip the path's edges back to the start row
+            i = path[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of
 
-    return solve(cost, maximize=maximize)
+
+def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Exact rectangular linear sum assignment of a finite 2-D cost matrix.
+
+    Returns (rows, cols): min(n, m) pairs, rows ascending, whose total cost
+    is minimal (maximal with ``maximize``). Solved on the orientation with
+    no more rows than columns, in O(n^2 m).
+    """
+    a = np.asarray(cost, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("cost matrix must be 2-D")
+    if not np.isfinite(a).all():
+        raise ValueError("cost matrix entries must be finite")
+    transposed = a.shape[0] > a.shape[1]
+    if transposed:
+        a = a.T
+    cols = np.array(_min_cost_columns((-a if maximize else a).tolist(), a.shape[1]), dtype=np.intp)
+    if not transposed:
+        return np.arange(cols.size), cols
+    order = np.argsort(cols)
+    return cols[order], order
 
 
 def _opt_value(aug: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:

@@ -236,13 +236,23 @@ def hinge_objective(
     every class column; omitted means all ones.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    S = _signs(np.asarray(y_pos), W.shape[0])
+    return _signed_hinge_objective(W, b, X, _signs(np.asarray(y_pos), W.shape[0]), lam, class_weights)
+
+
+def _signed_hinge_objective(
+    W: np.ndarray,
+    b: np.ndarray,
+    X: np.ndarray,
+    S: np.ndarray,
+    lam: float,
+    class_weights: np.ndarray | None,
+) -> np.ndarray:
+    """`hinge_objective` on float64 X and its sign matrix S, (n, n_classes)."""
     margins = S * _row_blocked_scores(X, W, b)
     hinge = np.maximum(0.0, 1.0 - margins)
     if class_weights is not None:
         hinge = hinge * _weight_columns(class_weights)
-    return 0.5 * lam * np.sum(W * W, axis=1) + hinge.sum(axis=0) / n
+    return 0.5 * lam * np.sum(W * W, axis=1) + hinge.sum(axis=0) / X.shape[0]
 
 
 def hinge_subgradient(
@@ -350,7 +360,7 @@ def _run_sgd(
     S = _signs(y_pos, n_classes)
     CS = S if class_weights is None else _weight_columns(class_weights) * S
 
-    history = [hinge_objective(W, b, X, y_pos, lam, class_weights)]
+    history = [_signed_hinge_objective(W, b, X, S, lam, class_weights)]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n, d, n_classes]))
     B = cfg.batch_size
     block = _GATHER_BLOCK_BATCHES * B
@@ -369,7 +379,7 @@ def _run_sgd(
             for j in range(steps):
                 rows = slice(j * B, (j + 1) * B)
                 _sgd_step(W, b, Xs[rows], Ss[rows], CSs[rows], lam, etas[j], cfg.fit_bias)
-        obj = hinge_objective(W, b, X, y_pos, lam, class_weights)
+        obj = _signed_hinge_objective(W, b, X, S, lam, class_weights)
         worse = obj > prev_obj
         if np.any(worse):
             # reject the epoch for regressed rows and damp their step

@@ -420,11 +420,23 @@ def test_learn_weights_input_errors_name_the_file(trained_dir, tmp_path, capsys,
     assert re.search(message, err), err
 
 
-def test_cli_import_leaves_scipy_out():
-    # only `match` needs scipy.optimize; every other command skips its import cost
-    code = "import sys, partfusion.cli; print('scipy.optimize' in sys.modules)"
+def test_cli_match_leaves_scipy_out(data_dir, tmp_path):
+    # the assignment solver is in-repo: matching, the one stage that solves
+    # assignments, must run in a fresh interpreter without importing scipy
+    argv = [
+        "match",
+        "--dataset", str(data_dir / "index.tsv"),
+        "--detections", str(data_dir / "detections.tsv"),
+        "--out", str(tmp_path / "match"),
+    ]
+    code = (
+        "import sys; from partfusion.cli import main; "
+        f"rc = main({argv!r}); "
+        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "0 []", proc.stderr
+    assert (tmp_path / "match" / "activations.tsv").is_file()
 
 
 def test_module_entry_point(tmp_path):

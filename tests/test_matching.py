@@ -1,8 +1,12 @@
 import re
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from partfusion import matching
 from partfusion import (
     Assignment,
     BBox,
@@ -137,6 +141,93 @@ class TestMatchDetections:
         strong = Detection(2, weak.person_box, 0.9, ())
         out = match_detections([t], [weak, strong])
         assert out.pairs == ((1, 2),)
+
+
+def _enumerated_optimum(cost, maximize):
+    """Best total over every assignment of min(n, m) pairs, by enumeration."""
+    n, m = cost.shape
+    if n <= m:
+        totals = [sum(cost[i, j] for i, j in enumerate(cols)) for cols in permutations(range(m), n)]
+    else:
+        totals = [sum(cost[i, j] for j, i in enumerate(rows)) for rows in permutations(range(n), m)]
+    return max(totals) if maximize else min(totals)
+
+
+@st.composite
+def _cost_matrices(draw):
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),  # ties are common
+        st.floats(-10.0, 10.0, allow_nan=False),
+    ]))
+    values = draw(st.lists(entries, min_size=n * m, max_size=n * m))
+    return np.array(values, dtype=np.float64).reshape(n, m)
+
+
+class TestLinearSumAssignment:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(cost=_cost_matrices(), maximize=st.booleans())
+    def test_equals_enumeration(self, cost, maximize):
+        rows, cols = matching.linear_sum_assignment(cost, maximize=maximize)
+        n, m = cost.shape
+        assert rows.shape == cols.shape == (min(n, m),)
+        assert np.all(np.diff(rows) > 0)  # ascending, so each row at most once
+        assert len(set(cols.tolist())) == cols.size
+        assert np.all((0 <= rows) & (rows < n)) and np.all((0 <= cols) & (cols < m))
+        got = float(cost[rows, cols].sum())
+        assert abs(got - _enumerated_optimum(cost, maximize)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+    def test_empty_shapes(self, shape):
+        rows, cols = matching.linear_sum_assignment(np.zeros(shape))
+        assert rows.shape == cols.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_non_finite_rejected(self, bad, maximize):
+        cost = np.arange(9.0).reshape(3, 3)
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            matching.linear_sum_assignment(cost, maximize=maximize)
+
+    @pytest.mark.parametrize("cost", [np.arange(3.0), np.float64(1.0), np.zeros((2, 2, 2))])
+    def test_non_2d_rejected(self, cost):
+        with pytest.raises(ValueError, match="2-D"):
+            matching.linear_sum_assignment(cost)
+
+
+_SCORES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _photos(draw):
+    """Up to 8 truths x 8 detections; about half the detections sit near a truth's body."""
+    coord, side = st.floats(0.0, 120.0), st.floats(4.0, 40.0)
+    n_truths, n_dets = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    truths = [
+        _truth(i + 1, x=draw(coord), y=draw(coord), w=draw(side), h=draw(side))
+        for i in range(n_truths)
+    ]
+    dets = []
+    for j in range(n_dets):
+        if truths and draw(st.booleans()):
+            base = body_from_head(truths[draw(st.integers(0, n_truths - 1))].head)
+            shift, scale = draw(st.floats(-0.3, 0.3)), draw(st.floats(0.7, 1.3))
+            box = BBox(base.x + shift * base.w, base.y + shift * base.h, base.w * scale, base.h * scale)
+        else:
+            box = BBox(draw(coord), draw(coord), draw(st.floats(10.0, 80.0)), draw(st.floats(10.0, 80.0)))
+        dets.append(Detection(j + 1, box, draw(_SCORES), ()))
+    return truths, dets, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(photo=_photos())
+def test_matcher_equals_bruteforce_property(photo):
+    truths, dets, tau_iou, lam = photo
+    a = match_detections(truths, dets, tau_iou=tau_iou, lam=lam)
+    b = match_bruteforce(truths, dets, tau_iou=tau_iou, lam=lam)
+    assert a == b
+    assert a.total_weight == pytest.approx(b.total_weight, abs=1e-9)
 
 
 class TestBruteforce:
