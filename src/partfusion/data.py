@@ -48,10 +48,17 @@ __all__ = [
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file and rename, so readers never see partial files."""
+    """Write via a temp file and rename, so readers never see partial files.
+
+    An existing target is unlinked before the rename: renaming over an
+    existing file makes some filesystems (ext4's ``auto_da_alloc``) flush the
+    new file first, which made reruns into an existing directory stall.
+    Readers may therefore briefly see no file, but never a partial one.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
+    path.unlink(missing_ok=True)
     os.replace(tmp, path)
 
 

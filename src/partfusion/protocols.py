@@ -41,6 +41,7 @@ from .fusion import (
     learn_weights,
 )
 from .svm import LinearModel, TrainConfig, mix_seed, softmax, train_multiclass
+from .workers import _forked_map
 
 __all__ = [
     "DEFAULT_TRAIN_CFG",
@@ -312,12 +313,20 @@ def _train_halves(
     cfg: TrainConfig,
     halves: HalfSplit | None = None,
 ) -> HalfModels:
-    """Train the given parts' SVMs on each half, seeded per (seed, eval half, part)."""
+    """Train the given parts' SVMs on each half, seeded per (seed, eval half, part).
+
+    The two halves train on separate workers (see `_forked_map`).
+    """
     trained = _split_halves(dataset, features, split, seed, halves)
-    for eval_half in (0, 1):
-        trained.models[1 - eval_half] = _train_part_models(
-            part_ids, trained.features, trained.eval_ids(1 - eval_half), trained.label_of, cfg, (seed, eval_half)
+    train_ids = [trained.eval_ids(1 - eval_half) for eval_half in (0, 1)]
+
+    def train(eval_half: int) -> dict[int, LinearModel | None]:
+        return _train_part_models(
+            part_ids, trained.features, train_ids[eval_half], trained.label_of, cfg, (seed, eval_half)
         )
+
+    for eval_half, models in enumerate(_forked_map(train, (0, 1), [ids.size for ids in train_ids])):
+        trained.models[1 - eval_half] = models
     return trained
 
 
@@ -490,7 +499,8 @@ def eval_oneshot(
     Per repeat, identities with at least shots+1 instances contribute; the
     sampled instances train the part SVMs and the rest are scored. The curve
     holds (shots, mean accuracy, sample sigma) per shot count. Every shot
-    count must be at least 1.
+    count must be at least 1. The (shot count, repeat) runs are independent
+    and spread over workers (see `_forked_map`).
     """
     if repeats < 2:
         raise ValueError("need repeats >= 2 to report a sigma")
@@ -500,10 +510,10 @@ def eval_oneshot(
     features = _normalized(features)
     instances = dataset.split_instances(split)
 
-    curve: list[tuple[float, float, float]] = []
     flags: dict[str, str] = {}
     max_kept = 0
     max_n_y = 0
+    pools_of: dict[int, tuple[dict[int, int], np.ndarray, list[np.ndarray]]] = {}
     for s in shots:
         kept, local_of, excl_ids, _ = _kept_instances(instances, s + 1)
         if len(local_of) < 2:
@@ -514,17 +524,24 @@ def eval_oneshot(
         label_of = {inst.instance_id: local_of[inst.identity] for inst in kept}
         all_ids = np.asarray(sorted(label_of), dtype=np.int64)
         labels = np.asarray([label_of[i] for i in all_ids.tolist()], dtype=np.int64)
-        pools = [all_ids[labels == y] for y in range(len(local_of))]
+        pools_of[s] = (label_of, all_ids, [all_ids[labels == y] for y in range(len(local_of))])
 
-        accs = []
-        for r in range(repeats):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, s, r]))
-            train_ids = np.sort(np.concatenate([rng.choice(pool, size=s, replace=False) for pool in pools]))
-            eval_ids = np.setdiff1d(all_ids, train_ids)
-            models = _train_part_models(mask_ids, features, train_ids, label_of, train_cfg, (seed, s, r))
-            correct, _ = _score_fold(models, features, eval_ids, label_of, len(local_of), mask_ids, True, fw)
-            accs.append(float(np.mean(correct)))
-        curve.append((float(s), float(np.mean(accs)), float(np.std(accs, ddof=1))))
+    def accuracy(run: tuple[int, int]) -> float:
+        s, r = run
+        label_of, all_ids, pools = pools_of[s]
+        rng = np.random.default_rng(np.random.SeedSequence([seed, s, r]))
+        train_ids = np.sort(np.concatenate([rng.choice(pool, size=s, replace=False) for pool in pools]))
+        eval_ids = np.setdiff1d(all_ids, train_ids)
+        models = _train_part_models(mask_ids, features, train_ids, label_of, train_cfg, (seed, s, r))
+        correct, _ = _score_fold(models, features, eval_ids, label_of, len(pools), mask_ids, True, fw)
+        return float(np.mean(correct))
+
+    runs = [(s, r) for s in shots for r in range(repeats)]
+    accs = _forked_map(accuracy, runs, [s for s, _ in runs])
+    curve = []
+    for k, s in enumerate(shots):
+        shot_accs = accs[k * repeats : (k + 1) * repeats]
+        curve.append((float(s), float(np.mean(shot_accs)), float(np.std(shot_accs, ddof=1))))
 
     return EvalReport(
         protocol="oneshot",
@@ -556,11 +573,18 @@ def train_reference_models(
     seed: int = 0,
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> ReferenceModels:
-    """Train all part SVMs on half 0 of the given split's stratified halves."""
+    """Train all part SVMs on half 0 of the given split's stratified halves.
+
+    The parts train on separate workers (see `_forked_map`).
+    """
     split_set = _split_halves(dataset, features, split, seed)
-    models = _train_part_models(
-        registry.part_ids, split_set.features, split_set.eval_ids(0), split_set.label_of, train_cfg, (seed, 7)
-    )
+    train_ids = split_set.eval_ids(0)
+
+    def train(pid: int) -> LinearModel | None:
+        return _train_part_models((pid,), split_set.features, train_ids, split_set.label_of, train_cfg, (seed, 7))[pid]
+
+    rows = [int(np.count_nonzero(split_set.features[pid].contains(train_ids))) for pid in registry.part_ids]
+    models = dict(zip(registry.part_ids, _forked_map(train, registry.part_ids, rows)))
     return ReferenceModels(models, split_set.n_identities, split, seed)
 
 
@@ -605,11 +629,18 @@ def _neighbor_identity_flags(
     One distance row per query keeps memory at O(n * |Y|). The row is the
     same element arithmetic and last-axis reduction as an all-pairs
     difference tensor, so every distance, and every tie, is bit-identical.
+    Only the rows no farther than the (depth+1)-th smallest distance, the
+    query itself included, can rank within ``depth``; those candidates,
+    every tie at the boundary among them, are sorted by (distance,
+    instance id).
     """
     flags = np.zeros((len(query_idx), depth), dtype=bool)
     for row, q in enumerate(query_idx):
         d = embeddings[q] - embeddings
-        order = np.lexsort((instance_ids, np.sqrt(np.sum(d * d, axis=1))))
+        dist = np.sqrt(np.sum(d * d, axis=1))
+        # ~(>) rather than <= keeps every row if the boundary distance is NaN
+        candidates = np.flatnonzero(~(dist > np.partition(dist, depth)[depth]))
+        order = candidates[np.lexsort((instance_ids[candidates], dist[candidates]))]
         order = order[order != q][:depth]
         flags[row] = labels[order] == labels[q]
     return flags

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -93,6 +94,38 @@ def test_synth_rerun_is_byte_identical(data_dir, tmp_path):
     first = json.loads((data_dir / "manifest.json").read_text())["outputs"]
     second = json.loads((out / "manifest.json").read_text())["outputs"]
     assert first == second
+
+
+def test_outputs_do_not_depend_on_the_cpu_count(data_dir, tmp_path, monkeypatch):
+    """The forked workers change where part SVMs train, never what they write."""
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    commands = {
+        "parts": ["train-parts", *data, "--split", "val"],
+        "oneshot": ["eval", "--protocol", "oneshot", *data, "--shots", "1,2", "--repeats", "3"],
+        "ablation": ["eval", "--protocol", "ablation", *data],
+        "retrieval": ["eval", "--protocol", "retrieval", *data, "--k-list", "1,3"],
+    }
+
+    def run(root, n_cpus):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(n_cpus)))
+        digests = {}
+        for name, argv in commands.items():
+            assert main([*argv, "--seed", "4", "--out", str(root / name)]) == 0
+            digests[name] = json.loads((root / name / "manifest.json").read_text())["outputs"]
+        return digests
+
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr("os.fork", counting_fork)
+    serial = run(tmp_path / "serial", 1)
+    assert not forks
+    assert run(tmp_path / "forked", 3) == serial
+    assert forks
 
 
 def test_synth_seed_override_changes_outputs(data_dir, tmp_path):

@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 
@@ -15,7 +16,7 @@ from partfusion import (
     write_features,
     write_index,
 )
-from partfusion.data import PartInfo, PartRegistry
+from partfusion.data import PartInfo, PartRegistry, atomic_write_bytes
 
 
 def _records():
@@ -243,3 +244,19 @@ class TestCoverage:
         labels = {1: 0, 2: 1}
         cov = build_coverage(feats, labels, np.array([1]))
         assert cov[1].tolist() == [0]
+
+
+def test_atomic_rewrite_replaces_bytes_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.bin"
+    atomic_write_bytes(target, b"first")
+    real_replace = os.replace
+
+    def rename_onto_nothing(src, dst):
+        # renaming over an existing file can wait on a flush (ext4 auto_da_alloc)
+        assert not os.path.exists(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", rename_onto_nothing)
+    atomic_write_bytes(target, b"second, longer")
+    assert target.read_bytes() == b"second, longer"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]

@@ -230,15 +230,18 @@ def test_ablation_reports_equal_separate_recognition_runs(small, small_fw):
     assert report_text(reports["no-fill"]) == report_text(no_fill)
 
 
-def test_ablation_trains_each_half_and_part_once(small, small_fw, monkeypatch):
-    fits = []
+def test_ablation_trains_each_half_and_part_once(small, small_fw, monkeypatch, tmp_path):
+    # the halves may train in forked workers, so the fits are logged to a file
+    log = tmp_path / "fits"
 
     def counting(X, y, cfg, row_ids=None):
-        fits.append(cfg.seed)
+        with open(log, "a") as f:
+            f.write(f"{cfg.seed}\n")
         return train_multiclass(X, y, cfg, row_ids=row_ids)
 
     monkeypatch.setattr(protocols, "train_multiclass", counting)
     eval_ablation(small.dataset, small.features, small.registry, small_fw, split="test")
+    fits = log.read_text().split()
     assert len(fits) == 2 * len(small.registry.parts)
     assert len(set(fits)) == len(fits)
 
@@ -406,6 +409,21 @@ def test_retrieval_equals_dense_oracle(inputs):
     depth = min(max(K_list), emb.shape[0] - 1)
     kept = protocols._neighbor_identity_flags(emb, labels, ids, queries, depth)
     assert np.array_equal(kept, np.asarray([neighbor_ranks[q][:depth] for q in queries]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_neighbor_flags_keep_every_tie_at_the_depth_boundary(seed):
+    # 120 rows on 4 lattice points: every query sees tie groups of ~30 rows,
+    # so the depth cut falls inside a group and ids must break the ties
+    rng = np.random.default_rng(seed)
+    emb = rng.choice([0.0, 0.5, 1.0], size=(4, 3))[rng.integers(0, 4, size=120)]
+    labels = rng.integers(0, 6, size=120)
+    ids = rng.permutation(1000)[:120].astype(np.int64)
+    _, _, neighbor_ranks = _dense_retrieval(emb, labels, ids, (1,))
+    queries = sorted(neighbor_ranks)
+    for depth in (1, 2, 29, 30, 31, 60, 119):
+        kept = protocols._neighbor_identity_flags(emb, labels, ids, queries, depth)
+        assert np.array_equal(kept, np.asarray([neighbor_ranks[q][:depth] for q in queries])), depth
 
 
 def test_retrieval_memory_is_linear_in_instances():
