@@ -74,7 +74,7 @@ def _write_manifest(
         "version": __version__,
     }
     path = out_dir / "manifest.json"
-    atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return path
 
 
@@ -84,19 +84,31 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_features_dir(features_dir: str | Path) -> dict[int, FeatureMatrix]:
-    files = sorted(Path(features_dir).glob("part_*.pfv"))
+def _load_parts(directory: str | Path, pattern: str, read) -> tuple[dict, list[Path]]:
+    """Read a directory's ``pattern`` files into {header part id: part}, and return the files too.
+
+    Rejects a part id read twice, naming both files, and ids other than 0, 1, ..., n - 1.
+    """
+    files = sorted(Path(directory).glob(pattern))
     if not files:
-        raise ValueError(f"no part_*.pfv files under {features_dir}")
-    features = {}
+        raise ValueError(f"no {pattern} files under {directory}")
+    parts, source = {}, {}
     for f in files:
-        fm = read_features(f)
-        if fm.part_id in features:
-            raise ValueError(f"duplicate part id {fm.part_id} in {features_dir}")
-        features[fm.part_id] = fm
-    if sorted(features) != list(range(len(features))):
-        raise ValueError("feature files must cover contiguous part ids from 0")
-    return features
+        part = read(f)
+        if part.part_id in parts:
+            raise ValueError(f"{f}: part id {part.part_id} was already read from {source[part.part_id]}")
+        parts[part.part_id], source[part.part_id] = part, f
+    if sorted(parts) != list(range(len(parts))):
+        raise ValueError(f"{directory}: {pattern} files must cover contiguous part ids from 0, got {sorted(parts)}")
+    return parts, files
+
+
+def _parse_list(flag: str, text: str, convert) -> tuple:
+    """A comma-separated flag value, each item read by ``convert`` (int or float)."""
+    try:
+        return tuple(convert(item) for item in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated {convert.__name__} values, got {text!r}") from None
 
 
 def _registry_for(features: dict[int, FeatureMatrix], no_face: bool):
@@ -116,10 +128,6 @@ def _weights_for(args, registry) -> tuple[FusionWeights, list[Path]]:
             raise ValueError(f"{args.weights}: {len(fw)} weights for {len(registry.parts)} parts")
         return fw, [Path(args.weights)]
     return FusionWeights(np.ones(len(registry.parts))), []
-
-
-def _feature_inputs(features_dir: str | Path) -> list[Path]:
-    return sorted(Path(features_dir).glob("part_*.pfv"))
 
 
 def cmd_synth(args) -> int:
@@ -182,7 +190,7 @@ def cmd_match(args) -> int:
 def cmd_train_parts(args) -> int:
     out = _out_dir(args)
     dataset = load_index(args.dataset)
-    features = _load_features_dir(args.features)
+    features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
     registry = _registry_for(features, args.no_face)
     trained = half_split_training(
         dataset, features, registry, args.split, args.seed, _train_cfg(args)
@@ -229,7 +237,7 @@ def cmd_train_parts(args) -> int:
         "excluded_identities": trained.excluded_identities,
         "excluded_instances": trained.excluded_instances,
     }
-    inputs = [Path(args.dataset)] + _feature_inputs(args.features)
+    inputs = [Path(args.dataset)] + feature_files
     _write_manifest(out, "train-parts", config, inputs, outputs, args.seed)
     return 0
 
@@ -252,16 +260,10 @@ def _read_id_map(path: Path, tables: dict) -> dict[int, int]:
 def cmd_learn_weights(args) -> int:
     out = _out_dir(args)
     tables_dir = Path(args.tables)
-    table_files = sorted((tables_dir / "tables").glob("part_*.ppt"))
-    if not table_files:
-        raise ValueError(f"no tables/part_*.ppt under {tables_dir}")
-    tables = {}
-    for f in table_files:
-        t = read_prob_table(f)
-        tables[t.part_id] = t
+    tables, table_files = _load_parts(tables_dir / "tables", "part_*.ppt", read_prob_table)
     labels_of = _read_id_map(tables_dir / "labels.tsv", tables)
     halves = _read_id_map(tables_dir / "halves.tsv", tables)
-    C_grid = tuple(float(c) for c in args.c_grid.split(",")) if args.c_grid else _DEFAULT_C_GRID
+    C_grid = _parse_list("--c-grid", args.c_grid, float) if args.c_grid else _DEFAULT_C_GRID
     fw, info = learn_weights(tables, labels_of, halves, C_grid=C_grid, clamp_nonnegative=args.clamp)
 
     weights_path = out / "weights.tsv"
@@ -289,7 +291,7 @@ def cmd_learn_weights(args) -> int:
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     dataset = load_index(args.dataset)
-    features = _load_features_dir(args.features)
+    features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
     registry = _registry_for(features, args.no_face)
     fw, weight_inputs = _weights_for(args, registry)
     cfg = _train_cfg(args)
@@ -302,14 +304,14 @@ def cmd_eval(args) -> int:
         write_report(report, out / "report.txt")
         outputs.append(out / "report.txt")
     elif args.protocol == "oneshot":
-        shots = tuple(int(s) for s in args.shots.split(","))
+        shots = _parse_list("--shots", args.shots, int)
         report = eval_oneshot(
             dataset, features, registry, fw, args.split, shots, args.repeats, args.seed, mask, cfg
         )
         write_report(report, out / "report.txt", out / "curve.csv")
         outputs += [out / "report.txt", out / "curve.csv"]
     elif args.protocol == "retrieval":
-        K_list = tuple(int(k) for k in args.k_list.split(","))
+        K_list = _parse_list("--k-list", args.k_list, int)
         report = run_retrieval_protocol(
             dataset, features, registry, fw, args.val_split, args.split, args.seed, K_list, mask, cfg
         )
@@ -356,7 +358,7 @@ def cmd_eval(args) -> int:
     }
     if args.protocol == "ablation":
         weight_inputs = []
-    inputs = [Path(args.dataset)] + _feature_inputs(args.features) + weight_inputs
+    inputs = [Path(args.dataset)] + feature_files + weight_inputs
     _write_manifest(out, "eval", config, inputs, outputs, args.seed)
     return 0
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import atomic_write_bytes, atomic_write_text, read_tsv_rows, require_header
-from .svm import TrainConfig, train_binary
+from .svm import train_binary
 
 __all__ = [
     "FusionWeights",
@@ -326,15 +326,14 @@ def learn_weights(
 
     The tables must already follow the half-split protocol (each instance's
     probabilities produced by models trained on the opposite half; ``halves``
-    maps instance_id to 0 or 1). The pair classifier is an L2-loss (squared
-    hinge) linear SVM, solved exactly by `train_binary`'s primal Newton. C is
-    grid-searched by fitting it on half-0 pairs, in ascending C with each fit
-    starting from the previous optimum, and scoring balanced accuracy on
-    half-1 pairs. The final weights come from refitting on all pairs at the
-    best C (ties: smaller C), starting from that C's half-0 model.
+    maps instance_id to 0 or 1). The pair classifier is `train_binary`'s
+    inverse-frequency weighted L2-loss (squared hinge) linear SVM with a
+    fitted bias. One call fits the C grid on half-0 pairs, each C from the
+    previous optimum, and balanced accuracy on half-1 pairs scores each C. The
+    final weights come from a one-C call that refits all pairs at the best C
+    (ties: smaller C), starting from that C's half-0 model. An empty grid, or
+    a C that is not a positive finite number, is rejected.
     """
-    if not C_grid:
-        raise ValueError("empty C grid")
     if not tables:
         raise ValueError("no probability tables")
     n_y = tables[sorted(tables)[0]].n_identities
@@ -350,8 +349,7 @@ def learn_weights(
     if fit_idx.size == 0 or held_idx.size == 0:
         raise ValueError("both halves must contribute pairs")
 
-    cfgs = [TrainConfig(C=C, class_weighting="inverse-frequency") for C in C_grid]
-    grid = train_binary(X[fit_idx], y[fit_idx], cfgs)
+    grid = train_binary(X[fit_idx], y[fit_idx], C_grid)
     X_held = X[held_idx]
     grid_scores: list[tuple[float, float]] = []
     best, best_score = 0, -1.0
@@ -362,7 +360,7 @@ def learn_weights(
         if acc > best_score + 1e-12:
             best, best_score = k, acc
 
-    final = train_binary(X, y, cfgs[best], init=grid.models[best])
+    final = train_binary(X, y, (C_grid[best],), init=grid.models[best]).models[0]
     w = final.W[0].copy()
     if clamp_nonnegative:
         w = np.maximum(w, 0.0)

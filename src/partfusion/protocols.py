@@ -201,7 +201,7 @@ def _train_part_models(
             models[pid] = None
             continue
         part_cfg = replace(cfg, seed=mix_seed(*seed_parts, pid, cfg.seed))
-        models[pid] = train_multiclass(fm.rows(ids), labels, part_cfg, row_ids=ids)
+        models[pid] = train_multiclass(fm.rows(ids), labels, part_cfg)
     return models
 
 

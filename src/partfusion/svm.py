@@ -2,28 +2,30 @@
 
 One-vs-rest multiclass training (`train_multiclass`) is stochastic
 subgradient descent on the hinge loss, vectorized over classes: every class
-row shares the same mini-batch schedule, so a K-class model costs one pass
-over the data per epoch regardless of K. The learning-rate schedule is
-eta_t = step_scale / (lambda * t) with lambda = 1 / (C * n). The loop gathers
-the rows of 128 mini-batches with one ``np.take`` and computes their step
-sizes in one division, so each step works on slice views of that block; the
-batches, their order and every update stay those of a gather per step.
+row shares one schedule of `_BATCH_SIZE`-row mini-batches, so a K-class model
+costs one pass over the data per epoch regardless of K. The learning-rate
+schedule is eta_t = g_c / (lambda * t) with lambda = 1 / (C * n) and a gain
+g_c per class that starts at 1. The loop gathers the rows of 128 mini-batches
+with one ``np.take`` and computes their step sizes in one division, so each
+step works on slice views of that block; the batches, their order and every
+update stay those of a gather per step.
 
 The recorded objective history is non-increasing per class by construction:
 at each epoch boundary the full-data objective is evaluated, and any class
 whose objective got worse is rolled back to its previous weights and retries
-later epochs with a halved step scale. The history reflects the weights
-actually kept, never an optimistic number.
+later epochs with a halved gain. The history reflects the weights actually
+kept, never an optimistic number.
 
 Binary training (`train_binary`) solves the L2-loss SVM exactly: it
 minimises (lambda/2)||w||^2 + (1/n) sum_i c_i max(0, 1 - s_i(w.x_i + b))^2,
-the squared hinge of LIBLINEAR's default loss, with an unregularized bias,
-by primal Newton (Keerthi & DeCoste, JMLR 2005; Chapelle, Neural Computation
-2007). Each step builds the gradient and the generalized Hessian over the
-rows inside the margin, solves once, and takes the exact minimiser along the
-step; a fit stops when a full step leaves that set of rows unchanged, which
-is the exact optimum, or after `_NEWTON_MAX_STEPS`. A grid of configs is
-fitted in ascending C, each fit starting from the previous optimum.
+the squared hinge of LIBLINEAR's default loss, with inverse-frequency
+example weights c_i and an unregularized bias, by primal Newton (Keerthi &
+DeCoste, JMLR 2005; Chapelle, Neural Computation 2007). Each step builds the
+gradient and the generalized Hessian over the rows inside the margin, solves
+once, and takes the exact minimiser along the step; a fit stops when a full
+step leaves that set of rows unchanged, which is the exact optimum, or after
+`_NEWTON_MAX_STEPS`. A grid of C values is fitted in ascending C, each fit
+starting from the previous optimum.
 
 Every product of a row block with a weight matrix is sized so that OpenBLAS
 runs it on one thread (`_row_blocked_scores`); each row's dot product, and
@@ -38,6 +40,7 @@ byte-stable. A file whose length disagrees with its header is rejected.
 from __future__ import annotations
 
 import struct
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,6 +69,8 @@ __all__ = [
 
 _MODEL_MAGIC = b"PLM1"
 
+# Rows per SGD mini-batch; the epoch's last batch may be shorter.
+_BATCH_SIZE = 32
 # Mini-batches gathered by one ``np.take`` in `_run_sgd`; a block spans whole
 # batches, so no batch straddles two blocks.
 _GATHER_BLOCK_BATCHES = 128
@@ -89,25 +94,23 @@ def mix_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0] % (2**31))
 
 
+def _check_C(C: float) -> None:
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be a positive finite number, got {C!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training knobs. `train_binary` reads only C, class_weighting and fit_bias."""
+    """Settings of `train_multiclass`: the regularization C, the epoch count and the seed."""
 
     C: float = 1.0
     epochs: int = 30
-    batch_size: int = 32
     seed: int = 0
-    class_weighting: str = "uniform"  # "uniform" | "inverse-frequency"
-    fit_bias: bool = True
-    step_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        _check_C(self.C)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.class_weighting not in ("uniform", "inverse-frequency"):
-            raise ValueError(f"unknown class weighting {self.class_weighting!r}")
 
 
 @dataclass
@@ -183,12 +186,6 @@ def _signs(y_pos: np.ndarray, n_classes: int) -> np.ndarray:
     return np.where(y_pos[:, None] == np.arange(n_classes)[None, :], 1.0, -1.0)
 
 
-def _weight_columns(class_weights: np.ndarray) -> np.ndarray:
-    """Lift an (n,) per-example weight vector to a broadcastable column."""
-    w = np.asarray(class_weights, dtype=np.float64)
-    return w[:, None] if w.ndim == 1 else w
-
-
 def _row_blocks(n: int, multiply_adds_per_row: int) -> list[slice]:
     """Row blocks whose product with a weight matrix OpenBLAS keeps on one thread.
 
@@ -224,19 +221,16 @@ def hinge_objective(
     X: np.ndarray,
     y_pos: np.ndarray,
     lam: float,
-    class_weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-class regularized hinge objective.
 
-    F_c = (lam/2) ||W_c||^2 + (1/n) sum_i cw_ic * max(0, 1 - s_ic (W_c.x_i + b_c))
+    F_c = (lam/2) ||W_c||^2 + (1/n) sum_i max(0, 1 - s_ic (W_c.x_i + b_c))
 
     where s_ic is +1 when y_pos_i == c else -1, and y_pos holds class row
-    positions (0-based). The bias is unregularized. ``class_weights`` is an
-    (n, n_classes) per-example weight matrix, or an (n,) vector applied to
-    every class column; omitted means all ones.
+    positions (0-based). The bias is unregularized.
     """
     X = np.asarray(X, dtype=np.float64)
-    return _signed_hinge_objective(W, b, X, _signs(np.asarray(y_pos), W.shape[0]), lam, class_weights)
+    return _signed_hinge_objective(W, b, X, _signs(np.asarray(y_pos), W.shape[0]), lam)
 
 
 def _signed_hinge_objective(
@@ -245,13 +239,10 @@ def _signed_hinge_objective(
     X: np.ndarray,
     S: np.ndarray,
     lam: float,
-    class_weights: np.ndarray | None,
 ) -> np.ndarray:
     """`hinge_objective` on float64 X and its sign matrix S, (n, n_classes)."""
     margins = S * _row_blocked_scores(X, W, b)
     hinge = np.maximum(0.0, 1.0 - margins)
-    if class_weights is not None:
-        hinge = hinge * _weight_columns(class_weights)
     return 0.5 * lam * np.sum(W * W, axis=1) + hinge.sum(axis=0) / X.shape[0]
 
 
@@ -261,7 +252,6 @@ def hinge_subgradient(
     X: np.ndarray,
     y_pos: np.ndarray,
     lam: float,
-    class_weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subgradient of `hinge_objective` in (W, b); shapes match the inputs.
 
@@ -273,23 +263,10 @@ def hinge_subgradient(
     S = _signs(np.asarray(y_pos), W.shape[0])
     margins = S * (X @ W.T + b)
     active = (margins < 1.0).astype(np.float64)
-    if class_weights is not None:
-        active = active * _weight_columns(class_weights)
     coef = active * S  # (n, n_classes)
     gW = lam * W - (coef.T @ X) / n
     gb = -coef.sum(axis=0) / n
     return gW, gb
-
-
-def _inverse_frequency_weights(y_pos: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-example OvR weights giving both sides of each class equal mass."""
-    n = y_pos.shape[0]
-    pos_counts = np.bincount(y_pos, minlength=n_classes).astype(np.float64)
-    neg_counts = n - pos_counts
-    if np.any(pos_counts == 0) or np.any(neg_counts == 0):
-        raise ValueError("inverse-frequency weighting needs both sides of every class")
-    is_pos = y_pos[:, None] == np.arange(n_classes)[None, :]
-    return np.where(is_pos, n / (2.0 * pos_counts), n / (2.0 * neg_counts))
 
 
 def _sgd_step(
@@ -297,23 +274,20 @@ def _sgd_step(
     b: np.ndarray,
     Xb: np.ndarray,
     Sb: np.ndarray,
-    CSb: np.ndarray,
     lam: float,
     eta: np.ndarray,
-    fit_bias: bool,
 ) -> None:
     """One mini-batch step, updating W and b in place.
 
     Shapes: W (K, d), b (K,), Xb (B, d) the batch rows, Sb (B, K) their
-    signs, CSb (B, K) their signs times class weights, eta (K,). The
-    arithmetic is `hinge_subgradient`'s, operation for operation.
+    signs, eta (K,). The arithmetic is `hinge_subgradient`'s, operation for
+    operation.
     """
     margins = Sb * (Xb @ W.T + b)
-    coef = (margins < 1.0) * CSb
+    coef = (margins < 1.0) * Sb
     n = Xb.shape[0]
     W -= eta[:, None] * (lam * W - (coef.T @ Xb) / n)
-    if fit_bias:
-        b -= eta * (-coef.sum(axis=0) / n)
+    b -= eta * (-coef.sum(axis=0) / n)
 
 
 def _run_sgd(
@@ -321,16 +295,14 @@ def _run_sgd(
     y_pos: np.ndarray,
     n_classes: int,
     cfg: TrainConfig,
-    class_weights: np.ndarray | None,
-    row_ids: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Fit ``n_classes`` rows sharing one mini-batch schedule.
 
     Returns W (K, d), b (K,) and the per-epoch objectives, each (K,).
 
     Each epoch walks its permutation in blocks of `_GATHER_BLOCK_BATCHES`
-    batches: one ``np.take`` each for X, S and CS, and one division for the
-    block's step sizes step_scale / (lambda * t), with t as float64. The
+    batches: one ``np.take`` each for X and S, and one division for the
+    block's step sizes gain / (lambda * t), with t as float64. The
     block is a whole number of batches, so each step takes a slice of it
     holding exactly the rows a per-step gather would; only the epoch's last
     batch may be short.
@@ -343,26 +315,15 @@ def _run_sgd(
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
 
-    # canonical row order: the result must not depend on caller row order
-    if row_ids is not None:
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        if row_ids.shape != (n,):
-            raise ValueError("row_ids length must match rows")
-        order = np.argsort(row_ids, kind="stable")
-        X, y_pos = X[order], y_pos[order]
-        if class_weights is not None:
-            class_weights = class_weights[order]
-
     lam = 1.0 / (cfg.C * n)
     W = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
-    step_scale = np.full(n_classes, cfg.step_scale)
+    gain = np.ones(n_classes)
     S = _signs(y_pos, n_classes)
-    CS = S if class_weights is None else _weight_columns(class_weights) * S
 
-    history = [_signed_hinge_objective(W, b, X, S, lam, class_weights)]
+    history = [_signed_hinge_objective(W, b, X, S, lam)]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n, d, n_classes]))
-    B = cfg.batch_size
+    B = _BATCH_SIZE
     block = _GATHER_BLOCK_BATCHES * B
     t = 0
     for _epoch in range(cfg.epochs):
@@ -371,21 +332,21 @@ def _run_sgd(
         perm = rng.permutation(n).astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
         for start in range(0, n, block):
             idx = perm[start : start + block]
-            Xs, Ss, CSs = np.take(X, idx, axis=0), np.take(S, idx, axis=0), np.take(CS, idx, axis=0)
+            Xs, Ss = np.take(X, idx, axis=0), np.take(S, idx, axis=0)
             steps = -(-idx.shape[0] // B)  # the epoch's last batch may be short
             ts = np.arange(t + 1, t + steps + 1, dtype=np.float64)
-            etas = step_scale / (lam * ts[:, None])
+            etas = gain / (lam * ts[:, None])
             t += steps
             for j in range(steps):
                 rows = slice(j * B, (j + 1) * B)
-                _sgd_step(W, b, Xs[rows], Ss[rows], CSs[rows], lam, etas[j], cfg.fit_bias)
-        obj = _signed_hinge_objective(W, b, X, S, lam, class_weights)
+                _sgd_step(W, b, Xs[rows], Ss[rows], lam, etas[j])
+        obj = _signed_hinge_objective(W, b, X, S, lam)
         worse = obj > prev_obj
         if np.any(worse):
             # reject the epoch for regressed rows and damp their step
             W[worse] = prev_W[worse]
             b[worse] = prev_b[worse]
-            step_scale[worse] *= 0.5
+            gain[worse] *= 0.5
             obj = np.where(worse, prev_obj, obj)
         history.append(obj)
 
@@ -396,23 +357,18 @@ def train_multiclass(
     X: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig = TrainConfig(),
-    row_ids: np.ndarray | None = None,
 ) -> LinearModel:
     """One-vs-rest multiclass linear SVM.
 
     ``class_index`` of the result is the distinct labels present, ascending.
-    ``row_ids`` (when given) defines a canonical row order, making the model
-    invariant to permutations of the training rows.
+    The mini-batch schedule follows the row order given.
     """
     labels = np.asarray(labels, dtype=np.int64)
     class_index = np.unique(labels)
     if class_index.size < 2:
         raise ValueError("degenerate problem: need at least 2 distinct labels")
     y_pos = np.searchsorted(class_index, labels)
-    cw = None
-    if cfg.class_weighting == "inverse-frequency":
-        cw = _inverse_frequency_weights(y_pos, class_index.size)
-    W, b, history = _run_sgd(X, y_pos, class_index.size, cfg, cw, row_ids)
+    W, b, history = _run_sgd(X, y_pos, class_index.size, cfg)
     return LinearModel(W, b, class_index, objective_history=history)
 
 
@@ -493,7 +449,7 @@ def _line_search(
 
 
 def _newton(
-    X: np.ndarray, s: np.ndarray, c: np.ndarray, lam: float, fit_bias: bool, w: np.ndarray, b: float
+    X: np.ndarray, s: np.ndarray, c: np.ndarray, lam: float, w: np.ndarray, b: float
 ) -> tuple[np.ndarray, float, list[np.ndarray]]:
     """Minimise the squared-hinge objective from (w, b) by primal Newton.
 
@@ -510,12 +466,10 @@ def _newton(
     for _ in range(_NEWTON_MAX_STEPS):
         inside = margins < 1.0
         g, H = _newton_system(X, margins, s, c, lam, w)
-        if not fit_bias:
-            g, H = g[:d], H[:d, :d]
-        elif H[d, d] == 0.0:
+        if H[d, d] == 0.0:
             H[d, d] = 1.0  # no row inside the margin: the bias has zero gradient and curvature
         step = np.linalg.solve(H, -g)
-        dw, db = step[:d], (float(step[d]) if fit_bias else 0.0)
+        dw, db = step[:d], float(step[d])
         q = s * _row_blocked_scores(X, dw[None], np.asarray([db]))[:, 0]
         full = margins + q
         converged = np.array_equal(full < 1.0, inside)
@@ -534,41 +488,37 @@ def _newton(
 
 @dataclass(frozen=True)
 class ModelGrid:
-    """Binary models fitted on one dataset, one per config, in config order."""
+    """Binary models fitted on one dataset, one per C, in grid order."""
 
     models: tuple[LinearModel, ...]
 
     @property
     def objective_history(self) -> list[np.ndarray]:
-        """Every model's objective history, in config order, one after another."""
+        """Every model's objective history, in grid order, one after another."""
         return [h for m in self.models for h in m.objective_history]
 
 
 def train_binary(
     X: np.ndarray,
     y_pm: np.ndarray,
-    cfg: TrainConfig | Sequence[TrainConfig] = TrainConfig(class_weighting="inverse-frequency"),
+    C_grid: Sequence[float],
     init: LinearModel | None = None,
-) -> LinearModel | ModelGrid:
-    """Binary L2-loss linear SVM on +-1 labels; one weight row scoring the positive class.
+) -> ModelGrid:
+    """Binary L2-loss linear SVMs on +-1 labels, one per C, each scoring the positive class.
 
     Minimises (lambda/2)||w||^2 + (1/n) sum_i c_i max(0, 1 - s_i(w.x_i + b))^2
-    with lambda = 1 / (C * n) by primal Newton; the bias is unregularized and
-    fixed at 0 unless ``fit_bias``. With ``class_weighting="inverse-frequency"``
-    each example is weighted by c_i = n / (2 * n_its_side), so both sides
-    contribute equal total loss mass; otherwise c_i = 1. Only C,
-    class_weighting and fit_bias of a config are read.
+    with lambda = 1 / (C * n) by primal Newton; the bias is unregularized.
+    Each example is weighted by c_i = n / (2 * n_its_side), so both sides
+    contribute equal total loss mass.
 
-    Given a sequence of configs (agreeing on class_weighting and fit_bias),
-    fits them in ascending C, each from the previous optimum, and returns a
-    `ModelGrid` in config order. The first fit starts from ``init`` when
-    given, else from zero.
+    Fits the C values in ascending order, each from the previous optimum, and
+    returns a `ModelGrid` in ``C_grid`` order. The first fit starts from
+    ``init`` when given, else from zero.
     """
-    cfgs = (cfg,) if isinstance(cfg, TrainConfig) else tuple(cfg)
-    if not cfgs:
-        raise ValueError("no training configs")
-    if len({(c.class_weighting, c.fit_bias) for c in cfgs}) != 1:
-        raise ValueError("grid configs must agree on class_weighting and fit_bias")
+    if len(C_grid) == 0:
+        raise ValueError("empty C grid")
+    for C in C_grid:
+        _check_C(C)
     X = np.asarray(X, dtype=np.float64)
     y_pm = np.asarray(y_pm, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y_pm.shape[0]:
@@ -580,22 +530,19 @@ def train_binary(
     if n_pos in (0, n):
         raise ValueError("degenerate problem: both classes must be present")
     s = np.where(y_pm > 0, 1.0, -1.0)
-    if cfgs[0].class_weighting == "inverse-frequency":
-        c = np.where(y_pm > 0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
-    else:
-        c = np.ones(n)
+    c = np.where(y_pm > 0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
     if init is None:
         w, b = np.zeros(d), 0.0
     else:
         if init.W.shape != (1, d):
             raise ValueError(f"initial model is {init.W.shape}, expected (1, {d})")
-        w, b = init.W[0].copy(), (float(init.b[0]) if cfgs[0].fit_bias else 0.0)
+        w, b = init.W[0].copy(), float(init.b[0])
 
-    models: list[LinearModel | None] = [None] * len(cfgs)
-    for k in sorted(range(len(cfgs)), key=lambda k: cfgs[k].C):
-        w, b, history = _newton(X, s, c, 1.0 / (cfgs[k].C * n), cfgs[k].fit_bias, w, b)
+    models: list[LinearModel | None] = [None] * len(C_grid)
+    for k in sorted(range(len(C_grid)), key=lambda k: C_grid[k]):
+        w, b, history = _newton(X, s, c, 1.0 / (C_grid[k] * n), w, b)
         models[k] = LinearModel(w[None], np.asarray([b]), np.asarray([1]), objective_history=history)
-    return models[0] if isinstance(cfg, TrainConfig) else ModelGrid(tuple(models))
+    return ModelGrid(tuple(models))
 
 
 def write_model_bytes(model: LinearModel) -> bytes:

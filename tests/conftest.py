@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _VERDICTS:
             terminalreporter.line(line)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment for child interpreters, with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
 
 
 @pytest.fixture(scope="session")

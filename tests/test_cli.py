@@ -453,7 +453,65 @@ def test_learn_weights_input_errors_name_the_file(trained_dir, tmp_path, capsys,
     assert re.search(message, err), err
 
 
-def test_cli_match_leaves_scipy_out(data_dir, tmp_path):
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (
+            lambda d: shutil.copy(d / "part_001.ppt", d / "part_002.ppt"),
+            "{d}/part_002.ppt: part id 1 was already read from {d}/part_001.ppt",
+        ),
+        (
+            lambda d: (d / "part_002.ppt").unlink(),
+            "{d}: part_*.ppt files must cover contiguous part ids from 0, got [0, 1, 3, 4]",
+        ),
+    ],
+    ids=["duplicate", "missing"],
+)
+def test_learn_weights_checks_the_table_set(trained_dir, tmp_path, capsys, edit, message):
+    tables = tmp_path / "parts"
+    shutil.copytree(trained_dir, tables)
+    edit(tables / "tables")
+    out = tmp_path / "w"
+    rc = main(["learn-weights", "--tables", str(tables), "--c-grid", "1.0", "--out", str(out)])
+    assert rc == 1
+    assert f"error: {message.format(d=tables / 'tables')}" in capsys.readouterr().err
+    assert not (out / "weights.tsv").exists()
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "0.25,nan"])
+def test_learn_weights_rejects_non_finite_c(trained_dir, tmp_path, capsys, grid):
+    out = tmp_path / "w"
+    rc = main(["learn-weights", "--tables", str(trained_dir), "--c-grid", grid, "--out", str(out)])
+    assert rc == 1
+    assert "C must be a positive finite number, got" in capsys.readouterr().err
+    assert not (out / "weights.tsv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_train_parts_rejects_non_finite_c(data_dir, tmp_path, capsys):
+    out = tmp_path / "parts"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    rc = main(["train-parts", *data, "--svm-c", "nan", "--out", str(out)])
+    assert rc == 1
+    assert "error: C must be a positive finite number, got nan" in capsys.readouterr().err
+    assert not (out / "tables").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--c-grid", "1,,2"), ("--shots", "1,,2"), ("--k-list", "a")])
+def test_list_flags_name_the_flag_and_the_value(data_dir, trained_dir, tmp_path, capsys, flag, value):
+    if flag == "--c-grid":
+        argv, kind = ["learn-weights", "--tables", str(trained_dir)], "float"
+    else:
+        protocol = "oneshot" if flag == "--shots" else "retrieval"
+        data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+        argv, kind = ["eval", "--protocol", protocol, *data], "int"
+    out = tmp_path / "o"
+    assert main([*argv, flag, value, "--out", str(out)]) == 1
+    assert f"error: {flag} takes comma-separated {kind} values, got {value!r}\n" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_match_leaves_scipy_out(data_dir, tmp_path, child_env):
     # the assignment solver is in-repo: matching, the one stage that solves
     # assignments, must run in a fresh interpreter without importing scipy
     argv = [
@@ -467,14 +525,15 @@ def test_cli_match_leaves_scipy_out(data_dir, tmp_path):
         f"rc = main({argv!r}); "
         "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "0 []", proc.stderr
     assert (tmp_path / "match" / "activations.tsv").is_file()
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "partfusion.cli", "--version"],
+        env=child_env,
         capture_output=True,
         text=True,
     )
@@ -486,6 +545,7 @@ def test_module_entry_point(tmp_path):
             sys.executable, "-m", "partfusion.cli",
             "synth", "--config", str(cfg), "--out", str(tmp_path / "out"),
         ],
+        env=child_env,
         capture_output=True,
         text=True,
     )

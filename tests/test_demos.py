@@ -1,6 +1,5 @@
 """Every narrative script under demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +15,9 @@ def test_demos_exist():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script, tmp_path):
-    path = os.environ.get("PYTHONPATH")
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+def test_demo_runs(script, tmp_path, child_env):
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(script)], cwd=tmp_path, env=child_env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -21,7 +21,7 @@ from partfusion import (
     write_weights,
 )
 from partfusion.fusion import _balanced_accuracy, _pair_dataset
-from partfusion.svm import TrainConfig, train_binary
+from partfusion.svm import train_binary
 
 
 class TestCoverageMass:
@@ -310,7 +310,7 @@ class TestLearnWeights:
 
     def test_empty_grid_rejected(self):
         tables, labels, halves = self._planted_setup(35)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty C grid"):
             learn_weights(tables, labels, halves, C_grid=())
 
     def test_grid_matches_one_fit_per_c(self):
@@ -324,7 +324,7 @@ class TestLearnWeights:
         fit, held = half == 0, half == 1
         expected, objectives = [], []
         for C in grid:
-            model = train_binary(X[fit], y[fit], TrainConfig(C=C, class_weighting="inverse-frequency"))
+            model = train_binary(X[fit], y[fit], (C,)).models[0]
             pred = np.where(model.scores(X[held])[:, 0] > 0.0, 1, -1)
             expected.append((C, _balanced_accuracy(y[held], pred)))
             objectives.append(_squared_hinge_objective(model.W[0], model.b[0], X[fit], y[fit], C))
@@ -332,7 +332,7 @@ class TestLearnWeights:
         for got, want, C in zip(info.grid_objectives, objectives, grid):
             assert got == pytest.approx(want, rel=1e-9)
             assert got <= _squared_hinge_objective(np.zeros(X.shape[1]), 0.0, X[fit], y[fit], C)
-        final = train_binary(X, y, TrainConfig(C=info.best_C, class_weighting="inverse-frequency"))
+        final = train_binary(X, y, (info.best_C,)).models[0]
         got = _squared_hinge_objective(fw.w, fw.bias, X, y, info.best_C)
         want = _squared_hinge_objective(final.W[0], final.b[0], X, y, info.best_C)
         assert got == pytest.approx(want, rel=1e-9)

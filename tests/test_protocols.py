@@ -111,7 +111,7 @@ def test_masked_global_equals_plain_multiclass_baseline(small, small_fw):
         )
         cfg = replace(DEFAULT_TRAIN_CFG, seed=mix_seed(seed, eval_half, 0, DEFAULT_TRAIN_CFG.seed))
         y = np.asarray([label_of[i] for i in tr.tolist()])
-        model = train_multiclass(fm.rows(tr), y, cfg, row_ids=tr)
+        model = train_multiclass(fm.rows(tr), y, cfg)
         pred = predict_classes(model, fm.rows(ev))
         truth = np.asarray([label_of[i] for i in ev.tolist()])
         accs.append(float(np.mean(pred == truth)))
@@ -234,10 +234,10 @@ def test_ablation_trains_each_half_and_part_once(small, small_fw, monkeypatch, t
     # the halves may train in forked workers, so the fits are logged to a file
     log = tmp_path / "fits"
 
-    def counting(X, y, cfg, row_ids=None):
+    def counting(X, y, cfg):
         with open(log, "a") as f:
             f.write(f"{cfg.seed}\n")
-        return train_multiclass(X, y, cfg, row_ids=row_ids)
+        return train_multiclass(X, y, cfg)
 
     monkeypatch.setattr(protocols, "train_multiclass", counting)
     eval_ablation(small.dataset, small.features, small.registry, small_fw, split="test")

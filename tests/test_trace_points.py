@@ -36,9 +36,8 @@ def test_row_counts_read_both_svm_results(tracing):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))
     y_pm = np.where(X[:, 0] > 0.0, 1, -1)
-    cfgs = [TrainConfig(C=C, class_weighting="inverse-frequency") for C in (0.5, 2.0)]
-    grid = train_binary(X, y_pm, cfgs)
-    counts = tracing._rows((X, y_pm, cfgs), {}, grid)
+    grid = train_binary(X, y_pm, (0.5, 2.0))
+    counts = tracing._rows((X, y_pm, (0.5, 2.0)), {}, grid)
     assert set(counts) == {"rows", "rolled_back"}
     assert counts["rows"] == 40 and counts["rolled_back"] >= 0
 
