@@ -199,10 +199,12 @@ def cmd_train_parts(args) -> int:
     outputs: list[Path] = []
     tables_dir = out / "tables"
     tables_dir.mkdir(exist_ok=True)
-    for pid, table in sorted(trained.tables.items()):
-        p = tables_dir / f"part_{pid:03d}.ppt"
+    # one part's table at a time: each is written before the next is built
+    for table in trained.filled_tables():
+        p = tables_dir / f"part_{table.part_id:03d}.ppt"
         write_prob_table(p, table)
         outputs.append(p)
+        del table
     for half, models in sorted(trained.models.items()):
         mdir = out / "models" / f"half{half}"
         mdir.mkdir(parents=True, exist_ok=True)

@@ -25,6 +25,7 @@ File formats owned here:
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -252,10 +253,17 @@ def fuse(
     return fuse_matrix({pid: table.row(instance_id) for pid, table in tables.items()}, fw)
 
 
-def fuse_matrix(prob: dict[int, np.ndarray], fw: FusionWeights) -> np.ndarray:
-    """Weighted sum of per-part probability matrices (rows aligned across parts)."""
+def fuse_matrix(
+    prob: dict[int, np.ndarray] | Iterable[tuple[int, np.ndarray]], fw: FusionWeights
+) -> np.ndarray:
+    """Weighted sum of per-part probability matrices (rows aligned across parts).
+
+    ``prob`` maps part ids to matrices, or yields (part id, matrix) pairs in
+    ascending part order, so each part can be fused as it is computed. Either
+    way the sum runs in ascending part order: s = w_0 P_0, then s = s + w_k P_k.
+    """
     s: np.ndarray | None = None
-    for part_id, P in sorted(prob.items()):
+    for part_id, P in sorted(prob.items()) if isinstance(prob, dict) else prob:
         if part_id >= len(fw):
             raise ValueError(f"no fusion weight for part {part_id}")
         s = fw.w[part_id] * P if s is None else s + fw.w[part_id] * P
@@ -282,32 +290,6 @@ class WeightLearningInfo:
     grid_objectives: tuple[float, ...]  # final half-0 training objective per grid C, in grid order
 
 
-def _pair_dataset(
-    tables: dict[int, ProbabilityTable],
-    labels_of: dict[int, int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build the (instance, label)-pair dataset for weight learning.
-
-    One example per (instance j, identity y): feature vector
-    [P_0(y|X_j), ..., P_K(y|X_j)], label +1 iff y is j's identity. Returns
-    (features, labels, pair instance ids) in (instance, identity) order.
-    """
-    part_ids = sorted(tables)
-    base = tables[part_ids[0]]
-    ids = base.instance_ids
-    n_y = base.n_identities
-    for pid in part_ids[1:]:
-        t = tables[pid]
-        if not np.array_equal(t.instance_ids, ids) or t.n_identities != n_y:
-            raise ValueError("tables disagree on instances or identity set")
-    stack = np.stack([tables[pid].P for pid in part_ids], axis=2)  # (n, |Y|, K+1)
-    X = stack.reshape(-1, len(part_ids))
-    truth = np.asarray([labels_of[i] for i in ids.tolist()], dtype=np.int64)
-    y = np.where(np.arange(n_y)[None, :] == truth[:, None], 1, -1).reshape(-1)
-    pair_owner = np.repeat(ids, n_y)
-    return X, y, pair_owner
-
-
 def _balanced_accuracy(y_true_pm: np.ndarray, y_pred_pm: np.ndarray) -> float:
     pos = y_true_pm > 0
     tpr = float(np.mean(y_pred_pm[pos] > 0)) if np.any(pos) else 0.0
@@ -326,40 +308,65 @@ def learn_weights(
 
     The tables must already follow the half-split protocol (each instance's
     probabilities produced by models trained on the opposite half; ``halves``
-    maps instance_id to 0 or 1). The pair classifier is `train_binary`'s
+    maps instance_id to 0 or 1). Weight learning classifies (instance,
+    identity) pairs: one example per (instance j, identity y), feature vector
+    [P_0(y|X_j), ..., P_K(y|X_j)], label +1 iff y is j's identity, in
+    (instance, identity) order. The pair classifier is `train_binary`'s
     inverse-frequency weighted L2-loss (squared hinge) linear SVM with a
     fitted bias. One call fits the C grid on half-0 pairs, each C from the
     previous optimum, and balanced accuracy on half-1 pairs scores each C. The
     final weights come from a one-C call that refits all pairs at the best C
     (ties: smaller C), starting from that C's half-0 model. An empty grid, or
     a C that is not a positive finite number, is rejected.
+
+    The pairs live in one (n, |Y|, K+1) array, and each table's ``P`` is
+    re-pointed at its column of that array (same values), so the tables'
+    own matrices are freed as the array fills. The half-0 and half-1 pair
+    sets are gathered from it by instance, one after the other.
     """
     if not tables:
         raise ValueError("no probability tables")
-    n_y = tables[sorted(tables)[0]].n_identities
+    part_ids = sorted(tables)
+    ids = tables[part_ids[0]].instance_ids
+    n_y = tables[part_ids[0]].n_identities
     if n_y < 2:
         raise ValueError("need at least 2 identities to learn weights")
-
-    X, y, _ = _pair_dataset(tables, labels_of)
-    # each instance owns n_y consecutive pairs: one half lookup per instance
-    ids = tables[sorted(tables)[0]].instance_ids
-    half_of_pair = np.repeat(np.asarray([halves[i] for i in ids.tolist()], dtype=np.int64), n_y)
-    fit_idx = np.flatnonzero(half_of_pair == 0)
-    held_idx = np.flatnonzero(half_of_pair == 1)
-    if fit_idx.size == 0 or held_idx.size == 0:
+    for pid in part_ids[1:]:
+        t = tables[pid]
+        if not np.array_equal(t.instance_ids, ids) or t.n_identities != n_y:
+            raise ValueError("tables disagree on instances or identity set")
+    truth = np.asarray([labels_of[i] for i in ids.tolist()], dtype=np.int64)
+    half = np.asarray([halves[i] for i in ids.tolist()], dtype=np.int64)
+    fit_rows, held_rows = np.flatnonzero(half == 0), np.flatnonzero(half == 1)
+    if fit_rows.size == 0 or held_rows.size == 0:
         raise ValueError("both halves must contribute pairs")
 
-    grid = train_binary(X[fit_idx], y[fit_idx], C_grid)
-    X_held = X[held_idx]
+    stack = np.empty((ids.shape[0], n_y, len(part_ids)))
+    for k, pid in enumerate(part_ids):
+        stack[:, :, k] = tables[pid].P
+        tables[pid].P = stack[:, :, k]
+
+    def pairs(rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+        """The pair features and labels of these instances, in (instance, identity) order.
+
+        Index rows gather a copy; a slice of every row gives a view of ``stack``.
+        """
+        y = np.where(np.arange(n_y)[None, :] == truth[rows][:, None], 1, -1)
+        return stack[rows].reshape(-1, len(part_ids)), y.reshape(-1)
+
+    grid = train_binary(*pairs(fit_rows), C_grid)
+    X_held, y_held = pairs(held_rows)
     grid_scores: list[tuple[float, float]] = []
     best, best_score = 0, -1.0
     for k, (C, model) in enumerate(zip(C_grid, grid.models)):
         pred = np.where(model.scores(X_held)[:, 0] > 0.0, 1, -1)
-        acc = _balanced_accuracy(y[held_idx], pred)
+        acc = _balanced_accuracy(y_held, pred)
         grid_scores.append((float(C), acc))
         if acc > best_score + 1e-12:
             best, best_score = k, acc
+    del X_held, y_held
 
+    X, y = pairs(slice(None))
     final = train_binary(X, y, (C_grid[best],), init=grid.models[best]).models[0]
     w = final.W[0].copy()
     if clamp_nonnegative:

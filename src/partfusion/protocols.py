@@ -19,7 +19,9 @@ plus, for protocols with a curve, a CSV with header ``x,mean,sigma``.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -171,8 +173,21 @@ def _kept_instances(
     return kept, local_of, len(counts) - len(keep), len(instances) - len(kept)
 
 
-def _normalized(features: dict[int, FeatureMatrix]) -> dict[int, FeatureMatrix]:
-    return {pid: fm.normalized_copy() for pid, fm in features.items()}
+def _normalized(features: dict[int, FeatureMatrix], ids: np.ndarray | None = None) -> dict[int, FeatureMatrix]:
+    """L2-normalized features; given ``ids``, only the rows of those instances.
+
+    Each part keeps the rows of ``ids`` it has. `l2_normalize_rows` works row
+    by row, so a row normalized here equals its row in
+    `FeatureMatrix.normalized_copy`.
+    """
+    if ids is None:
+        return {pid: fm.normalized_copy() for pid, fm in features.items()}
+    ids = np.unique(ids)
+    out: dict[int, FeatureMatrix] = {}
+    for pid, fm in features.items():
+        held = ids[fm.contains(ids)]
+        out[pid] = FeatureMatrix(pid, held, fm.rows(held), fm.normalized).normalized_copy()
+    return out
 
 
 def _train_part_models(
@@ -212,12 +227,15 @@ def _part_probabilities(
     n_y: int,
     mask_ids: tuple[int, ...],
     fill: bool,
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Per-part dense probability matrices over the evaluation rows.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per-part dense probability matrices over the evaluation rows, one part at a time.
 
-    Returns (matrices keyed by part id, feature-level activation masks).
-    With ``fill`` the matrices follow the sparsity-filling rule against the
-    global row (uniform when the global part is masked out); without it,
+    Yields (part id, matrix, feature-level activation mask) in ascending
+    part order, so a caller holds only the parts it keeps. The global matrix
+    is computed once, before the first part, and is yielded as the global
+    part's matrix itself: callers must not modify a yielded matrix. With
+    ``fill`` the matrices follow the sparsity-filling rule against the global
+    row (uniform when the global part is masked out); without it,
     non-activated rows are all-zero and activated rows carry the raw part
     distribution embedded over the full identity set.
     """
@@ -233,28 +251,28 @@ def _part_probabilities(
     else:
         P0 = np.full((n_eval, n_y), 1.0 / n_y)
 
-    matrices: dict[int, np.ndarray] = {}
-    activations: dict[int, np.ndarray] = {}
-    for pid in mask_ids:
+    for pid in sorted(mask_ids):
         if pid == GLOBAL_PART_ID:
-            matrices[pid] = P0.copy()
-            activations[pid] = np.ones(n_eval, dtype=bool)
-            continue
-        fm = features[pid]
-        act = fm.contains(eval_ids)
-        activations[pid] = act
-        model = models.get(pid)
-        usable = act if model is not None else np.zeros(n_eval, dtype=bool)
-        P_hat = np.zeros((n_eval, n_y))
-        if model is not None and np.any(usable):
-            probs = softmax(model.scores(fm.rows(eval_ids[usable])))
-            P_hat[np.ix_(np.flatnonzero(usable), model.class_index)] = probs
-        if fill:
-            F_i = model.class_index if model is not None else np.zeros(0, dtype=np.int64)
-            matrices[pid] = fill_sparsity_rows(P_hat, P0, F_i, usable)
+            yield pid, P0, np.ones(n_eval, dtype=bool)
         else:
-            matrices[pid] = P_hat
-    return matrices, activations
+            yield pid, *_part_matrix(models.get(pid), features[pid], eval_ids, P0, fill)
+
+
+def _part_matrix(
+    model: LinearModel | None, fm: FeatureMatrix, eval_ids: np.ndarray, P0: np.ndarray, fill: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One non-global part's matrix and activation mask (see `_part_probabilities`)."""
+    n_eval, n_y = P0.shape
+    act = fm.contains(eval_ids)
+    usable = act if model is not None else np.zeros(n_eval, dtype=bool)
+    P_hat = np.zeros((n_eval, n_y))
+    if model is not None and np.any(usable):
+        probs = softmax(model.scores(fm.rows(eval_ids[usable])))
+        P_hat[np.ix_(np.flatnonzero(usable), model.class_index)] = probs
+    if not fill:
+        return P_hat, act
+    F_i = model.class_index if model is not None else np.zeros(0, dtype=np.int64)
+    return fill_sparsity_rows(P_hat, P0, F_i, usable), act
 
 
 @dataclass
@@ -263,9 +281,9 @@ class HalfModels:
 
     Part SVMs depend only on the training half, the part and the seed, never
     on the component mask, ``fill`` or the fusion weights, so one training
-    pass serves every scoring of the split. `half_split_training` also fills
-    ``tables``: each part's filled rows for the whole split, every row from
-    the opposite half's model.
+    pass serves every scoring of the split. `filled_tables` yields each
+    part's filled rows for the whole split, every row from the opposite
+    half's model; ``tables`` collects them into a dict on first use.
     """
 
     features: dict[int, FeatureMatrix]  # L2-normalized
@@ -275,12 +293,39 @@ class HalfModels:
     n_identities: int
     excluded_identities: int
     excluded_instances: int
-    tables: dict[int, ProbabilityTable] | None = None
 
     def eval_ids(self, eval_half: int) -> np.ndarray:
         return np.asarray(
             sorted(i for i, h in self.halves.assignment.items() if h == eval_half), dtype=np.int64
         )
+
+    def filled_tables(self) -> Iterator[ProbabilityTable]:
+        """Each trained part's filled table over the whole split, in ascending part order.
+
+        Both halves' rows of a part are computed in step, so a caller that
+        keeps one table at a time holds one part's matrices at a time.
+        """
+        ids = [self.eval_ids(eval_half) for eval_half in (0, 1)]
+        folds = [
+            _part_probabilities(
+                self.models[1 - eval_half], self.features, ids[eval_half], self.n_identities,
+                tuple(self.models[1 - eval_half]), True,
+            )
+            for eval_half in (0, 1)
+        ]
+        all_ids = np.concatenate(ids)
+        for (pid, P_0, act_0), (_, P_1, act_1) in zip(*folds):
+            table = ProbabilityTable(
+                pid, all_ids, np.concatenate([P_0, P_1], axis=0), np.concatenate([act_0, act_1])
+            )
+            del P_0, P_1
+            yield table
+            del table
+
+    @cached_property
+    def tables(self) -> dict[int, ProbabilityTable]:
+        """Every `filled_tables` table, by part id."""
+        return {table.part_id: table for table in self.filled_tables()}
 
 
 def _split_halves(
@@ -342,11 +387,19 @@ def _score_fold(
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Fill (or not) and fuse the masked parts; is each row's argmax its identity?
 
-    Returns (per-row correctness, the parts' activation masks).
+    Returns (per-row correctness, the parts' activation masks). Each part is
+    fused as it is computed.
     """
-    matrices, activations = _part_probabilities(models, features, eval_ids, n_y, mask_ids, fill)
+    activations: dict[int, np.ndarray] = {}
+
+    def matrices() -> Iterator[tuple[int, np.ndarray]]:
+        for pid, P, act in _part_probabilities(models, features, eval_ids, n_y, mask_ids, fill):
+            activations[pid] = act
+            yield pid, P
+
+    s = fuse_matrix(matrices(), fw)
     truth = np.asarray([label_of[i] for i in eval_ids.tolist()], dtype=np.int64)
-    return np.argmax(fuse_matrix(matrices, fw), axis=1) == truth, activations
+    return np.argmax(s, axis=1) == truth, activations
 
 
 def _score_halves(
@@ -610,11 +663,8 @@ def _build_embeddings(
 ) -> np.ndarray:
     if ref.models.get(GLOBAL_PART_ID) is None:
         raise ValueError("reference models must include a trained global model")
-    features = _normalized(features)
-    matrices, _ = _part_probabilities(
-        ref.models, features, ids, ref.n_identities, mask_ids, fill=True
-    )
-    return fuse_matrix(matrices, fw)
+    parts = _part_probabilities(ref.models, _normalized(features, ids), ids, ref.n_identities, mask_ids, fill=True)
+    return fuse_matrix(((pid, P) for pid, P, _ in parts), fw)
 
 
 def _neighbor_identity_flags(
@@ -737,29 +787,13 @@ def half_split_training(
     seed: int = 0,
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> HalfModels:
-    """Train per-part SVMs on both halves and tabulate filled probabilities.
+    """Train per-part SVMs on both halves, for the filled tables weight learning reads.
 
-    The result's ``tables`` are what weight learning reads: each instance's
-    row comes from the model trained on the opposite half.
+    Each instance's table row comes from the model trained on the opposite
+    half. `HalfModels.filled_tables` yields the tables one part at a time;
+    the result's ``tables`` dict is built from it on first use.
     """
-    trained = _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
-    folds = []
-    for eval_half in (0, 1):
-        ids = trained.eval_ids(eval_half)
-        matrices, activations = _part_probabilities(
-            trained.models[1 - eval_half], trained.features, ids, trained.n_identities, registry.part_ids, True
-        )
-        folds.append((ids, matrices, activations))
-    trained.tables = {
-        pid: ProbabilityTable(
-            pid,
-            np.concatenate([ids for ids, _, _ in folds]),
-            np.concatenate([matrices[pid] for _, matrices, _ in folds], axis=0),
-            np.concatenate([activations[pid] for _, _, activations in folds]),
-        )
-        for pid in registry.part_ids
-    }
-    return trained
+    return _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
 
 
 def learn_fusion_weights(

@@ -95,7 +95,8 @@ def mix_seed(*parts: int) -> int:
 
 
 def _check_C(C: float) -> None:
-    if not (math.isfinite(C) and C > 0):
+    # a subnormal C is positive and finite, but 1 / C, and so lambda = 1 / (C n), overflows
+    if not (math.isfinite(C) and C > 0 and math.isfinite(1.0 / C)):
         raise ValueError(f"C must be a positive finite number, got {C!r}")
 
 

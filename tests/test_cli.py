@@ -10,9 +10,10 @@ import sys
 
 import pytest
 
-from partfusion.cli import main
-from partfusion.data import load_index
-from partfusion.fusion import read_weights
+from partfusion.cli import _load_parts, _registry_for, main
+from partfusion.data import load_index, read_features
+from partfusion.fusion import read_weights, write_prob_table
+from partfusion.protocols import half_split_training
 
 SMALL_CONFIG = {
     "n_identities": 8,
@@ -478,7 +479,7 @@ def test_learn_weights_checks_the_table_set(trained_dir, tmp_path, capsys, edit,
     assert not (out / "weights.tsv").exists()
 
 
-@pytest.mark.parametrize("grid", ["nan", "inf", "0.25,nan"])
+@pytest.mark.parametrize("grid", ["nan", "inf", "0.25,nan", "1e-320"])
 def test_learn_weights_rejects_non_finite_c(trained_dir, tmp_path, capsys, grid):
     out = tmp_path / "w"
     rc = main(["learn-weights", "--tables", str(trained_dir), "--c-grid", grid, "--out", str(out)])
@@ -495,6 +496,29 @@ def test_train_parts_rejects_non_finite_c(data_dir, tmp_path, capsys):
     assert rc == 1
     assert "error: C must be a positive finite number, got nan" in capsys.readouterr().err
     assert not (out / "tables").exists()
+
+
+def test_train_parts_rejects_subnormal_c(data_dir, tmp_path, capsys):
+    # positive and finite, but its reciprocal, and so the SVM's lambda, overflows
+    out = tmp_path / "parts"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    assert main(["train-parts", *data, "--svm-c", "1e-320", "--out", str(out)]) == 1
+    assert "error: C must be a positive finite number, got 1e-320" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_train_parts_tables_equal_the_library_tables(data_dir, trained_dir, tmp_path):
+    # the command streams one table at a time; the library builds the whole dict
+    dataset = load_index(data_dir / "index.tsv")
+    features, _ = _load_parts(data_dir / "features", "part_*.pfv", read_features)
+    registry = _registry_for(features, False)
+    trained = half_split_training(dataset, features, registry, "val", 0)
+    written = sorted((trained_dir / "tables").glob("part_*.ppt"))
+    assert [p.name for p in written] == [f"part_{pid:03d}.ppt" for pid in sorted(trained.tables)]
+    for path in written:
+        expected = tmp_path / path.name
+        write_prob_table(expected, trained.tables[int(path.stem.split("_")[1])])
+        assert path.read_bytes() == expected.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("flag,value", [("--c-grid", "1,,2"), ("--shots", "1,,2"), ("--k-list", "a")])

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from partfusion import (
     write_prob_table,
     write_weights,
 )
-from partfusion.fusion import _balanced_accuracy, _pair_dataset
+from partfusion.fusion import WeightLearningInfo, _balanced_accuracy
 from partfusion.svm import train_binary
 
 
@@ -174,6 +175,17 @@ class TestFusePredict:
         np.testing.assert_allclose(s2, a * s1, rtol=1e-12)
         assert np.array_equal(np.argmax(s1, axis=1), np.argmax(s2, axis=1))
 
+    def test_parts_in_order_fuse_like_the_dict(self):
+        # callers fuse each part as it is computed; the sum must be the dict's, bit for bit
+        rng = np.random.default_rng(24)
+        P = {pid: rng.dirichlet(np.ones(5), size=7) for pid in (0, 1, 3)}
+        fw = FusionWeights(rng.normal(size=4))
+        assert np.array_equal(fuse_matrix(iter(sorted(P.items())), fw), fuse_matrix(P, fw))
+        with pytest.raises(ValueError, match="no fusion weight for part 3"):
+            fuse_matrix(iter(sorted(P.items())), FusionWeights(np.ones(3)))
+        with pytest.raises(ValueError, match="at least one part"):
+            fuse_matrix(iter(()), fw)
+
 
 class TestProbabilityTable:
     def test_row_sums_validated(self):
@@ -249,6 +261,37 @@ def _tables_from_scores(scores, labels, n_y):
     return tables
 
 
+def _pair_dataset(tables, labels_of):
+    """(pair features, +-1 labels, pair instance ids) in (instance, identity) order, by `np.stack`."""
+    part_ids = sorted(tables)
+    ids = tables[part_ids[0]].instance_ids
+    n_y = tables[part_ids[0]].n_identities
+    X = np.stack([tables[pid].P for pid in part_ids], axis=2).reshape(-1, len(part_ids))
+    truth = np.asarray([labels_of[i] for i in ids.tolist()], dtype=np.int64)
+    y = np.where(np.arange(n_y)[None, :] == truth[:, None], 1, -1).reshape(-1)
+    return X, y, np.repeat(ids, n_y)
+
+
+def _learn_weights_oracle(tables, labels_of, halves, C_grid, clamp_nonnegative=False):
+    """Weight learning on one stacked pair matrix and fancy-indexed half copies of it."""
+    X, y, owner = _pair_dataset(tables, labels_of)
+    half = np.asarray([halves[i] for i in owner.tolist()], dtype=np.int64)
+    fit_idx, held_idx = np.flatnonzero(half == 0), np.flatnonzero(half == 1)
+    grid = train_binary(X[fit_idx], y[fit_idx], C_grid)
+    X_held = X[held_idx]
+    grid_scores, best, best_score = [], 0, -1.0
+    for k, (C, model) in enumerate(zip(C_grid, grid.models)):
+        acc = _balanced_accuracy(y[held_idx], np.where(model.scores(X_held)[:, 0] > 0.0, 1, -1))
+        grid_scores.append((float(C), acc))
+        if acc > best_score + 1e-12:
+            best, best_score = k, acc
+    final = train_binary(X, y, (C_grid[best],), init=grid.models[best]).models[0]
+    w = np.maximum(final.W[0], 0.0) if clamp_nonnegative else final.W[0].copy()
+    objectives = tuple(float(m.objective_history[-1][0]) for m in grid.models)
+    info = WeightLearningInfo(float(C_grid[best]), tuple(grid_scores), int(X.shape[0]), objectives)
+    return FusionWeights(w, float(final.b[0])), info
+
+
 def _squared_hinge_objective(w, b, X, y, C):
     """The inverse-frequency weighted L2-loss SVM objective weight learning minimises."""
     n = y.shape[0]
@@ -272,6 +315,40 @@ class TestLearnWeights:
         tables = _tables_from_scores(scores, labels, n_y)
         halves = {i + 1: (i % 2) for i in range(n)}
         return tables, labels, halves
+
+    @pytest.mark.parametrize(
+        "seed,n,n_y,parts,clamp",
+        [(40, 60, 6, 4, False), (41, 60, 6, 4, True), (42, 900, 30, 3, False)],
+    )
+    def test_equals_the_fancy_index_oracle(self, seed, n, n_y, parts, clamp):
+        # the largest case (27k pairs) spans several Newton row blocks
+        tables, labels, halves = self._planted_setup(seed, n=n, n_y=n_y, parts=parts)
+        values = {pid: t.P.copy() for pid, t in tables.items()}
+        grid = (0.0625, 1.0, 16.0)
+        want_fw, want_info = _learn_weights_oracle(tables, labels, halves, grid, clamp)
+        fw, info = learn_weights(tables, labels, halves, C_grid=grid, clamp_nonnegative=clamp)
+        assert np.array_equal(fw.w, want_fw.w) and fw.bias == want_fw.bias
+        assert info == want_info
+        # the tables now point into the pair matrix, with the same values
+        for pid, t in tables.items():
+            assert np.array_equal(t.P, values[pid])
+
+    def test_peak_memory_within_two_and_a_half_pair_matrices(self):
+        # 80 identities, 20 instances each, 10 parts: a 9.8 MB pair matrix.
+        # The held tables count: they are one pair matrix's worth of bytes.
+        learn_weights(*self._planted_setup(1, n=20, n_y=4), C_grid=(1.0,))  # loads numpy's lazy parts
+        n_y, per, parts = 80, 20, 10
+        tracemalloc.start()
+        try:
+            tables, labels, halves = self._planted_setup(2, n=n_y * per, n_y=n_y, parts=parts)
+            tracemalloc.reset_peak()
+            fw, info = learn_weights(tables, labels, halves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pair_bytes = info.n_pairs * parts * 8
+        assert info.n_pairs == n_y * per * n_y
+        assert peak <= 2.5 * pair_bytes, f"peak {peak / pair_bytes:.2f} pair matrices"
 
     def test_planted_informative_part_wins(self):
         tables, labels, halves = self._planted_setup(31)

@@ -293,7 +293,7 @@ class TestTrainBinaryGrid:
         assert fitted.models[0].objective_history[0][0] != pytest.approx(1.0, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "grid", [(), (float("nan"),), (float("inf"),), (0.25, float("nan")), (0.0,), (-1.0, 2.0)]
+        "grid", [(), (float("nan"),), (float("inf"),), (0.25, float("nan")), (0.0,), (-1.0, 2.0), (1e-320,)]
     )
     def test_grid_needs_positive_finite_cs(self, grid):
         X, y = _binary_problem(8, 20, 2)
@@ -567,7 +567,8 @@ class TestBlockedObjective:
 
 class TestTrainConfig:
     def test_validation(self):
-        for C in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        # 1e-320 is subnormal: positive and finite, but 1 / C overflows
+        for C in (0.0, -1.0, float("nan"), float("inf"), float("-inf"), 1e-320):
             with pytest.raises(ValueError, match="C must be a positive finite number"):
                 TrainConfig(C=C)
         with pytest.raises(ValueError):
