@@ -244,14 +244,23 @@ def cmd_train_parts(args) -> int:
     return 0
 
 
-def _read_id_map(path: Path, tables: dict) -> dict[int, int]:
-    """An ``instance_id<TAB>integer`` file that must cover every table instance."""
+def _read_id_map(path: Path, tables: dict, name: str, n_values: int) -> dict[int, int]:
+    """An ``instance_id<TAB>integer`` file that must cover every table instance.
+
+    Each instance is listed once, with its ``name`` (label or half) in
+    [0, ``n_values``).
+    """
     mapping = {}
     for where, (key, value) in read_tsv_rows(path, 2):
         try:
-            mapping[int(key)] = int(value)
+            iid, v = int(key), int(value)
         except ValueError:
             raise ValueError(f"{where}: expected two integers, got {key!r}, {value!r}") from None
+        if iid in mapping:
+            raise ValueError(f"{where}: instance {iid} is listed twice")
+        if not 0 <= v < n_values:
+            raise ValueError(f"{where}: {name} must lie in [0, {n_values}), got {v}")
+        mapping[iid] = v
     for table in tables.values():
         missing = [i for i in table.instance_ids.tolist() if i not in mapping]
         if missing:
@@ -263,8 +272,8 @@ def cmd_learn_weights(args) -> int:
     out = _out_dir(args)
     tables_dir = Path(args.tables)
     tables, table_files = _load_parts(tables_dir / "tables", "part_*.ppt", read_prob_table)
-    labels_of = _read_id_map(tables_dir / "labels.tsv", tables)
-    halves = _read_id_map(tables_dir / "halves.tsv", tables)
+    labels_of = _read_id_map(tables_dir / "labels.tsv", tables, "label", tables[0].n_identities)
+    halves = _read_id_map(tables_dir / "halves.tsv", tables, "half", 2)
     C_grid = _parse_list("--c-grid", args.c_grid, float) if args.c_grid else _DEFAULT_C_GRID
     fw, info = learn_weights(tables, labels_of, halves, C_grid=C_grid, clamp_nonnegative=args.clamp)
 

@@ -16,7 +16,7 @@ import math
 import os
 import struct
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +33,14 @@ __all__ = [
     "PartRegistry",
     "atomic_write_bytes",
     "atomic_write_text",
-    "build_coverage",
+    "dataset_from_records",
     "format_num",
     "l2_normalize_rows",
     "load_index",
     "make_registry",
     "numeric_field_error",
     "read_features",
+    "read_records",
     "read_tsv_rows",
     "require_header",
     "write_features",
@@ -94,6 +95,23 @@ def require_header(path: str | Path, buf: bytes, n_bytes: int) -> None:
         raise ValueError(f"{path}: truncated header: {len(buf)} bytes, the header needs {n_bytes}")
 
 
+def read_records(path: str | Path, buf: bytes, header_bytes: int, rec: np.dtype, n: int) -> np.ndarray:
+    """The ``n`` fixed-size records of ``rec`` that follow a binary file's header.
+
+    A body that is not a whole number of records, or holds another record
+    count than the header's ``n``, raises ValueError naming ``path``.
+    """
+    body_bytes = len(buf) - header_bytes
+    if body_bytes % rec.itemsize:
+        raise ValueError(
+            f"{path}: truncated body: {body_bytes} bytes is not a whole number of {rec.itemsize}-byte records"
+        )
+    body = np.frombuffer(buf, dtype=rec, offset=header_bytes)
+    if body.shape[0] != n:
+        raise ValueError(f"{path}: expected {n} records, found {body.shape[0]}")
+    return body
+
+
 @dataclass(frozen=True)
 class Instance:
     """One annotated person occurrence."""
@@ -137,10 +155,6 @@ class PartRegistry:
     def part_ids(self) -> tuple[int, ...]:
         return tuple(p.part_id for p in self.parts)
 
-    @property
-    def n_non_global(self) -> int:
-        return len(self.parts) - 1
-
     def ids_of_kind(self, kind: str) -> tuple[int, ...]:
         return tuple(p.part_id for p in self.parts if p.kind == kind)
 
@@ -182,17 +196,28 @@ class Dataset:
 
     instances: list[Instance]
     identity_labels: dict[str, tuple[str, ...]]  # split -> label per dense id
-    by_id: dict[int, Instance] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.by_id:
-            self.by_id = {inst.instance_id: inst for inst in self.instances}
 
     def split_instances(self, split: str) -> list[Instance]:
         return [inst for inst in self.instances if inst.split == split]
 
-    def n_identities(self, split: str) -> int:
-        return len(self.identity_labels.get(split, ()))
+
+def dataset_from_records(records: list[tuple[int, int, int, int, BBox, str, str]]) -> Dataset:
+    """The Dataset of raw index records (see `write_index`), sorted by instance id.
+
+    Identity ids are re-indexed densely per split, in sorted label order;
+    the original string labels are kept on each instance and in a side map.
+    """
+    labels_of: dict[str, set[str]] = {}
+    for record in records:
+        labels_of.setdefault(record[6], set()).add(record[5])
+    identity_labels = {split: tuple(sorted(labels)) for split, labels in labels_of.items()}
+    label_maps = {split: {lab: i for i, lab in enumerate(labels)} for split, labels in identity_labels.items()}
+    instances = [
+        Instance(iid, pid, aid, uid, head, label_maps[split][label], split, label)
+        for iid, pid, aid, uid, head, label, split in records
+    ]
+    instances.sort(key=lambda inst: inst.instance_id)
+    return Dataset(instances, identity_labels)
 
 
 def format_num(v: float) -> str:
@@ -258,9 +283,8 @@ def load_index(path: str | Path) -> Dataset:
     degenerate head boxes, duplicate instance ids and duplicate head boxes
     within one photo, each named by ``path:line``; then identities appearing
     in more than one of {train, val, test}, and uploaders whose instances
-    span splits.
-    Identity ids are re-indexed densely per split (labels sorted); the
-    original string labels are kept on each instance and in a side map.
+    span splits. The records then become a Dataset by
+    `dataset_from_records`.
     """
     raw: list[tuple[int, int, int, int, BBox, str, str]] = []
     seen_ids: set[int] = set()
@@ -301,21 +325,7 @@ def load_index(path: str | Path) -> Dataset:
     for uid, splits in uploader_splits.items():
         if len(splits) > 1:
             raise ValueError(f"uploader {uid} spans splits {sorted(splits)}")
-
-    label_maps: dict[str, dict[str, int]] = {}
-    identity_labels: dict[str, tuple[str, ...]] = {}
-    for split in SPLITS:
-        labels = sorted({r[5] for r in raw if r[6] == split})
-        if labels:
-            label_maps[split] = {lab: i for i, lab in enumerate(labels)}
-            identity_labels[split] = tuple(labels)
-
-    instances = [
-        Instance(iid, pid, aid, uid, head, label_maps[split][label], split, label)
-        for iid, pid, aid, uid, head, label, split in raw
-    ]
-    instances.sort(key=lambda inst: inst.instance_id)
-    return Dataset(instances, identity_labels)
+    return dataset_from_records(raw)
 
 
 def l2_normalize_rows(X: np.ndarray) -> np.ndarray:
@@ -397,42 +407,18 @@ def write_features(path: str | Path, fm: FeatureMatrix) -> None:
     atomic_write_bytes(path, header + body.tobytes())
 
 
-def read_features(path: str | Path, normalize: bool = True) -> FeatureMatrix:
-    """Read a feature file; by default rows are L2-normalized at ingestion."""
+def read_features(path: str | Path) -> FeatureMatrix:
+    """Read a feature file; the rows come back as stored, with the file's normalization flag."""
     buf = Path(path).read_bytes()
     if buf[:4] != _FEATURE_MAGIC:
         raise ValueError(f"{path}: bad magic {buf[:4]!r}")
     require_header(path, buf, _FEATURE_HEADER_BYTES)
     part_id, d, n, flag = struct.unpack("<III B", buf[4:_FEATURE_HEADER_BYTES])
     rec = np.dtype([("id", "<u8"), ("x", "<f4", (d,))])
-    body = np.frombuffer(buf[_FEATURE_HEADER_BYTES:], dtype=rec)
-    if body.shape[0] != n:
-        raise ValueError(f"{path}: expected {n} records, found {body.shape[0]}")
-    fm = FeatureMatrix(
+    body = read_records(path, buf, _FEATURE_HEADER_BYTES, rec, n)
+    return FeatureMatrix(
         part_id,
         body["id"].astype(np.int64),
         body["x"].astype(np.float64),
         normalized=bool(flag),
     )
-    if normalize:
-        fm = fm.normalized_copy()
-    return fm
-
-
-def build_coverage(
-    features: dict[int, FeatureMatrix],
-    labels_of: dict[int, int],
-    train_ids: np.ndarray,
-) -> dict[int, np.ndarray]:
-    """Identity coverage per part: identities with at least one training activation.
-
-    The global part covers every identity present in `train_ids`.
-    """
-    train_ids = np.asarray(train_ids, dtype=np.int64)
-    coverage: dict[int, np.ndarray] = {}
-    for part_id, fm in features.items():
-        present = fm.contains(train_ids)
-        ids = train_ids[present]
-        cov = np.unique(np.asarray([labels_of[i] for i in ids.tolist()], dtype=np.int64))
-        coverage[part_id] = cov
-    return coverage

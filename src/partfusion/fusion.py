@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_write_bytes, atomic_write_text, read_tsv_rows, require_header
+from .data import atomic_write_bytes, atomic_write_text, read_records, read_tsv_rows, require_header
 from .svm import train_binary
 
 __all__ = [
@@ -121,9 +121,7 @@ def read_prob_table(path: str | Path) -> ProbabilityTable:
     require_header(path, buf, _TABLE_HEADER_BYTES)
     part_id, n_y, n = struct.unpack("<III", buf[4:_TABLE_HEADER_BYTES])
     rec = np.dtype([("id", "<u8"), ("act", "u1"), ("p", "<f4", (n_y,))])
-    body = np.frombuffer(buf[_TABLE_HEADER_BYTES:], dtype=rec)
-    if body.shape[0] != n:
-        raise ValueError(f"{path}: expected {n} rows, found {body.shape[0]}")
+    body = read_records(path, buf, _TABLE_HEADER_BYTES, rec, n)
     P = body["p"].astype(np.float64)
     # float32 storage nudges sums off 1; renormalize within the format tolerance
     sums = P.sum(axis=1, keepdims=True)

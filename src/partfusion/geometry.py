@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "BBox",
-    "BodyExtrapolation",
-    "DEFAULT_BODY_EXTRAPOLATION",
     "GeometryError",
     "body_from_head",
     "iou",
@@ -43,22 +41,9 @@ class BBox:
             raise GeometryError(f"degenerate box: w={self.w}, h={self.h}")
 
 
-@dataclass(frozen=True)
-class BodyExtrapolation:
-    """Affine head-to-body crop rule.
-
-    The body box is centered on the head's horizontal center, keeps the head's
-    top edge, and scales width/height by fixed factors. Offsets are expressed
-    in head-widths / head-heights so the rule is scale-equivariant.
-    """
-
-    width_scale: float = 3.0
-    height_scale: float = 6.0
-    x_offset: float = 0.0  # shift of the body center, in head widths
-    y_offset: float = 0.0  # shift of the body top, in head heights
-
-
-DEFAULT_BODY_EXTRAPOLATION = BodyExtrapolation()
+# the body box is this many head widths wide and head heights tall
+_BODY_WIDTH_SCALE = 3.0
+_BODY_HEIGHT_SCALE = 6.0
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -73,16 +58,16 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def body_from_head(head: BBox, cfg: BodyExtrapolation = DEFAULT_BODY_EXTRAPOLATION) -> BBox:
+def body_from_head(head: BBox) -> BBox:
     """Extrapolate a full-body box from a head box.
 
-    Deterministic and scale-equivariant: scaling the head coordinates by s
-    scales the output by s. The result is never clipped to the image; callers
-    that clip must record having done so.
+    The body is 3 head widths wide and 6 head heights tall, centered on the
+    head's horizontal center, and keeps the head's top edge. Deterministic
+    and scale-equivariant: scaling the head coordinates by s scales the
+    output by s. The result is never clipped to the image; callers that clip
+    must record having done so.
     """
     head.require_valid()
-    w = cfg.width_scale * head.w
-    h = cfg.height_scale * head.h
-    cx = head.center_x + cfg.x_offset * head.w
-    y = head.y + cfg.y_offset * head.h
-    return BBox(cx - w / 2.0, y, w, h)
+    w = _BODY_WIDTH_SCALE * head.w
+    h = _BODY_HEIGHT_SCALE * head.h
+    return BBox(head.center_x - w / 2.0, head.y, w, h)

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import GLOBAL_PART_ID, Instance, atomic_write_text, format_num, numeric_field_error
-from .geometry import BBox, BodyExtrapolation, DEFAULT_BODY_EXTRAPOLATION, body_from_head, iou
+from .geometry import BBox, body_from_head, iou
 
 __all__ = [
     "Assignment",
@@ -93,17 +93,14 @@ def _edge_weights(
     detections: list[Detection],
     tau_iou: float,
     lam: float,
-    body_cfg: BodyExtrapolation,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(admissible mask, weight matrix) over truths x detections, id-sorted."""
-    if not (0.0 <= tau_iou <= 1.0 and 0.0 <= lam <= 1.0):
-        raise ValueError("tau_iou and lambda must lie in [0, 1]")
     n, m = len(truths), len(detections)
     adm = np.zeros((n, m), dtype=bool)
     W = np.zeros((n, m))
     norm = normalize_scores(np.asarray([d.score for d in detections]))
     for i, t in enumerate(truths):
-        body = body_from_head(t.head, body_cfg)
+        body = body_from_head(t.head)
         for j, d in enumerate(detections):
             overlap = iou(body, d.person_box)
             if overlap >= tau_iou:
@@ -225,7 +222,6 @@ def match_detections(
     detections: list[Detection],
     tau_iou: float = 0.3,
     lam: float = 0.5,
-    body_cfg: BodyExtrapolation = DEFAULT_BODY_EXTRAPOLATION,
 ) -> Assignment:
     """Optimal truth-to-detection assignment for one photo.
 
@@ -239,7 +235,7 @@ def match_detections(
     if not truths or not detections:
         return _assignment_from_pairs([], truths, detections, 0.0)
 
-    adm, W = _edge_weights(truths, detections, tau_iou, lam, body_cfg)
+    adm, W = _edge_weights(truths, detections, tau_iou, lam)
     aug = _augmented(adm, W)
     n, m = aug.shape
     opt = _opt_value(aug, np.arange(n), np.arange(m))
@@ -274,7 +270,6 @@ def match_bruteforce(
     detections: list[Detection],
     tau_iou: float = 0.3,
     lam: float = 0.5,
-    body_cfg: BodyExtrapolation = DEFAULT_BODY_EXTRAPOLATION,
 ) -> Assignment:
     """Exhaustive-enumeration oracle with the same semantics as match_detections.
 
@@ -288,7 +283,7 @@ def match_bruteforce(
     if not truths or not detections:
         return _assignment_from_pairs([], truths, detections, 0.0)
 
-    adm, W = _edge_weights(truths, detections, tau_iou, lam, body_cfg)
+    adm, W = _edge_weights(truths, detections, tau_iou, lam)
     n, m = adm.shape
     best: dict = {"card": -1, "weight": -1.0, "pairs": None}
 
@@ -334,21 +329,20 @@ def activations_per_instance(
     assignment: Assignment,
     truths: list[Instance],
     detections: list[Detection],
-    body_cfg: BodyExtrapolation = DEFAULT_BODY_EXTRAPOLATION,
 ) -> dict[int, list[tuple[int, BBox, float]]]:
     """Part activation table: instance_id -> [(part_id, patch box, score)].
 
     Every truth gets the global part (patch = extrapolated body box); matched
     truths additionally inherit their detection's part activations.
     """
-    det_by_id = {d.detection_id: d for d in detections}
+    detection_of = {d.detection_id: d for d in detections}
     matched = dict(assignment.pairs)
     table: dict[int, list[tuple[int, BBox, float]]] = {}
     for t in sorted(truths, key=lambda t: t.instance_id):
-        rows = [(GLOBAL_PART_ID, body_from_head(t.head, body_cfg), 1.0)]
+        rows = [(GLOBAL_PART_ID, body_from_head(t.head), 1.0)]
         det_id = matched.get(t.instance_id)
         if det_id is not None:
-            for part_id, patch, act_score in det_by_id[det_id].activations:
+            for part_id, patch, act_score in detection_of[det_id].activations:
                 rows.append((part_id, patch, act_score))
         rows.sort(key=lambda r: r[0])
         table[t.instance_id] = rows

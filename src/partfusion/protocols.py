@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 DEFAULT_TRAIN_CFG = TrainConfig(C=10.0, epochs=30)
+_ABLATION_MASKS = ("all", "global", "poselets", "face")
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,13 @@ class HalfSplit:
 
 
 def stratified_half_split(instances: list[Instance], seed: int) -> HalfSplit:
-    by_identity: dict[int, list[int]] = {}
+    members: dict[int, list[int]] = {}
     for inst in instances:
-        by_identity.setdefault(inst.identity, []).append(inst.instance_id)
+        members.setdefault(inst.identity, []).append(inst.instance_id)
     assignment: dict[int, int] = {}
     excluded: list[int] = []
-    for ident in sorted(by_identity):
-        ids = sorted(by_identity[ident])
+    for ident in sorted(members):
+        ids = sorted(members[ident])
         if len(ids) < 2:
             excluded.append(ident)
             continue
@@ -333,19 +334,13 @@ def _split_halves(
     features: dict[int, FeatureMatrix],
     split: str,
     seed: int,
-    halves: HalfSplit | None = None,
 ) -> HalfModels:
     """Normalized features, kept identities and stratified halves of a split; no models yet."""
     kept, local_of, excl_ids, excl_insts = _kept_instances(dataset.split_instances(split), 2)
     if len(local_of) < 2:
         raise ValueError(f"split {split!r} has fewer than 2 usable identities")
-    if halves is None:
-        halves = stratified_half_split(kept, seed)
-    label_of = {
-        inst.instance_id: local_of[inst.identity]
-        for inst in kept
-        if inst.instance_id in halves.assignment
-    }
+    halves = stratified_half_split(kept, seed)
+    label_of = {inst.instance_id: local_of[inst.identity] for inst in kept}
     return HalfModels(_normalized(features), halves, label_of, {}, len(local_of), excl_ids, excl_insts)
 
 
@@ -356,13 +351,12 @@ def _train_halves(
     seed: int,
     part_ids: tuple[int, ...],
     cfg: TrainConfig,
-    halves: HalfSplit | None = None,
 ) -> HalfModels:
     """Train the given parts' SVMs on each half, seeded per (seed, eval half, part).
 
     The two halves train on separate workers (see `_forked_map`).
     """
-    trained = _split_halves(dataset, features, split, seed, halves)
+    trained = _split_halves(dataset, features, split, seed)
     train_ids = [trained.eval_ids(1 - eval_half) for eval_half in (0, 1)]
 
     def train(eval_half: int) -> dict[int, LinearModel | None]:
@@ -459,7 +453,6 @@ def eval_recognition(
     seed: int = 0,
     component_mask: str | None = None,
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
-    halves: HalfSplit | None = None,
     fill: bool = True,
 ) -> EvalReport:
     """Half-split recognition accuracy with sparsity filling and fusion.
@@ -470,7 +463,7 @@ def eval_recognition(
     contribute zeros and the report's protocol is ``recognition-no-fill``.
     """
     mask_ids = registry.resolve_mask(component_mask)
-    trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg, halves)
+    trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg)
     return _recognition(trained, registry, fw, component_mask, seed, fill)
 
 
@@ -483,12 +476,12 @@ def eval_faces_split(
     seed: int = 0,
     component_mask: str | None = None,
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
-    face_mask: dict[int, bool] | None = None,
 ) -> tuple[EvalReport, EvalReport]:
     """Recognition accuracy restricted to face-activated instances and the rest.
 
-    ``face_mask`` overrides which instances count as face-activated; by
-    default an instance does when the face part carries a feature row for it.
+    An instance is face-activated when a masked-in face part carries a
+    feature row for it. An empty subset's report has no accuracy and the
+    flag ``empty_subset``.
     """
     mask_ids = registry.resolve_mask(component_mask)
     trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg)
@@ -496,8 +489,6 @@ def eval_faces_split(
     face_parts = [p for p in registry.ids_of_kind("face") if p in mask_ids]
 
     def is_face(ids: np.ndarray, activations: dict[int, np.ndarray]) -> np.ndarray:
-        if face_mask is not None:
-            return np.asarray([bool(face_mask.get(i, False)) for i in ids.tolist()], dtype=bool)
         face = np.zeros(ids.shape[0], dtype=bool)
         for p in face_parts:
             face |= activations[p]
@@ -519,18 +510,20 @@ def eval_ablation(
     features: dict[int, FeatureMatrix],
     registry: PartRegistry,
     fw: FusionWeights,
-    masks: tuple[str, ...] = ("all", "global", "poselets", "face"),
     split: str = "test",
     seed: int = 0,
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> dict[str, EvalReport]:
-    """Recognition accuracy per component mask (plus the no-fill variant).
+    """Recognition accuracy per component mask: all, global, poselets and face, then no-fill.
 
     Every part is trained once per half; each mask and the no-fill variant
     score those same models, so each report equals its own recognition run.
     """
     trained = _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
-    out = {mask: _recognition(trained, registry, fw, None if mask == "all" else mask, seed, True) for mask in masks}
+    out = {
+        mask: _recognition(trained, registry, fw, None if mask == "all" else mask, seed, True)
+        for mask in _ABLATION_MASKS
+    }
     out["no-fill"] = _recognition(trained, registry, fw, None, seed, False)
     return out
 
@@ -614,8 +607,6 @@ class ReferenceModels:
 
     models: dict[int, LinearModel | None]
     n_identities: int
-    split: str
-    seed: int
 
 
 def train_reference_models(
@@ -638,7 +629,7 @@ def train_reference_models(
 
     rows = [int(np.count_nonzero(split_set.features[pid].contains(train_ids))) for pid in registry.part_ids]
     models = dict(zip(registry.part_ids, _forked_map(train, registry.part_ids, rows)))
-    return ReferenceModels(models, split_set.n_identities, split, seed)
+    return ReferenceModels(models, split_set.n_identities)
 
 
 def build_identity_embedding(
@@ -646,12 +637,10 @@ def build_identity_embedding(
     features: dict[int, FeatureMatrix],
     ref: ReferenceModels,
     fw: FusionWeights,
-    component_mask: str | None = None,
-    registry: PartRegistry | None = None,
 ) -> np.ndarray:
-    """Fused probability vector over the reference identities for one instance."""
-    mask_ids = registry.resolve_mask(component_mask) if registry is not None else tuple(sorted(ref.models))
-    return _build_embeddings(np.asarray([instance_id], dtype=np.int64), features, ref, fw, mask_ids)[0]
+    """Fused probability vector over the reference identities for one instance, from every reference part."""
+    ids = np.asarray([instance_id], dtype=np.int64)
+    return _build_embeddings(ids, features, ref, fw, tuple(sorted(ref.models)))[0]
 
 
 def _build_embeddings(

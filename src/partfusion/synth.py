@@ -24,9 +24,9 @@ from .data import (
     Dataset,
     FeatureMatrix,
     GLOBAL_PART_ID,
-    Instance,
     PartRegistry,
     atomic_write_text,
+    dataset_from_records,
     make_registry,
     write_features,
     write_index,
@@ -315,7 +315,7 @@ def generate(cfg: SynthConfig) -> SynthData:
         ).normalized_copy()
         for p in range(n_parts)
     }
-    dataset = _dataset_from_records(records)
+    dataset = dataset_from_records(records)
     cov_lists = {
         split: {p: sorted(v) for p, v in parts.items()} for split, parts in coverage.items()
     }
@@ -330,23 +330,6 @@ def generate(cfg: SynthConfig) -> SynthData:
         poses=poses,
         activation_prob=act_prob,
     )
-
-
-def _dataset_from_records(records: list[tuple]) -> Dataset:
-    """Build the Dataset exactly as load_index would, without touching disk."""
-    label_maps: dict[str, dict[str, int]] = {}
-    identity_labels: dict[str, tuple[str, ...]] = {}
-    splits = sorted({r[6] for r in records})
-    for split in splits:
-        labels = sorted({r[5] for r in records if r[6] == split})
-        label_maps[split] = {lab: i for i, lab in enumerate(labels)}
-        identity_labels[split] = tuple(labels)
-    instances = [
-        Instance(iid, pid, aid, uid, head, label_maps[split][label], split, label)
-        for iid, pid, aid, uid, head, label, split in records
-    ]
-    instances.sort(key=lambda i: i.instance_id)
-    return Dataset(instances, identity_labels)
 
 
 def write_synth(data: SynthData, out_dir: str | Path) -> list[Path]:

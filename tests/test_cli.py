@@ -479,6 +479,64 @@ def test_learn_weights_checks_the_table_set(trained_dir, tmp_path, capsys, edit,
     assert not (out / "weights.tsv").exists()
 
 
+def _replace_value(lines, k, value):
+    key = lines[k].split("\t")[0]
+    return lines[:k] + [f"{key}\t{value}"] + lines[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        ("halves.tsv", lambda lines: _replace_value(lines, 2, 2), r"halves.tsv:3: half must lie in \[0, 2\), got 2"),
+        ("halves.tsv", lambda lines: _replace_value(lines, 0, -1), r"halves.tsv:1: half must lie in \[0, 2\), got -1"),
+        (
+            "labels.tsv",
+            lambda lines: _replace_value(lines, 1, 999),
+            r"labels.tsv:2: label must lie in \[0, 8\), got 999",
+        ),
+        ("labels.tsv", lambda lines: _replace_value(lines, 1, 8), r"labels.tsv:2: label must lie in \[0, 8\), got 8"),
+        ("labels.tsv", lambda lines: lines + lines[:1], r"labels.tsv:\d+: instance \d+ is listed twice"),
+        ("halves.tsv", lambda lines: lines[:1] + lines, r"halves.tsv:2: instance \d+ is listed twice"),
+    ],
+    ids=["half-2", "half-negative", "label-999", "label-n-y", "label-repeated-id", "half-repeated-id"],
+)
+def test_learn_weights_checks_label_and_half_values(trained_dir, tmp_path, capsys, name, edit, message):
+    tables = tmp_path / "parts"
+    shutil.copytree(trained_dir, tables)
+    lines = (tables / name).read_text().splitlines()
+    (tables / name).write_text("\n".join(edit(lines)) + "\n")
+    out = tmp_path / "w"
+    rc = main(["learn-weights", "--tables", str(tables), "--c-grid", "1.0", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(tables / name) in err
+    assert re.search(message, err), err
+    assert not (out / "weights.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,target,cut,record",
+    [("learn-weights", "tables/part_001.ppt", 5, 8 + 1 + 4 * 8), ("eval", "features/part_001.pfv", 3, 8 + 4 * 12)],
+    ids=["table", "features"],
+)
+def test_truncated_binary_body_names_the_file(data_dir, trained_dir, tmp_path, capsys, command, target, cut, record):
+    copy = tmp_path / "in"
+    shutil.copytree(trained_dir if command == "learn-weights" else data_dir, copy)
+    path = copy / target
+    path.write_bytes(path.read_bytes()[:-cut])
+    out = tmp_path / "out"
+    if command == "learn-weights":
+        argv = ["learn-weights", "--tables", str(copy), "--c-grid", "1.0"]
+    else:
+        argv = ["eval", "--protocol", "recognition", "--dataset", str(copy / "index.tsv")]
+        argv += ["--features", str(copy / "features")]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    message = rf"error: {re.escape(str(path))}: truncated body: \d+ bytes is not a whole number of {record}-byte"
+    assert re.search(message, err), err
+    assert not any(out.glob("*"))
+
+
 @pytest.mark.parametrize("grid", ["nan", "inf", "0.25,nan", "1e-320"])
 def test_learn_weights_rejects_non_finite_c(trained_dir, tmp_path, capsys, grid):
     out = tmp_path / "w"

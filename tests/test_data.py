@@ -8,7 +8,6 @@ import pytest
 from partfusion import (
     BBox,
     FeatureMatrix,
-    build_coverage,
     l2_normalize_rows,
     load_index,
     make_registry,
@@ -16,7 +15,8 @@ from partfusion import (
     write_features,
     write_index,
 )
-from partfusion.data import PartInfo, PartRegistry, atomic_write_bytes
+from partfusion.data import PartInfo, PartRegistry, atomic_write_bytes, dataset_from_records
+from partfusion.protocols import DEFAULT_TRAIN_CFG, _train_part_models
 
 
 def _records():
@@ -38,19 +38,25 @@ class TestIndexFile:
         ds = load_index(path)
         assert len(ds.instances) == 6
         assert [i.instance_id for i in ds.instances] == [1, 2, 3, 4, 5, 6]
-        assert ds.by_id[1].photo_id == 100
-        assert ds.by_id[1].head == BBox(10.0, 5.0, 8.0, 8.0)
+        assert ds.instances[0].photo_id == 100
+        assert ds.instances[0].head == BBox(10.0, 5.0, 8.0, 8.0)
 
     def test_dense_identity_reindex_per_split(self, tmp_path):
         path = tmp_path / "index.tsv"
         write_index(path, _records())
         ds = load_index(path)
+        by_id = {inst.instance_id: inst for inst in ds.instances}
         # labels sorted per split: alice=0, bob=1; carol=0, dave=1
-        assert ds.by_id[1].identity == 0 and ds.by_id[1].label == "alice"
-        assert ds.by_id[2].identity == 1 and ds.by_id[2].label == "bob"
-        assert ds.by_id[4].identity == 0 and ds.by_id[4].label == "carol"
+        assert by_id[1].identity == 0 and by_id[1].label == "alice"
+        assert by_id[2].identity == 1 and by_id[2].label == "bob"
+        assert by_id[4].identity == 0 and by_id[4].label == "carol"
         assert ds.identity_labels["val"] == ("alice", "bob")
-        assert ds.n_identities("val") == 2
+
+    def test_loader_and_in_memory_builder_agree(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        records = _records()[::-1]
+        write_index(path, records)
+        assert load_index(path) == dataset_from_records(records)
 
     def test_duplicate_instance_id_rejected(self, tmp_path):
         recs = _records()
@@ -128,7 +134,6 @@ class TestRegistry:
         assert reg.parts[0].kind == "global"
         assert reg.ids_of_kind("poselet") == (1, 2, 3)
         assert reg.ids_of_kind("face") == (4,)
-        assert reg.n_non_global == 4
 
     def test_no_face(self):
         reg = make_registry(2, include_face=False)
@@ -186,18 +191,19 @@ class TestFeatureMatrix:
         fm = FeatureMatrix(3, np.arange(1, 8), rng.normal(size=(7, 4)))
         path = tmp_path / "part_003.pfv"
         write_features(path, fm)
-        back = read_features(path, normalize=False)
+        back = read_features(path)
         assert back.part_id == 3
         np.testing.assert_array_equal(back.instance_ids, fm.instance_ids)
         np.testing.assert_allclose(back.X, fm.X.astype(np.float32), rtol=1e-6)
 
-    def test_read_normalizes_by_default(self, tmp_path):
+    def test_read_returns_rows_as_stored(self, tmp_path):
         fm = FeatureMatrix(0, np.array([1, 2]), np.array([[3.0, 4.0], [1.0, 0.0]]))
         path = tmp_path / "part_000.pfv"
-        write_features(path, fm)
-        back = read_features(path)
-        np.testing.assert_allclose(np.linalg.norm(back.X, axis=1), 1.0, atol=1e-6)
-        assert back.normalized
+        for stored in (fm, fm.normalized_copy()):
+            write_features(path, stored)
+            back = read_features(path)
+            assert np.array_equal(back.X, stored.X.astype(np.float32))
+            assert back.normalized == stored.normalized
 
     def test_binary_layout_little_endian(self, tmp_path):
         # hand-build a one-row file and confirm the reader decodes it
@@ -206,7 +212,7 @@ class TestFeatureMatrix:
         body = struct.pack("<Q", 42) + struct.pack("<2f", 1.5, -2.0)
         path = tmp_path / "hand.pfv"
         path.write_bytes(header + body)
-        fm = read_features(path, normalize=False)
+        fm = read_features(path)
         assert fm.part_id == 7
         assert fm.instance_ids.tolist() == [42]
         np.testing.assert_allclose(fm.X[0], [1.5, -2.0])
@@ -224,26 +230,43 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated header: 10 bytes, the header needs 17")):
             read_features(path)
 
+    def test_truncated_body_names_path_and_lengths(self, tmp_path):
+        path = tmp_path / "part_000.pfv"
+        write_features(path, FeatureMatrix(0, np.array([1, 2]), np.ones((2, 2))))
+        whole = path.read_bytes()
+        record = 8 + 4 * 2
+        for cut in range(1, record):
+            path.write_bytes(whole[:-cut])
+            message = f"{path}: truncated body: {2 * record - cut} bytes is not a whole number of {record}-byte records"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_features(path)
+        path.write_bytes(whole[:-record])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 2 records, found 1")):
+            read_features(path)
+
 
 class TestCoverage:
+    """A part's identity coverage F_i is its model's class index: the identities it fired on in training."""
+
+    @staticmethod
+    def _coverage(feats, labels, train_ids):
+        models = _train_part_models(tuple(feats), feats, np.array(train_ids), labels, DEFAULT_TRAIN_CFG, (0,))
+        return {pid: model.class_index.tolist() for pid, model in models.items()}
+
     def test_coverage_sets(self):
+        rng = np.random.default_rng(2)
         feats = {
-            0: FeatureMatrix(0, np.array([1, 2, 3, 4]), np.ones((4, 2))),
-            1: FeatureMatrix(1, np.array([1, 4]), np.ones((2, 2))),
+            0: FeatureMatrix(0, np.array([1, 2, 3, 4]), rng.normal(size=(4, 2))),
+            1: FeatureMatrix(1, np.array([1, 4]), rng.normal(size=(2, 2))),
         }
         labels = {1: 0, 2: 0, 3: 1, 4: 2}
-        cov = build_coverage(feats, labels, np.array([1, 2, 3, 4]))
-        assert cov[0].tolist() == [0, 1, 2]
-        assert cov[1].tolist() == [0, 2]
+        assert self._coverage(feats, labels, [1, 2, 3, 4]) == {0: [0, 1, 2], 1: [0, 2]}
 
     def test_coverage_respects_train_subset(self):
-        feats = {
-            0: FeatureMatrix(0, np.array([1, 2]), np.ones((2, 2))),
-            1: FeatureMatrix(1, np.array([1, 2]), np.ones((2, 2))),
-        }
-        labels = {1: 0, 2: 1}
-        cov = build_coverage(feats, labels, np.array([1]))
-        assert cov[1].tolist() == [0]
+        rng = np.random.default_rng(3)
+        feats = {pid: FeatureMatrix(pid, np.array([1, 2, 3]), rng.normal(size=(3, 2))) for pid in (0, 1)}
+        labels = {1: 0, 2: 1, 3: 2}
+        assert self._coverage(feats, labels, [1, 3]) == {0: [0, 2], 1: [0, 2]}
 
 
 def test_atomic_rewrite_replaces_bytes_and_leaves_no_temp_file(tmp_path, monkeypatch):

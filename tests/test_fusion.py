@@ -221,6 +221,21 @@ class TestProbabilityTable:
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: truncated header: 10 bytes, the header needs 16"):
             read_prob_table(path)
 
+    def test_truncated_body_names_path_and_lengths(self, tmp_path):
+        path = tmp_path / "part_000.ppt"
+        t = ProbabilityTable(0, np.array([1, 2]), np.full((2, 3), 1.0 / 3.0), np.array([True, False]))
+        write_prob_table(path, t)
+        whole = path.read_bytes()
+        record = 8 + 1 + 4 * 3
+        for cut in range(1, record):
+            path.write_bytes(whole[:-cut])
+            message = f"{path}: truncated body: {2 * record - cut} bytes is not a whole number of {record}-byte records"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_prob_table(path)
+        path.write_bytes(whole[:-record])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 2 records, found 1")):
+            read_prob_table(path)
+
 
 class TestWeightsFile:
     def test_round_trip(self, tmp_path):

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from partfusion import (
-    DEFAULT_BODY_EXTRAPOLATION,
-    BBox,
-    BodyExtrapolation,
-    GeometryError,
-    body_from_head,
-    iou,
-)
+from partfusion import BBox, GeometryError, body_from_head, iou
 
 
 class TestIoU:
@@ -54,12 +47,6 @@ class TestBodyFromHead:
         assert body.y == 10.0
         assert body.center_x == pytest.approx(15.0)
 
-    def test_identity_extrapolation(self):
-        cfg = BodyExtrapolation(width_scale=1.0, height_scale=1.0)
-        head = BBox(5.0, 7.0, 11.0, 13.0)
-        body = body_from_head(head, cfg)
-        assert (body.x, body.y, body.w, body.h) == (5.0, 7.0, 11.0, 13.0)
-
     def test_scale_equivariance(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -72,19 +59,16 @@ class TestBodyFromHead:
                 [b.x, b.y, b.w, b.h], [a.x * s, a.y * s, a.w * s, a.h * s], rtol=1e-12
             )
 
-    def test_offsets_shift_output(self):
-        # offsets are expressed in head widths/heights so equivariance survives
-        cfg = BodyExtrapolation(width_scale=2.0, height_scale=2.0, x_offset=1.0, y_offset=-2.0)
-        head = BBox(0.0, 0.0, 10.0, 10.0)
-        body = body_from_head(head, cfg)
-        base = body_from_head(head, BodyExtrapolation(width_scale=2.0, height_scale=2.0))
-        assert body.x == base.x + 1.0 * head.w
-        assert body.y == base.y - 2.0 * head.h
-
     def test_no_clipping_below_zero(self):
         body = body_from_head(BBox(1.0, 1.0, 10.0, 10.0))
         assert body.x < 0
 
-    def test_default_config_object(self):
-        assert DEFAULT_BODY_EXTRAPOLATION.width_scale == 3.0
-        assert DEFAULT_BODY_EXTRAPOLATION.height_scale == 6.0
+    def test_non_square_head_keeps_its_center_and_top(self):
+        head = BBox(-4.0, 2.5, 8.0, 5.0)
+        body = body_from_head(head)
+        assert (body.x, body.y, body.w, body.h) == (-12.0, 2.5, 24.0, 30.0)
+        assert body.center_x == head.center_x
+
+    def test_degenerate_head_rejected(self):
+        with pytest.raises(GeometryError):
+            body_from_head(BBox(0.0, 0.0, 5.0, 0.0))

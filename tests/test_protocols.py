@@ -14,7 +14,6 @@ from partfusion.fusion import FusionWeights
 from partfusion.protocols import (
     DEFAULT_TRAIN_CFG,
     EvalReport,
-    HalfSplit,
     ReferenceModels,
     build_identity_embedding,
     curve_csv,
@@ -161,24 +160,17 @@ def test_constant_features_score_at_chance(small_fw):
     assert rep.accuracy == 1.0 / rep.n_identities
 
 
-def test_explicit_halves_restrict_and_flip(small, small_fw):
-    full = stratified_half_split(small.dataset.split_instances("test"), 0)
-    drop = dict(full.assignment)
-    for k in sorted(drop)[:2]:
-        del drop[k]
-    sub = eval_recognition(
-        small.dataset, small.features, small.registry, small_fw,
-        split="test", halves=HalfSplit(drop, 0, ()),
-    )
-    assert sub.n_test == len(full.assignment) - 2
-
-    data = generate(replace(SMALL, noise_sigma=0.0, activation_prob=1.0, seed=14))
-    base = stratified_half_split(data.dataset.split_instances("test"), 0)
-    flip = HalfSplit({k: 1 - v for k, v in base.assignment.items()}, 0, ())
-    rep = eval_recognition(
-        data.dataset, data.features, data.registry, small_fw, split="test", halves=flip
-    )
-    assert rep.accuracy == 1.0
+def test_recognition_normalizes_raw_features(small, small_fw):
+    # protocols._normalized is the one normalization point: raw rows score like their normalized copies
+    rng = np.random.default_rng(19)
+    raw = {
+        pid: FeatureMatrix(pid, fm.instance_ids, fm.X * rng.uniform(0.5, 4.0, (len(fm), 1)))
+        for pid, fm in small.features.items()
+    }
+    normalized = {pid: fm.normalized_copy() for pid, fm in raw.items()}
+    got = eval_recognition(small.dataset, raw, small.registry, small_fw, split="test", seed=2)
+    want = eval_recognition(small.dataset, normalized, small.registry, small_fw, split="test", seed=2)
+    assert report_text(got) == report_text(want)
 
 
 def test_recognition_needs_two_usable_identities():
@@ -204,15 +196,30 @@ def test_faces_split_separates_face_activated_instances():
 
 
 def test_faces_split_mask_override(small, small_fw):
-    all_face = {i.instance_id: True for i in small.dataset.split_instances("test")}
+    # a component mask without the face part leaves no instance face-activated
+    mask = "global,poselets"
     faces, nonfaces = eval_faces_split(
-        small.dataset, small.features, small.registry, small_fw, split="test", face_mask=all_face
+        small.dataset, small.features, small.registry, small_fw, split="test", component_mask=mask
     )
-    overall = eval_recognition(small.dataset, small.features, small.registry, small_fw, split="test")
-    assert faces.accuracy == overall.accuracy
-    assert nonfaces.accuracy is None
-    assert nonfaces.flags["empty_subset"] == "true"
-    assert nonfaces.n_test == 0
+    overall = eval_recognition(
+        small.dataset, small.features, small.registry, small_fw, split="test", component_mask=mask
+    )
+    assert faces.accuracy is None
+    assert faces.flags["empty_subset"] == "true"
+    assert nonfaces.accuracy == overall.accuracy
+    assert nonfaces.n_test == overall.n_test
+
+
+def test_faces_split_flags_an_empty_face_subset(small_fw):
+    data = generate(replace(SMALL, face_activation=0.0, seed=20))
+    assert len(data.features[data.registry.ids_of_kind("face")[0]]) == 0
+    faces, nonfaces = eval_faces_split(data.dataset, data.features, data.registry, small_fw, split="test")
+    overall = eval_recognition(data.dataset, data.features, data.registry, small_fw, split="test")
+    assert faces.accuracy is None
+    assert faces.flags["empty_subset"] == "true"
+    assert faces.n_test == 0
+    assert nonfaces.accuracy == overall.accuracy
+    assert nonfaces.n_test == overall.n_test
 
 
 def test_ablation_reports_equal_separate_recognition_runs(small, small_fw):
@@ -499,9 +506,11 @@ def test_embedding_normalizes_only_the_rows_it_reads(small_fw):
 
 
 def test_embedding_requires_global_model(small, small_fw):
-    ref = ReferenceModels({0: None}, 10, "val", 0)
-    with pytest.raises(ValueError, match="global model"):
-        build_identity_embedding(1, small.features, ref, small_fw)
+    trained = train_reference_models(small.dataset, small.features, small.registry, split="test")
+    without_part_0 = {pid: model for pid, model in trained.models.items() if pid != 0}
+    for models in ({0: None}, without_part_0):
+        with pytest.raises(ValueError, match="global model"):
+            build_identity_embedding(1, small.features, ReferenceModels(models, 10), small_fw)
 
 
 def test_half_split_training_artifacts(small):

@@ -28,8 +28,8 @@ def _small(**over):
 class TestGenerate:
     def test_shapes_and_splits(self, bench):
         cfg = bench.config
-        assert bench.dataset.n_identities("val") == cfg.n_identities
-        assert bench.dataset.n_identities("test") == cfg.n_identities
+        assert len(bench.dataset.identity_labels["val"]) == cfg.n_identities
+        assert len(bench.dataset.identity_labels["test"]) == cfg.n_identities
         per_split = cfg.n_identities * cfg.instances_min
         assert len(bench.dataset.split_instances("val")) == per_split
         assert len(bench.dataset.split_instances("test")) == per_split
@@ -76,7 +76,7 @@ class TestGenerate:
         rows = bench.dataset.split_instances("val")
         for pid in range(1, bench.config.n_parts):
             have = set(bench.features[pid].instance_ids.tolist())
-            table = np.zeros((bench.dataset.n_identities("val"), 2))
+            table = np.zeros((len(bench.dataset.identity_labels["val"]), 2))
             for inst in rows:
                 table[inst.identity, int(inst.instance_id in have)] += 1
             keep = table.min(axis=1) >= 0
