@@ -10,7 +10,7 @@ import numpy as np
 
 from partfusion import FusionWeights, SynthConfig, generate
 from partfusion.protocols import (
-    build_identity_embedding,
+    build_identity_embeddings,
     learn_fusion_weights,
     run_retrieval_protocol,
     train_reference_models,
@@ -24,7 +24,8 @@ fw, _ = learn_fusion_weights(
 # same-identity embeddings sit closer together than cross-identity ones
 ref = train_reference_models(data.dataset, data.features, data.registry, split="val")
 insts = sorted(data.dataset.split_instances("test"), key=lambda i: i.instance_id)[:100]
-embs = {i.instance_id: build_identity_embedding(i.instance_id, data.features, ref, fw) for i in insts}
+ids = np.asarray([i.instance_id for i in insts], dtype=np.int64)
+embs = dict(zip(ids.tolist(), build_identity_embeddings(ids, data.features, ref, fw, data.registry.part_ids)))
 intra, inter = [], []
 for a in insts:
     for b in insts:

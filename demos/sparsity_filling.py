@@ -7,14 +7,7 @@ part votes over the same identity set before fusion.
 
 import numpy as np
 
-from partfusion import (
-    FusionWeights,
-    ProbabilityTable,
-    coverage_mass,
-    fill_sparsity,
-    fuse,
-    predict,
-)
+from partfusion import FusionWeights, fill_sparsity, fuse_matrix
 
 # global classifier distribution over identities {0, 1, 2}
 p0 = np.array([0.5, 0.3, 0.2])
@@ -27,7 +20,7 @@ print("part coverage           ", F.tolist())
 print("raw part prediction     ", p_hat)
 
 # how much global mass falls on the part's identities decides the blend
-mass = coverage_mass(p0, F)
+mass = float(p0[F].sum())
 print("coverage mass           ", mass)
 
 filled = fill_sparsity(p_hat, p0, F, activated=True)
@@ -38,13 +31,8 @@ assert abs(filled.sum() - 1.0) < 1e-12
 inactive = fill_sparsity(None, p0, F, activated=False)
 print("inactive part fill      ", inactive)
 
-# fusion is a weighted sum of the filled distributions, read from tables
-iid = 7
-tables = {
-    0: ProbabilityTable(0, np.array([iid]), p0[None, :], np.array([True])),
-    1: ProbabilityTable(1, np.array([iid]), filled[None, :], np.array([True])),
-}
+# fusion is a weighted sum of the filled distributions, one row per instance
 fw = FusionWeights(np.array([1.0, 1.5]))
-fused = fuse(tables, fw, iid)
+fused = fuse_matrix({0: p0[None, :], 1: filled[None, :]}, fw)[0]
 print("fused scores            ", fused)
-print("predicted identity      ", predict(fused))
+print("predicted identity      ", int(np.argmax(fused)))

@@ -28,13 +28,10 @@ from .fusion import (
     FusionWeights,
     ProbabilityTable,
     WeightLearningInfo,
-    coverage_mass,
     fill_sparsity,
     fill_sparsity_rows,
-    fuse,
     fuse_matrix,
     learn_weights,
-    predict,
     read_prob_table,
     read_weights,
     write_prob_table,
@@ -59,7 +56,7 @@ from .matching import (
 from .protocols import (
     EvalReport,
     ReferenceModels,
-    build_identity_embedding,
+    build_identity_embeddings,
     eval_ablation,
     eval_faces_split,
     eval_oneshot,
@@ -78,9 +75,7 @@ from .svm import (
     hinge_objective,
     hinge_subgradient,
     load_model,
-    predict_classes,
     save_model,
-    score,
     softmax,
     train_binary,
     train_multiclass,
@@ -110,8 +105,7 @@ __all__ = [
     "WeightLearningInfo",
     "activations_per_instance",
     "body_from_head",
-    "build_identity_embedding",
-    "coverage_mass",
+    "build_identity_embeddings",
     "eval_ablation",
     "eval_faces_split",
     "eval_oneshot",
@@ -119,7 +113,6 @@ __all__ = [
     "eval_retrieval",
     "fill_sparsity",
     "fill_sparsity_rows",
-    "fuse",
     "fuse_matrix",
     "generate",
     "hinge_objective",
@@ -136,14 +129,11 @@ __all__ = [
     "match_detections",
     "normalize_scores",
     "planted_config",
-    "predict",
-    "predict_classes",
     "read_features",
     "read_prob_table",
     "read_weights",
     "run_retrieval_protocol",
     "save_model",
-    "score",
     "softmax",
     "stratified_half_split",
     "train_binary",

@@ -224,7 +224,7 @@ def cmd_train_parts(args) -> int:
     halves_path = out / "halves.tsv"
     atomic_write_text(
         halves_path,
-        "".join(f"{iid}\t{h}\n" for iid, h in sorted(trained.halves.assignment.items())),
+        "".join(f"{iid}\t{h}\n" for iid, h in sorted(trained.halves.items())),
     )
     outputs.append(halves_path)
 

@@ -388,9 +388,6 @@ class FeatureMatrix:
             raise KeyError(f"part {self.part_id}: no feature row for instances {missing[:5].tolist()}")
         return self.X[pos]
 
-    def row(self, instance_id: int) -> np.ndarray:
-        return self.rows(np.asarray([instance_id]))[0]
-
     def normalized_copy(self) -> "FeatureMatrix":
         if self.normalized:
             return self

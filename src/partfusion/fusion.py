@@ -38,13 +38,10 @@ __all__ = [
     "FusionWeights",
     "ProbabilityTable",
     "WeightLearningInfo",
-    "coverage_mass",
     "fill_sparsity",
     "fill_sparsity_rows",
-    "fuse",
     "fuse_matrix",
     "learn_weights",
-    "predict",
     "read_prob_table",
     "read_weights",
     "write_prob_table",
@@ -93,15 +90,6 @@ class ProbabilityTable:
     def n_identities(self) -> int:
         return self.P.shape[1]
 
-    def row_index(self, instance_id: int) -> int:
-        pos = int(np.searchsorted(self.instance_ids, instance_id))
-        if pos >= self.instance_ids.shape[0] or self.instance_ids[pos] != instance_id:
-            raise KeyError(f"part {self.part_id}: no row for instance {instance_id}")
-        return pos
-
-    def row(self, instance_id: int) -> np.ndarray:
-        return self.P[self.row_index(instance_id)]
-
 
 def write_prob_table(path: str | Path, table: ProbabilityTable) -> None:
     n, n_y = table.P.shape
@@ -129,15 +117,6 @@ def read_prob_table(path: str | Path) -> ProbabilityTable:
         raise ValueError(f"{path}: stored rows are not distributions")
     P = P / sums
     return ProbabilityTable(part_id, body["id"].astype(np.int64), P, body["act"].astype(bool))
-
-
-def coverage_mass(p0_row: np.ndarray, F_i: np.ndarray) -> float:
-    """Global-model probability mass on the identities covered by part i."""
-    p0_row = np.asarray(p0_row, dtype=np.float64)
-    F_i = np.asarray(F_i, dtype=np.int64)
-    if F_i.size == 0:
-        return 0.0
-    return float(p0_row[F_i].sum())
 
 
 def fill_sparsity(
@@ -220,35 +199,32 @@ def write_weights(path: str | Path, fw: FusionWeights) -> None:
 
 
 def read_weights(path: str | Path) -> FusionWeights:
+    """Read a weights file; the bias is 0 when no ``bias`` line is present.
+
+    A repeated part id or ``bias`` line, or a non-finite value, fails with
+    ``path:line``.
+    """
     w: dict[int, float] = {}
-    bias = 0.0
+    bias: float | None = None
     for where, (key, value) in read_tsv_rows(path, 2):
         try:
             number = float(value)
             part_id = None if key == "bias" else int(key)
         except ValueError:
             raise ValueError(f"{where}: expected a part id or 'bias' and a number, got {key!r}, {value!r}") from None
+        if not np.isfinite(number):
+            raise ValueError(f"{where}: expected a finite number, got {value!r}")
+        if part_id is None and bias is not None:
+            raise ValueError(f"{where}: bias is listed twice")
+        if part_id in w:
+            raise ValueError(f"{where}: part {part_id} is listed twice")
         if part_id is None:
             bias = number
         else:
             w[part_id] = number
     if sorted(w) != list(range(len(w))):
         raise ValueError(f"{path}: part ids must be contiguous from 0")
-    return FusionWeights(np.asarray([w[i] for i in range(len(w))]), bias)
-
-
-def fuse(
-    tables: dict[int, ProbabilityTable],
-    fw: FusionWeights,
-    instance_id: int,
-) -> np.ndarray:
-    """Fused identity scores s(X, .) for one instance from filled tables.
-
-    Every table must hold a (filled) row for the instance; scores are a
-    weighted sum of distributions, deliberately not renormalized.
-    """
-    # table.row raises KeyError if the row is missing
-    return fuse_matrix({pid: table.row(instance_id) for pid, table in tables.items()}, fw)
+    return FusionWeights(np.asarray([w[i] for i in range(len(w))]), 0.0 if bias is None else bias)
 
 
 def fuse_matrix(
@@ -268,14 +244,6 @@ def fuse_matrix(
     if s is None:
         raise ValueError("fuse needs at least one part")
     return s
-
-
-def predict(s: np.ndarray) -> int:
-    """Identity with the highest fused score; ties go to the lowest id."""
-    s = np.asarray(s)
-    if s.size == 0:
-        raise ValueError("empty score vector")
-    return int(np.argmax(s))
 
 
 @dataclass(frozen=True)

@@ -187,12 +187,12 @@ def _min_cost_columns(cost: list[list[float]], m: int) -> list[int]:
     return col_of
 
 
-def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact rectangular linear sum assignment of a finite 2-D cost matrix.
 
     Returns (rows, cols): min(n, m) pairs, rows ascending, whose total cost
-    is minimal (maximal with ``maximize``). Solved on the orientation with
-    no more rows than columns, in O(n^2 m).
+    is minimal. Solved on the orientation with no more rows than columns, in
+    O(n^2 m).
     """
     a = np.asarray(cost, dtype=np.float64)
     if a.ndim != 2:
@@ -202,7 +202,7 @@ def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.
     transposed = a.shape[0] > a.shape[1]
     if transposed:
         a = a.T
-    cols = np.array(_min_cost_columns((-a if maximize else a).tolist(), a.shape[1]), dtype=np.intp)
+    cols = np.array(_min_cost_columns(a.tolist(), a.shape[1]), dtype=np.intp)
     if not transposed:
         return np.arange(cols.size), cols
     order = np.argsort(cols)
@@ -213,7 +213,7 @@ def _opt_value(aug: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     if rows.size == 0 or cols.size == 0:
         return 0.0
     sub = aug[np.ix_(rows, cols)]
-    r, c = linear_sum_assignment(sub, maximize=True)
+    r, c = linear_sum_assignment(-sub)  # the maximum-weight assignment
     return float(sub[r, c].sum())
 
 
@@ -406,10 +406,12 @@ def load_detections(path: str | Path) -> dict[int, list[Detection]]:
     """Read a detection file into per-photo lists sorted by detection id.
 
     A line with a bad field count, a field that is not a number or not
-    finite, or a part listed twice fails with ``path:line``; a field error
-    also names the field and its value.
+    finite, a part listed twice, or a detection id already used in its photo
+    fails with ``path:line``; a field error also names the field and its
+    value.
     """
     by_photo: dict[int, list[Detection]] = {}
+    seen: set[tuple[int, int]] = set()  # (photo id, detection id)
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line:
             continue
@@ -426,6 +428,9 @@ def load_detections(path: str | Path) -> dict[int, list[Detection]]:
             raise numeric_field_error(where, f, _detection_field_spec(len(f))) from None
         if not all(map(math.isfinite, chain(person, *groups))):
             raise numeric_field_error(where, f, _detection_field_spec(len(f)))
+        if (photo_id, det_id) in seen:
+            raise ValueError(f"{where}: detection {det_id} is listed twice in photo {photo_id}")
+        seen.add((photo_id, det_id))
         acts = tuple((part_id, BBox(*g[:4]), g[4]) for part_id, g in zip(part_ids, groups))
         try:
             det = Detection(det_id, BBox(*person[:4]), person[4], acts)

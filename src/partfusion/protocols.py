@@ -9,8 +9,8 @@ scores the other, and averages the two accuracies; ``fill=False`` scores
 the raw part predictions instead. The ablation trains each (half, part)
 model once and scores every component mask from it. One-shot repeats the
 core on sampled training sets, retrieval trains once on a reference split
-and embeds with the fused scores, and `half_split_training` keeps the
-filled per-part tables that weight learning reads.
+and embeds with the fused scores, and `half_split_training` trains the
+halves whose filled per-part tables weight learning reads.
 
 Reports serialize as a flat key-value text file (``key<TAB>value`` lines)
 plus, for protocols with a curve, a CSV with header ``x,mean,sigma``.
@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +48,8 @@ __all__ = [
     "DEFAULT_TRAIN_CFG",
     "EvalReport",
     "HalfModels",
-    "HalfSplit",
     "ReferenceModels",
-    "build_identity_embedding",
+    "build_identity_embeddings",
     "curve_csv",
     "eval_ablation",
     "eval_faces_split",
@@ -68,37 +66,27 @@ __all__ = [
 ]
 
 DEFAULT_TRAIN_CFG = TrainConfig(C=10.0, epochs=30)
-_ABLATION_MASKS = ("all", "global", "poselets", "face")
+# Each ablation mask and the part kind it needs; "all" needs none.
+_ABLATION_MASKS = {"all": None, "global": "global", "poselets": "poselet", "face": "face"}
 
 
-@dataclass(frozen=True)
-class HalfSplit:
-    """Stratified two-way split of an evaluation set.
+def stratified_half_split(instances: list[Instance], seed: int) -> dict[int, int]:
+    """instance_id -> half (0 or 1): every identity with >= 2 instances lands in both halves.
 
-    Every identity with >= 2 instances lands in both halves; smaller
-    identities are excluded and listed.
+    An identity with one instance gets no half.
     """
-
-    assignment: dict[int, int]  # instance_id -> 0 or 1
-    seed: int
-    excluded_identities: tuple[int, ...]
-
-
-def stratified_half_split(instances: list[Instance], seed: int) -> HalfSplit:
     members: dict[int, list[int]] = {}
     for inst in instances:
         members.setdefault(inst.identity, []).append(inst.instance_id)
-    assignment: dict[int, int] = {}
-    excluded: list[int] = []
+    halves: dict[int, int] = {}
     for ident in sorted(members):
         ids = sorted(members[ident])
         if len(ids) < 2:
-            excluded.append(ident)
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, ident]))
         for pos, idx in enumerate(rng.permutation(len(ids))):
-            assignment[ids[idx]] = pos % 2
-    return HalfSplit(assignment, seed, tuple(excluded))
+            halves[ids[idx]] = pos % 2
+    return halves
 
 
 @dataclass
@@ -284,11 +272,11 @@ class HalfModels:
     on the component mask, ``fill`` or the fusion weights, so one training
     pass serves every scoring of the split. `filled_tables` yields each
     part's filled rows for the whole split, every row from the opposite
-    half's model; ``tables`` collects them into a dict on first use.
+    half's model.
     """
 
     features: dict[int, FeatureMatrix]  # L2-normalized
-    halves: HalfSplit
+    halves: dict[int, int]  # instance_id -> 0 or 1
     label_of: dict[int, int]  # instance_id -> local identity
     models: dict[int, dict[int, LinearModel | None]]  # train half -> part -> model
     n_identities: int
@@ -297,7 +285,7 @@ class HalfModels:
 
     def eval_ids(self, eval_half: int) -> np.ndarray:
         return np.asarray(
-            sorted(i for i, h in self.halves.assignment.items() if h == eval_half), dtype=np.int64
+            sorted(i for i, h in self.halves.items() if h == eval_half), dtype=np.int64
         )
 
     def filled_tables(self) -> Iterator[ProbabilityTable]:
@@ -322,11 +310,6 @@ class HalfModels:
             del P_0, P_1
             yield table
             del table
-
-    @cached_property
-    def tables(self) -> dict[int, ProbabilityTable]:
-        """Every `filled_tables` table, by part id."""
-        return {table.part_id: table for table in self.filled_tables()}
 
 
 def _split_halves(
@@ -516,13 +499,16 @@ def eval_ablation(
 ) -> dict[str, EvalReport]:
     """Recognition accuracy per component mask: all, global, poselets and face, then no-fill.
 
-    Every part is trained once per half; each mask and the no-fill variant
-    score those same models, so each report equals its own recognition run.
+    A mask whose part kind the registry lacks is left out (no face part, no
+    ``face`` report). Every part is trained once per half; each mask and the
+    no-fill variant score those same models, so each report equals its own
+    recognition run.
     """
     trained = _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
     out = {
-        mask: _recognition(trained, registry, fw, None if mask == "all" else mask, seed, True)
-        for mask in _ABLATION_MASKS
+        mask: _recognition(trained, registry, fw, None if kind is None else mask, seed, True)
+        for mask, kind in _ABLATION_MASKS.items()
+        if kind is None or registry.ids_of_kind(kind)
     }
     out["no-fill"] = _recognition(trained, registry, fw, None, seed, False)
     return out
@@ -632,24 +618,18 @@ def train_reference_models(
     return ReferenceModels(models, split_set.n_identities)
 
 
-def build_identity_embedding(
-    instance_id: int,
-    features: dict[int, FeatureMatrix],
-    ref: ReferenceModels,
-    fw: FusionWeights,
-) -> np.ndarray:
-    """Fused probability vector over the reference identities for one instance, from every reference part."""
-    ids = np.asarray([instance_id], dtype=np.int64)
-    return _build_embeddings(ids, features, ref, fw, tuple(sorted(ref.models)))[0]
-
-
-def _build_embeddings(
+def build_identity_embeddings(
     ids: np.ndarray,
     features: dict[int, FeatureMatrix],
     ref: ReferenceModels,
     fw: FusionWeights,
     mask_ids: tuple[int, ...],
 ) -> np.ndarray:
+    """(len(ids), reference identities) fused probability rows of the instances, from the masked parts.
+
+    Only the rows of ``ids`` are L2-normalized; the reference models must
+    include a trained global model.
+    """
     if ref.models.get(GLOBAL_PART_ID) is None:
         raise ValueError("reference models must include a trained global model")
     parts = _part_probabilities(ref.models, _normalized(features, ids), ids, ref.n_identities, mask_ids, fill=True)
@@ -761,7 +741,7 @@ def run_retrieval_protocol(
     insts = sorted(dataset.split_instances(test_split), key=lambda i: i.instance_id)
     ids = np.asarray([i.instance_id for i in insts], dtype=np.int64)
     labels = np.asarray([i.identity for i in insts], dtype=np.int64)
-    emb = _build_embeddings(ids, features, ref, fw, mask_ids)
+    emb = build_identity_embeddings(ids, features, ref, fw, mask_ids)
     report = eval_retrieval(emb, labels, ids, K_list, seed, component_mask or "all")
     report.n_train = len(dataset.split_instances(val_split))
     report.flags["embedding_dim"] = str(ref.n_identities)
@@ -779,8 +759,7 @@ def half_split_training(
     """Train per-part SVMs on both halves, for the filled tables weight learning reads.
 
     Each instance's table row comes from the model trained on the opposite
-    half. `HalfModels.filled_tables` yields the tables one part at a time;
-    the result's ``tables`` dict is built from it on first use.
+    half. `HalfModels.filled_tables` yields the tables one part at a time.
     """
     return _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
 
@@ -797,6 +776,7 @@ def learn_fusion_weights(
 ) -> tuple[FusionWeights, WeightLearningInfo]:
     """Full weight-learning pipeline on a validation split."""
     trained = half_split_training(dataset, features, registry, split, seed, train_cfg)
+    tables = {table.part_id: table for table in trained.filled_tables()}
     return learn_weights(
-        trained.tables, trained.label_of, trained.halves.assignment, C_grid=C_grid, clamp_nonnegative=clamp_nonnegative
+        tables, trained.label_of, trained.halves, C_grid=C_grid, clamp_nonnegative=clamp_nonnegative
     )

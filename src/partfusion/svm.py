@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_write_bytes
+from .data import atomic_write_bytes, require_header
 
 __all__ = [
     "LinearModel",
@@ -57,17 +57,14 @@ __all__ = [
     "hinge_subgradient",
     "load_model",
     "mix_seed",
-    "predict_classes",
-    "read_model_bytes",
     "save_model",
-    "score",
     "softmax",
     "train_binary",
     "train_multiclass",
-    "write_model_bytes",
 ]
 
 _MODEL_MAGIC = b"PLM1"
+_MODEL_HEADER_BYTES = 12  # magic, n_classes, d
 
 # Rows per SGD mini-batch; the epoch's last batch may be shorter.
 _BATCH_SIZE = 32
@@ -116,7 +113,7 @@ class TrainConfig:
 
 @dataclass
 class LinearModel:
-    """Per-class linear scorer: score(x)[k] = W[k] . x + b[k].
+    """Per-class linear scorer: scores(X)[j, k] = W[k] . X[j] + b[k].
 
     ``class_index[k]`` is the external label of row k (distinct training
     labels, ascending). A binary model has one row scoring the positive class.
@@ -158,14 +155,6 @@ class LinearModel:
         return _row_blocked_scores(X, self.W, self.b)
 
 
-def score(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    """Raw class scores for one feature vector, in class_index order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("score takes a single feature vector")
-    return model.scores(x[None, :])[0]
-
-
 def softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Exp-normalize scores along the last axis, max-subtracted for stability."""
     z = np.asarray(scores, dtype=np.float64)
@@ -175,11 +164,6 @@ def softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def predict_classes(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    """Argmax label per row; ties resolve to the lowest class_index entry."""
-    return model.class_index[np.argmax(model.scores(X), axis=1)]
 
 
 def _signs(y_pos: np.ndarray, n_classes: int) -> np.ndarray:
@@ -546,40 +530,31 @@ def train_binary(
     return ModelGrid(tuple(models))
 
 
-def write_model_bytes(model: LinearModel) -> bytes:
+def save_model(path: str | Path, model: LinearModel) -> None:
     header = _MODEL_MAGIC + struct.pack("<II", model.n_classes, model.dim)
-    return (
+    atomic_write_bytes(
+        path,
         header
         + model.class_index.astype("<i8").tobytes()
         + model.W.astype("<f8").tobytes()
-        + model.b.astype("<f8").tobytes()
+        + model.b.astype("<f8").tobytes(),
     )
 
 
-def read_model_bytes(buf: bytes) -> LinearModel:
-    if buf[:4] != _MODEL_MAGIC:
-        raise ValueError(f"bad model magic {buf[:4]!r}")
-    if len(buf) < 12:
-        raise ValueError(f"model header needs 12 bytes, got {len(buf)}")
-    n_classes, d = struct.unpack("<II", buf[4:12])
-    expected = 12 + 8 * n_classes * (d + 2)
-    if len(buf) != expected:
-        raise ValueError(f"model of {n_classes} classes x {d} dims needs {expected} bytes, got {len(buf)}")
-    off = 12
-    class_index = np.frombuffer(buf[off : off + n_classes * 8], dtype="<i8")
-    off += n_classes * 8
-    W = np.frombuffer(buf[off : off + n_classes * d * 8], dtype="<f8").reshape(n_classes, d)
-    off += n_classes * d * 8
-    b = np.frombuffer(buf[off : off + n_classes * 8], dtype="<f8")
-    return LinearModel(W.copy(), b.copy(), class_index.copy())
-
-
-def save_model(path: str | Path, model: LinearModel) -> None:
-    atomic_write_bytes(path, write_model_bytes(model))
-
-
 def load_model(path: str | Path) -> LinearModel:
+    """Read a model file; every error starts with the path."""
+    buf = Path(path).read_bytes()
+    if buf[:4] != _MODEL_MAGIC:
+        raise ValueError(f"{path}: bad model magic {buf[:4]!r}")
+    require_header(path, buf, _MODEL_HEADER_BYTES)
+    n_classes, d = struct.unpack("<II", buf[4:_MODEL_HEADER_BYTES])
+    expected = _MODEL_HEADER_BYTES + 8 * n_classes * (d + 2)
+    if len(buf) != expected:
+        raise ValueError(f"{path}: model of {n_classes} classes x {d} dims needs {expected} bytes, got {len(buf)}")
+    class_index = np.frombuffer(buf, "<i8", n_classes, _MODEL_HEADER_BYTES)
+    W = np.frombuffer(buf, "<f8", n_classes * d, _MODEL_HEADER_BYTES + 8 * n_classes).reshape(n_classes, d)
+    b = np.frombuffer(buf, "<f8", n_classes, expected - 8 * n_classes)
     try:
-        return read_model_bytes(Path(path).read_bytes())
+        return LinearModel(W.copy(), b.copy(), class_index.copy())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

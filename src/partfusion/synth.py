@@ -15,7 +15,8 @@ byte-identical files on reruns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .data import (
     Dataset,
     FeatureMatrix,
     GLOBAL_PART_ID,
+    SPLITS,
     PartRegistry,
     atomic_write_text,
     dataset_from_records,
@@ -77,6 +79,19 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if (
+            isinstance(self.splits, str)
+            or not self.splits
+            or not all(split in SPLITS for split in self.splits)
+            or len(set(self.splits)) != len(self.splits)
+        ):
+            raise ValueError(f"splits must be distinct names from {list(SPLITS)}, got {self.splits!r}")
+        if self.n_uploaders < 1:
+            raise ValueError("n_uploaders must be at least 1")
         if self.n_identities < 2:
             raise ValueError("need at least 2 identities per split")
         if self.instances_min < 2:
@@ -363,8 +378,14 @@ def write_synth(data: SynthData, out_dir: str | Path) -> list[Path]:
 
 
 def config_from_json(path: str | Path) -> SynthConfig:
-    """Load a SynthConfig from a JSON object file; absent keys keep defaults."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a SynthConfig from a JSON object file; absent keys keep defaults.
+
+    Every error, malformed JSON and invalid values included, starts with the path.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     kwargs = {}
@@ -375,4 +396,7 @@ def config_from_json(path: str | Path) -> SynthConfig:
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         kwargs[key] = value
-    return SynthConfig(**kwargs)
+    try:
+        return SynthConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

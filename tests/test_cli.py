@@ -10,10 +10,12 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from partfusion.cli import _load_parts, _registry_for, main
 from partfusion.data import load_index, read_features
-from partfusion.fusion import read_weights, write_prob_table
-from partfusion.protocols import half_split_training
+from partfusion.fusion import FusionWeights, read_weights, write_prob_table
+from partfusion.protocols import eval_recognition, half_split_training, report_text
 
 SMALL_CONFIG = {
     "n_identities": 8,
@@ -260,6 +262,29 @@ def test_eval_ablation_summary(data_dir, tmp_path):
         assert 0.0 <= float(value) <= 1.0
 
 
+def test_eval_ablation_without_a_face_part(data_dir, tmp_path):
+    # with --no-face there is no face part, so there is no face mask to score
+    out = tmp_path / "ablation"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    assert main(["eval", "--protocol", "ablation", *data, "--no-face", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("report_*.txt")) == [
+        "report_all.txt", "report_global.txt", "report_no-fill.txt", "report_poselets.txt"
+    ]
+    summary = [line.split("\t")[0] for line in (out / "summary.tsv").read_text().splitlines()]
+    assert summary == ["all", "global", "poselets", "no-fill"]
+
+    dataset = load_index(data_dir / "index.tsv")
+    features, _ = _load_parts(data_dir / "features", "part_*.pfv", read_features)
+    registry = _registry_for(features, True)
+    assert not registry.ids_of_kind("face")
+    uniform = FusionWeights(np.ones(len(registry.parts)))
+    for mask, component_mask, fill in [
+        ("all", None, True), ("global", "global", True), ("poselets", "poselets", True), ("no-fill", None, False)
+    ]:
+        expected = eval_recognition(dataset, features, registry, uniform, "test", 0, component_mask, fill=fill)
+        assert (out / f"report_{mask}.txt").read_text() == report_text(expected), mask
+
+
 def test_eval_oneshot_curve(data_dir, tmp_path):
     out = tmp_path / "oneshot"
     rc = main(
@@ -367,6 +392,28 @@ def test_errors_exit_nonzero(data_dir, tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"n_identities": "abc"}', "n_identities must be an integer, got 'abc'"),
+        ('{"n_identities": 3.5}', "n_identities must be an integer, got 3.5"),
+        ('{"n_poselets": true}', "n_poselets must be an integer, got True"),
+        ('{"n_uploaders": 0}', "n_uploaders must be at least 1"),
+        ('{"splits": "val"}', "splits must be distinct names from"),
+        ('{"splits": ["val", "val"], "n_identities": 4}', "splits must be distinct names from"),
+        ('{"splits": ["val", "dev"]}', "splits must be distinct names from"),
+        ('{"n_identities": 4', "Expecting ',' delimiter"),
+    ],
+)
+def test_synth_config_errors_name_the_file(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text + "\n", encoding="utf-8")
+    out = tmp_path / "synth"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
+    assert not (out / "index.tsv").exists()
 
 
 @pytest.mark.parametrize("n_weights", [2, 6])
@@ -566,16 +613,17 @@ def test_train_parts_rejects_subnormal_c(data_dir, tmp_path, capsys):
 
 
 def test_train_parts_tables_equal_the_library_tables(data_dir, trained_dir, tmp_path):
-    # the command streams one table at a time; the library builds the whole dict
+    # the command writes each table as it is built; here the library's tables are all held at once
     dataset = load_index(data_dir / "index.tsv")
     features, _ = _load_parts(data_dir / "features", "part_*.pfv", read_features)
     registry = _registry_for(features, False)
     trained = half_split_training(dataset, features, registry, "val", 0)
+    tables = {table.part_id: table for table in trained.filled_tables()}
     written = sorted((trained_dir / "tables").glob("part_*.ppt"))
-    assert [p.name for p in written] == [f"part_{pid:03d}.ppt" for pid in sorted(trained.tables)]
+    assert [p.name for p in written] == [f"part_{pid:03d}.ppt" for pid in sorted(tables)]
     for path in written:
         expected = tmp_path / path.name
-        write_prob_table(expected, trained.tables[int(path.stem.split("_")[1])])
+        write_prob_table(expected, tables[int(path.stem.split("_")[1])])
         assert path.read_bytes() == expected.read_bytes(), path.name
 
 

@@ -162,7 +162,7 @@ class TestFeatureMatrix:
     def test_rows_sorted_and_lookup(self):
         fm = FeatureMatrix(1, np.array([30, 10, 20]), np.eye(3))
         assert fm.instance_ids.tolist() == [10, 20, 30]
-        np.testing.assert_array_equal(fm.row(30), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(fm.rows(np.array([30, 10])), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         np.testing.assert_array_equal(fm.contains(np.array([10, 99])), [True, False])
 
     def test_missing_row_raises(self):

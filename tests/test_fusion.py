@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from partfusion import (
     FusionWeights,
     ProbabilityTable,
-    coverage_mass,
     fill_sparsity,
     fill_sparsity_rows,
-    fuse,
     fuse_matrix,
     learn_weights,
-    predict,
     read_prob_table,
     read_weights,
     write_prob_table,
@@ -26,15 +23,27 @@ from partfusion.svm import train_binary
 
 
 class TestCoverageMass:
+    """The global mass on F_i that `fill_sparsity_rows` blends with, read off activated rows."""
+
     def test_full_support(self):
-        p0 = np.array([0.25, 0.25, 0.5])
-        assert coverage_mass(p0, np.array([0, 1, 2])) == pytest.approx(1.0)
+        # mass 1: the part's row comes through unchanged
+        p0 = np.array([[0.25, 0.25, 0.5]])
+        p_hat = np.array([[0.1, 0.6, 0.3]])
+        out = fill_sparsity_rows(p_hat, p0, np.array([0, 1, 2]), np.array([True]))
+        np.testing.assert_allclose(out, p_hat, atol=1e-15)
 
     def test_empty_set(self):
-        assert coverage_mass(np.array([0.4, 0.6]), np.array([], dtype=int)) == 0.0
+        # mass 0: the global row comes through exactly
+        p0 = np.array([[0.4, 0.6]])
+        out = fill_sparsity_rows(np.zeros((1, 2)), p0, np.array([], dtype=int), np.array([True]))
+        assert np.array_equal(out, p0)
 
     def test_hand_value(self):
-        assert coverage_mass(np.array([0.5, 0.3, 0.2]), np.array([0, 2])) == pytest.approx(0.7)
+        # mass 0.5 + 0.2 = 0.7 on F = {0, 2}
+        p0 = np.array([[0.5, 0.3, 0.2]])
+        p_hat = np.array([[1.0, 0.0, 0.0]])
+        out = fill_sparsity_rows(p_hat, p0, np.array([0, 2]), np.array([True]))
+        np.testing.assert_allclose(out, 0.7 * p_hat + 0.3 * p0, atol=1e-15)
 
 
 class TestFillSparsity:
@@ -116,54 +125,30 @@ def _scalar_fill(p_hat, p0_row, F_i, activated):
     """The fill rule one instance at a time: the oracle for both fill routines."""
     if not activated:
         return p0_row.copy()
-    mass = coverage_mass(p0_row, F_i)
+    mass = p0_row[F_i].sum()
     return mass * p_hat + (1.0 - mass) * p0_row
 
 
 class TestFusePredict:
-    def _table(self, part_id, ids, P, activated=None):
-        if activated is None:
-            activated = np.ones(len(ids), dtype=bool)
-        return ProbabilityTable(part_id, np.asarray(ids), np.asarray(P), np.asarray(activated))
-
     def test_single_part_identity(self):
-        t = self._table(0, [1], [[0.2, 0.8]])
-        s = fuse({0: t}, FusionWeights(np.array([1.0])), 1)
-        np.testing.assert_allclose(s, [0.2, 0.8])
+        s = fuse_matrix({0: np.array([[0.2, 0.8]])}, FusionWeights(np.array([1.0])))
+        np.testing.assert_allclose(s, [[0.2, 0.8]])
 
     def test_convexity_of_identical_tables(self):
-        t0 = self._table(0, [1], [[0.3, 0.7]])
-        t1 = self._table(1, [1], [[0.3, 0.7]])
-        s = fuse({0: t0, 1: t1}, FusionWeights(np.array([0.5, 0.5])), 1)
-        np.testing.assert_allclose(s, [0.3, 0.7])
+        P = {0: np.array([[0.3, 0.7]]), 1: np.array([[0.3, 0.7]])}
+        s = fuse_matrix(P, FusionWeights(np.array([0.5, 0.5])))
+        np.testing.assert_allclose(s, [[0.3, 0.7]])
 
     def test_hand_fusion(self):
-        t0 = self._table(0, [1], [[0.6, 0.4]])
-        t1 = self._table(1, [1], [[0.2, 0.8]])
-        s = fuse({0: t0, 1: t1}, FusionWeights(np.array([2.0, 1.0])), 1)
-        np.testing.assert_allclose(s, [1.4, 1.6])
-        assert predict(s) == 1
-
-    def test_missing_row_rejected(self):
-        t = self._table(0, [1], [[1.0, 0.0]])
-        with pytest.raises(KeyError):
-            fuse({0: t}, FusionWeights(np.array([1.0])), 99)
-
-    def test_predict_tie_break(self):
-        assert predict(np.array([2.0, 2.0, 1.0])) == 0
-        assert predict(np.array([5.0])) == 0
-
-    def test_predict_empty_rejected(self):
-        with pytest.raises(ValueError):
-            predict(np.array([]))
+        P = {0: np.array([[0.6, 0.4]]), 1: np.array([[0.2, 0.8]])}
+        s = fuse_matrix(P, FusionWeights(np.array([2.0, 1.0])))
+        np.testing.assert_allclose(s, [[1.4, 1.6]])
+        assert np.argmax(s, axis=1).tolist() == [1]
 
     def test_part_without_weight_rejected(self):
         P = {0: np.full((2, 3), 1.0 / 3.0), 2: np.full((2, 3), 1.0 / 3.0)}
         with pytest.raises(ValueError, match="no fusion weight for part 2"):
             fuse_matrix(P, FusionWeights(np.ones(2)))
-        tables = {pid: self._table(pid, [1, 2], m) for pid, m in P.items()}
-        with pytest.raises(ValueError, match="no fusion weight for part 2"):
-            fuse(tables, FusionWeights(np.ones(2)), 1)
 
     def test_fuse_linear_in_weights(self):
         rng = np.random.default_rng(23)
@@ -256,6 +241,11 @@ class TestWeightsFile:
             ("0\t1.0\n1\t2.0\t3\n", r"weights.tsv:2: expected 2 tab-separated fields, got 3"),
             ("0\t1.0\n\n1\tabc\n", r"weights.tsv:3: expected a part id or 'bias' and a number"),
             ("x\t1.0\n", r"weights.tsv:1: expected a part id"),
+            ("0\t1.0\n1\t1.0\n0\t5.0\nbias\t0.0\n", r"weights.tsv:3: part 0 is listed twice"),
+            ("0\t1.0\n1\t1.0\nbias\t0.0\nbias\t3.0\n", r"weights.tsv:4: bias is listed twice"),
+            ("0\t1.0\n1\tnan\nbias\t0.0\n", r"weights.tsv:2: expected a finite number, got 'nan'"),
+            ("0\t-inf\nbias\t0.0\n", r"weights.tsv:1: expected a finite number, got '-inf'"),
+            ("0\t1.0\nbias\tinf\n", r"weights.tsv:2: expected a finite number, got 'inf'"),
         ],
     )
     def test_malformed_lines_name_path_and_line(self, tmp_path, text, message):

@@ -144,7 +144,7 @@ class TestMatchDetections:
 
 
 def _enumerated_optimum(cost, maximize):
-    """Best total over every assignment of min(n, m) pairs, by enumeration."""
+    """Best total (the largest with ``maximize``) over every assignment of min(n, m) pairs, by enumeration."""
     n, m = cost.shape
     if n <= m:
         totals = [sum(cost[i, j] for i, j in enumerate(cols)) for cols in permutations(range(m), n)]
@@ -168,7 +168,8 @@ class TestLinearSumAssignment:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(cost=_cost_matrices(), maximize=st.booleans())
     def test_equals_enumeration(self, cost, maximize):
-        rows, cols = matching.linear_sum_assignment(cost, maximize=maximize)
+        # a maximum-weight assignment is the minimum-cost one of the negated matrix, as `_opt_value` asks for it
+        rows, cols = matching.linear_sum_assignment(-cost if maximize else cost)
         n, m = cost.shape
         assert rows.shape == cols.shape == (min(n, m),)
         assert np.all(np.diff(rows) > 0)  # ascending, so each row at most once
@@ -188,7 +189,7 @@ class TestLinearSumAssignment:
         cost = np.arange(9.0).reshape(3, 3)
         cost[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            matching.linear_sum_assignment(cost, maximize=maximize)
+            matching.linear_sum_assignment(-cost if maximize else cost)
 
     @pytest.mark.parametrize("cost", [np.arange(3.0), np.float64(1.0), np.zeros((2, 2, 2))])
     def test_non_2d_rejected(self, cost):
@@ -339,6 +340,18 @@ class TestDetectionFile:
         lines[1] = "\t".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            load_detections(path)
+
+    def test_repeated_detection_id_names_location(self, tmp_path):
+        d1 = Detection(1, BBox(0, 0, 30, 60), 0.75, ())
+        d2 = Detection(2, BBox(50, 0, 30, 60), 0.25, ())
+        path = tmp_path / "detections.tsv"
+        write_detections(path, {7: [d1], 8: [d1, d2]})
+        assert [d.detection_id for d in load_detections(path)[8]] == [1, 2]  # ids repeat across photos
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("\t2\t", "\t1\t", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: detection 1 is listed twice in photo 8")):
             load_detections(path)
 
     def test_repeated_part_names_location(self, tmp_path):

@@ -15,7 +15,7 @@ from partfusion.protocols import (
     DEFAULT_TRAIN_CFG,
     EvalReport,
     ReferenceModels,
-    build_identity_embedding,
+    build_identity_embeddings,
     curve_csv,
     eval_ablation,
     eval_faces_split,
@@ -30,7 +30,7 @@ from partfusion.protocols import (
     train_reference_models,
     write_report,
 )
-from partfusion.svm import mix_seed, predict_classes, train_multiclass
+from partfusion.svm import mix_seed, train_multiclass
 from partfusion.synth import SynthConfig, generate, planted_config
 
 SMALL = SynthConfig(
@@ -61,24 +61,20 @@ def _instance(iid, identity, label, split="test"):
 def test_stratified_halves_cover_every_identity():
     instances = [_instance(i, i % 4, f"p{i % 4}") for i in range(1, 21)]
     halves = stratified_half_split(instances, seed=3)
-    assert set(halves.assignment) == {i.instance_id for i in instances}
+    assert set(halves) == {i.instance_id for i in instances}
     for ident in range(4):
         ids = [i.instance_id for i in instances if i.identity == ident]
-        sides = {halves.assignment[k] for k in ids}
+        sides = {halves[k] for k in ids}
         assert sides == {0, 1}
-        n0 = sum(1 for k in ids if halves.assignment[k] == 0)
+        n0 = sum(1 for k in ids if halves[k] == 0)
         assert abs(n0 - (len(ids) - n0)) <= 1
 
 
 def test_stratified_halves_exclude_singletons_and_repeat():
     instances = [_instance(1, 0, "a"), _instance(2, 0, "a"), _instance(3, 1, "b")]
     halves = stratified_half_split(instances, seed=0)
-    assert halves.excluded_identities == (1,)
-    assert 3 not in halves.assignment
-    again = stratified_half_split(instances, seed=0)
-    assert again.assignment == halves.assignment
-    other = stratified_half_split(instances * 4, seed=1)
-    assert other.seed == 1
+    assert halves == {1: halves[1], 2: 1 - halves[1]}  # the singleton identity 1 gets no half
+    assert stratified_half_split(instances, seed=0) == halves
 
 
 def test_masked_global_equals_plain_multiclass_baseline(small, small_fw):
@@ -103,15 +99,15 @@ def test_masked_global_equals_plain_multiclass_baseline(small, small_fw):
     accs = []
     for eval_half in (0, 1):
         tr = np.asarray(
-            sorted(i for i, h in halves.assignment.items() if h == 1 - eval_half), dtype=np.int64
+            sorted(i for i, h in halves.items() if h == 1 - eval_half), dtype=np.int64
         )
         ev = np.asarray(
-            sorted(i for i, h in halves.assignment.items() if h == eval_half), dtype=np.int64
+            sorted(i for i, h in halves.items() if h == eval_half), dtype=np.int64
         )
         cfg = replace(DEFAULT_TRAIN_CFG, seed=mix_seed(seed, eval_half, 0, DEFAULT_TRAIN_CFG.seed))
         y = np.asarray([label_of[i] for i in tr.tolist()])
         model = train_multiclass(fm.rows(tr), y, cfg)
-        pred = predict_classes(model, fm.rows(ev))
+        pred = model.class_index[np.argmax(model.scores(fm.rows(ev)), axis=1)]
         truth = np.asarray([label_of[i] for i in ev.tolist()])
         accs.append(float(np.mean(pred == truth)))
 
@@ -466,10 +462,9 @@ def test_embeddings_cluster_by_identity(small_fw):
     data = generate(replace(SMALL, seed=17, noise_sigma=0.3, splits=("val", "test")))
     ref = train_reference_models(data.dataset, data.features, data.registry, split="val")
     insts = sorted(data.dataset.split_instances("test"), key=lambda i: i.instance_id)[:30]
-    embs = {
-        inst.instance_id: build_identity_embedding(inst.instance_id, data.features, ref, small_fw)
-        for inst in insts
-    }
+    ids = np.asarray([inst.instance_id for inst in insts], dtype=np.int64)
+    rows = build_identity_embeddings(ids, data.features, ref, small_fw, data.registry.part_ids)
+    embs = dict(zip(ids.tolist(), rows))
     intra, inter = [], []
     for a in insts:
         for b in insts:
@@ -500,8 +495,8 @@ def test_embedding_normalizes_only_the_rows_it_reads(small_fw):
 
     ref = train_reference_models(data.dataset, data.features, data.registry, split="val")
     mask = tuple(sorted(ref.models))
-    got = protocols._build_embeddings(test_ids, raw, ref, small_fw, mask)
-    want = protocols._build_embeddings(test_ids, protocols._normalized(raw), ref, small_fw, mask)
+    got = build_identity_embeddings(test_ids, raw, ref, small_fw, mask)
+    want = build_identity_embeddings(test_ids, protocols._normalized(raw), ref, small_fw, mask)
     assert np.array_equal(got, want)
 
 
@@ -510,17 +505,18 @@ def test_embedding_requires_global_model(small, small_fw):
     without_part_0 = {pid: model for pid, model in trained.models.items() if pid != 0}
     for models in ({0: None}, without_part_0):
         with pytest.raises(ValueError, match="global model"):
-            build_identity_embedding(1, small.features, ReferenceModels(models, 10), small_fw)
+            build_identity_embeddings(np.asarray([1]), small.features, ReferenceModels(models, 10), small_fw, (0, 1))
 
 
 def test_half_split_training_artifacts(small):
     art = half_split_training(small.dataset, small.features, small.registry, split="test")
     kept = {i.instance_id for i in small.dataset.split_instances("test")}
-    assert set(art.halves.assignment) == set(art.label_of) == kept
+    assert set(art.halves) == set(art.label_of) == kept
     assert art.excluded_identities == 0 and art.excluded_instances == 0
     assert set(art.models) == {0, 1}
-    assert set(art.tables) == set(small.registry.part_ids)
-    for pid, table in art.tables.items():
+    tables = {table.part_id: table for table in art.filled_tables()}
+    assert list(tables) == list(small.registry.part_ids)
+    for pid, table in tables.items():
         assert set(table.instance_ids.tolist()) == kept
         np.testing.assert_allclose(table.P.sum(axis=1), 1.0, atol=1e-9)
         assert table.P.shape == (len(kept), art.n_identities)

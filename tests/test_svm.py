@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from unittest import mock
 
@@ -14,9 +15,7 @@ from partfusion import (
     hinge_objective,
     hinge_subgradient,
     load_model,
-    predict_classes,
     save_model,
-    score,
     softmax,
     train_binary,
     train_multiclass,
@@ -32,9 +31,12 @@ from partfusion.svm import (
     _run_sgd,
     _sgd_step,
     _signs,
-    read_model_bytes,
-    write_model_bytes,
 )
+
+
+def _predict(model, X):
+    """Argmax label per row; ties resolve to the lowest class_index entry."""
+    return model.class_index[np.argmax(model.scores(X), axis=1)]
 
 
 def _separable_two_class(rng, n=40, d=5, gap=2.0):
@@ -48,7 +50,7 @@ class TestTrainMulticlass:
         rng = np.random.default_rng(0)
         X, y = _separable_two_class(rng)
         model = train_multiclass(X, y, TrainConfig(C=10.0, epochs=30, seed=3))
-        assert np.mean(predict_classes(model, X) == y) == 1.0
+        assert np.mean(_predict(model, X) == y) == 1.0
 
     def test_class_index_is_sorted_distinct_labels(self):
         rng = np.random.default_rng(1)
@@ -66,7 +68,7 @@ class TestTrainMulticlass:
         Xte = np.vstack([protos[c] + rng.normal(0, 0.25, (n, d)) for c in range(k)])
         yte = np.repeat(np.arange(k), n)
         model = train_multiclass(Xtr, ytr, TrainConfig(C=10.0, epochs=30, seed=1))
-        acc = np.mean(predict_classes(model, Xte) == yte)
+        acc = np.mean(_predict(model, Xte) == yte)
         assert acc >= 0.95
         # sanity against a nearest-centroid oracle on the same data
         cents = np.vstack([Xtr[ytr == c].mean(axis=0) for c in range(k)])
@@ -93,17 +95,17 @@ class TestTrainMulticlass:
         b = np.zeros(3)
         model = LinearModel(W, b, np.array([4, 9, 11]), [])
         # rows 0 and 1 are duplicates: the tie goes to class_index 4
-        assert predict_classes(model, np.array([[1.0, 0.0]]))[0] == 4
+        assert _predict(model, np.array([[1.0, 0.0]]))[0] == 4
 
 
 class TestScoreSoftmax:
     def test_zero_model_scores(self):
         model = LinearModel(np.zeros((3, 2)), np.zeros(3), np.arange(3), [])
-        np.testing.assert_array_equal(score(model, np.array([5.0, -1.0])), np.zeros(3))
+        np.testing.assert_array_equal(model.scores(np.array([[5.0, -1.0]]))[0], np.zeros(3))
 
     def test_identity_weights(self):
         model = LinearModel(np.eye(2), np.zeros(2), np.arange(2), [])
-        np.testing.assert_array_equal(score(model, np.array([1.0, 0.0])), [1.0, 0.0])
+        np.testing.assert_array_equal(model.scores(np.array([[1.0, 0.0]]))[0], [1.0, 0.0])
 
     def test_score_matches_direct_dot(self):
         rng = np.random.default_rng(8)
@@ -111,12 +113,12 @@ class TestScoreSoftmax:
         b = rng.normal(size=4)
         x = rng.normal(size=6)
         model = LinearModel(W, b, np.arange(4), [])
-        np.testing.assert_allclose(score(model, x), W @ x + b, rtol=1e-12)
+        np.testing.assert_allclose(model.scores(x[None])[0], W @ x + b, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         model = LinearModel(np.eye(2), np.zeros(2), np.arange(2), [])
         with pytest.raises(ValueError):
-            score(model, np.zeros(3))
+            model.scores(np.zeros((1, 3)))
 
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-12)
@@ -591,16 +593,27 @@ class TestModelFile:
 
     def test_truncated_or_trailing_bytes_rejected(self, tmp_path):
         model = LinearModel(np.ones((2, 3)), np.zeros(2), np.arange(2), [])
-        buf = write_model_bytes(model)
-        with pytest.raises(ValueError, match=f"needs {len(buf)} bytes, got {len(buf) - 1}"):
-            read_model_bytes(buf[:-1])
-        with pytest.raises(ValueError, match=f"needs {len(buf)} bytes, got {len(buf) + 1}"):
-            read_model_bytes(buf + b"\0")
-        with pytest.raises(ValueError, match="header needs 12 bytes, got 6"):
-            read_model_bytes(buf[:6])
-        path = tmp_path / "short.plm"
-        path.write_bytes(buf[:-1])
-        with pytest.raises(ValueError, match="short.plm"):
+        save_model(tmp_path / "m.plm", model)
+        buf = (tmp_path / "m.plm").read_bytes()
+        path = tmp_path / "bad.plm"
+        for body, message in [
+            (buf[:-1], f"needs {len(buf)} bytes, got {len(buf) - 1}"),
+            (buf + b"\0", f"needs {len(buf)} bytes, got {len(buf) + 1}"),
+            (buf[:6], "truncated header: 6 bytes, the header needs 12"),
+            (b"PLM2" + buf[4:], "bad model magic"),
+        ]:
+            path.write_bytes(body)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+                load_model(path)
+
+    def test_invalid_parameters_name_the_path(self, tmp_path):
+        model = LinearModel(np.ones((2, 3)), np.zeros(2), np.arange(2), [])
+        path = tmp_path / "m.plm"
+        save_model(path, model)
+        buf = bytearray(path.read_bytes())
+        buf[12:20] = buf[20:28]  # class index [1, 1]
+        path.write_bytes(bytes(buf))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: class_index has duplicates"):
             load_model(path)
 
     def test_write_is_deterministic(self, tmp_path):
