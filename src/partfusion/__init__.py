@@ -74,8 +74,6 @@ from .svm import (
     TrainConfig,
     hinge_objective,
     hinge_subgradient,
-    load_model,
-    save_model,
     softmax,
     train_binary,
     train_multiclass,
@@ -123,7 +121,6 @@ __all__ = [
     "learn_weights",
     "load_detections",
     "load_index",
-    "load_model",
     "make_registry",
     "match_bruteforce",
     "match_detections",
@@ -133,7 +130,6 @@ __all__ = [
     "read_prob_table",
     "read_weights",
     "run_retrieval_protocol",
-    "save_model",
     "softmax",
     "stratified_half_split",
     "train_binary",

@@ -27,6 +27,7 @@ from .data import (
     read_tsv_rows,
 )
 from .fusion import (
+    DEFAULT_C_GRID,
     FusionWeights,
     learn_weights,
     read_prob_table,
@@ -45,12 +46,10 @@ from .protocols import (
     run_retrieval_protocol,
     write_report,
 )
-from .svm import TrainConfig, save_model
+from .svm import TrainConfig
 from .synth import SynthConfig, config_from_json, generate, write_synth
 
 __all__ = ["main"]
-
-_DEFAULT_C_GRID = tuple(2.0**k for k in range(-8, 9, 2))
 
 
 def _sha256(path: Path) -> str:
@@ -205,15 +204,6 @@ def cmd_train_parts(args) -> int:
         write_prob_table(p, table)
         outputs.append(p)
         del table
-    for half, models in sorted(trained.models.items()):
-        mdir = out / "models" / f"half{half}"
-        mdir.mkdir(parents=True, exist_ok=True)
-        for pid, model in sorted(models.items()):
-            if model is None:
-                continue
-            p = mdir / f"part_{pid:03d}.plm"
-            save_model(p, model)
-            outputs.append(p)
 
     labels_path = out / "labels.tsv"
     atomic_write_text(
@@ -274,7 +264,7 @@ def cmd_learn_weights(args) -> int:
     tables, table_files = _load_parts(tables_dir / "tables", "part_*.ppt", read_prob_table)
     labels_of = _read_id_map(tables_dir / "labels.tsv", tables, "label", tables[0].n_identities)
     halves = _read_id_map(tables_dir / "halves.tsv", tables, "half", 2)
-    C_grid = _parse_list("--c-grid", args.c_grid, float) if args.c_grid else _DEFAULT_C_GRID
+    C_grid = _parse_list("--c-grid", args.c_grid, float) if args.c_grid else DEFAULT_C_GRID
     fw, info = learn_weights(tables, labels_of, halves, C_grid=C_grid, clamp_nonnegative=args.clamp)
 
     weights_path = out / "weights.tsv"
@@ -457,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,6 +35,7 @@ from .data import atomic_write_bytes, atomic_write_text, read_records, read_tsv_
 from .svm import train_binary
 
 __all__ = [
+    "DEFAULT_C_GRID",
     "FusionWeights",
     "ProbabilityTable",
     "WeightLearningInfo",
@@ -47,6 +48,9 @@ __all__ = [
     "write_prob_table",
     "write_weights",
 ]
+
+# The C values weight learning searches when none are given: 2^-8, 2^-6, ..., 2^8.
+DEFAULT_C_GRID = tuple(2.0**k for k in range(-8, 9, 2))
 
 _TABLE_MAGIC = b"PPT1"
 _TABLE_HEADER_BYTES = 16  # magic, part_id, n_y, n
@@ -267,7 +271,7 @@ def learn_weights(
     tables: dict[int, ProbabilityTable],
     labels_of: dict[int, int],
     halves: dict[int, int],
-    C_grid: tuple[float, ...] = tuple(2.0**k for k in range(-8, 9, 2)),
+    C_grid: tuple[float, ...] = DEFAULT_C_GRID,
     clamp_nonnegative: bool = False,
 ) -> tuple[FusionWeights, WeightLearningInfo]:
     """Learn per-part mixing weights from filled validation tables.

@@ -34,6 +34,7 @@ from .data import (
     atomic_write_text,
 )
 from .fusion import (
+    DEFAULT_C_GRID,
     FusionWeights,
     ProbabilityTable,
     WeightLearningInfo,
@@ -770,7 +771,7 @@ def learn_fusion_weights(
     registry: PartRegistry,
     split: str = "val",
     seed: int = 0,
-    C_grid: tuple[float, ...] = tuple(2.0**k for k in range(-8, 9, 2)),
+    C_grid: tuple[float, ...] = DEFAULT_C_GRID,
     train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
     clamp_nonnegative: bool = False,
 ) -> tuple[FusionWeights, WeightLearningInfo]:

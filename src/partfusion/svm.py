@@ -30,24 +30,15 @@ starting from the previous optimum.
 Every product of a row block with a weight matrix is sized so that OpenBLAS
 runs it on one thread (`_row_blocked_scores`); each row's dot product, and
 so every score and objective, is that of the unblocked product.
-
-Model file format (binary): magic ``PLM1``, n_classes u32 LE, d u32 LE,
-class_index (n_classes x i64 LE), weights (n_classes x d float64 LE,
-row-major), biases (n_classes float64 LE). No timestamps, so writes are
-byte-stable. A file whose length disagrees with its header is rejected.
 """
 
 from __future__ import annotations
 
-import struct
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-
-from .data import atomic_write_bytes, require_header
 
 __all__ = [
     "LinearModel",
@@ -55,16 +46,11 @@ __all__ = [
     "TrainConfig",
     "hinge_objective",
     "hinge_subgradient",
-    "load_model",
     "mix_seed",
-    "save_model",
     "softmax",
     "train_binary",
     "train_multiclass",
 ]
-
-_MODEL_MAGIC = b"PLM1"
-_MODEL_HEADER_BYTES = 12  # magic, n_classes, d
 
 # Rows per SGD mini-batch; the epoch's last batch may be shorter.
 _BATCH_SIZE = 32
@@ -244,14 +230,21 @@ def hinge_subgradient(
     subgradient choice.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    S = _signs(np.asarray(y_pos), W.shape[0])
+    return _signed_subgradient(W, b, X, _signs(np.asarray(y_pos), W.shape[0]), lam)
+
+
+def _signed_subgradient(
+    W: np.ndarray,
+    b: np.ndarray,
+    X: np.ndarray,
+    S: np.ndarray,
+    lam: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`hinge_subgradient` on float64 X and its sign matrix S, (n, n_classes)."""
     margins = S * (X @ W.T + b)
-    active = (margins < 1.0).astype(np.float64)
-    coef = active * S  # (n, n_classes)
-    gW = lam * W - (coef.T @ X) / n
-    gb = -coef.sum(axis=0) / n
-    return gW, gb
+    coef = (margins < 1.0) * S
+    n = X.shape[0]
+    return lam * W - (coef.T @ X) / n, -coef.sum(axis=0) / n
 
 
 def _sgd_step(
@@ -265,14 +258,11 @@ def _sgd_step(
     """One mini-batch step, updating W and b in place.
 
     Shapes: W (K, d), b (K,), Xb (B, d) the batch rows, Sb (B, K) their
-    signs, eta (K,). The arithmetic is `hinge_subgradient`'s, operation for
-    operation.
+    signs, eta (K,). The step is `hinge_subgradient`'s on the batch.
     """
-    margins = Sb * (Xb @ W.T + b)
-    coef = (margins < 1.0) * Sb
-    n = Xb.shape[0]
-    W -= eta[:, None] * (lam * W - (coef.T @ Xb) / n)
-    b -= eta * (-coef.sum(axis=0) / n)
+    gW, gb = _signed_subgradient(W, b, Xb, Sb, lam)
+    W -= eta[:, None] * gW
+    b -= eta * gb
 
 
 def _run_sgd(
@@ -528,33 +518,3 @@ def train_binary(
         w, b, history = _newton(X, s, c, 1.0 / (C_grid[k] * n), w, b)
         models[k] = LinearModel(w[None], np.asarray([b]), np.asarray([1]), objective_history=history)
     return ModelGrid(tuple(models))
-
-
-def save_model(path: str | Path, model: LinearModel) -> None:
-    header = _MODEL_MAGIC + struct.pack("<II", model.n_classes, model.dim)
-    atomic_write_bytes(
-        path,
-        header
-        + model.class_index.astype("<i8").tobytes()
-        + model.W.astype("<f8").tobytes()
-        + model.b.astype("<f8").tobytes(),
-    )
-
-
-def load_model(path: str | Path) -> LinearModel:
-    """Read a model file; every error starts with the path."""
-    buf = Path(path).read_bytes()
-    if buf[:4] != _MODEL_MAGIC:
-        raise ValueError(f"{path}: bad model magic {buf[:4]!r}")
-    require_header(path, buf, _MODEL_HEADER_BYTES)
-    n_classes, d = struct.unpack("<II", buf[4:_MODEL_HEADER_BYTES])
-    expected = _MODEL_HEADER_BYTES + 8 * n_classes * (d + 2)
-    if len(buf) != expected:
-        raise ValueError(f"{path}: model of {n_classes} classes x {d} dims needs {expected} bytes, got {len(buf)}")
-    class_index = np.frombuffer(buf, "<i8", n_classes, _MODEL_HEADER_BYTES)
-    W = np.frombuffer(buf, "<f8", n_classes * d, _MODEL_HEADER_BYTES + 8 * n_classes).reshape(n_classes, d)
-    b = np.frombuffer(buf, "<f8", n_classes, expected - 8 * n_classes)
-    try:
-        return LinearModel(W.copy(), b.copy(), class_index.copy())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

@@ -27,7 +27,6 @@ from .data import (
     GLOBAL_PART_ID,
     SPLITS,
     PartRegistry,
-    atomic_write_text,
     dataset_from_records,
     make_registry,
     write_features,
@@ -110,6 +109,14 @@ class SynthConfig:
                 raise ValueError("probabilities must lie in [0, 1]")
         if self.activation_high < self.activation_low:
             raise ValueError("activation_high below activation_low")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        sigma = self.sigma_vector()
+        if not np.all(np.isfinite(sigma) & (sigma >= 0.0)):
+            raise ValueError("noise sigmas must be finite and non-negative")
+        if not np.all(np.isfinite(self.informativeness_vector())):
+            raise ValueError("informativeness must be finite")
+        self.activation_matrix()  # rejects a misshapen or out-of-range activation_prob
 
     @property
     def n_parts(self) -> int:
@@ -157,7 +164,7 @@ class SynthConfig:
                 raise ValueError("activation_prob matrix must be (n_parts, pose_states)")
             A = M.copy()
             A[GLOBAL_PART_ID] = 1.0
-        if np.any(A < 0.0) or np.any(A > 1.0):
+        if not np.all((A >= 0.0) & (A <= 1.0)):
             raise ValueError("activation probabilities must lie in [0, 1]")
         return A
 
@@ -192,7 +199,6 @@ class SynthData:
     dataset: Dataset
     features: dict[int, FeatureMatrix]
     detections: dict[int, list[Detection]]
-    coverage: dict[str, dict[int, list[str]]]  # split -> part -> covered labels
     poses: dict[int, int]  # instance_id -> pose state
     activation_prob: np.ndarray
 
@@ -214,7 +220,6 @@ def generate(cfg: SynthConfig) -> SynthData:
     feat_ids: dict[int, list[int]] = {p: [] for p in range(n_parts)}
     feat_rows: dict[int, list[np.ndarray]] = {p: [] for p in range(n_parts)}
     detections: dict[int, list[Detection]] = {}
-    coverage: dict[str, dict[int, set[str]]] = {}
 
     next_instance = 1
     next_photo = 1
@@ -238,7 +243,6 @@ def generate(cfg: SynthConfig) -> SynthData:
         }
 
         counts = rng_count.integers(cfg.instances_min, cfg.instances_max + 1, cfg.n_identities)
-        coverage[split] = {p: set() for p in range(n_parts)}
         split_instances: list[tuple[int, int, str]] = []  # (instance_id, identity idx, label)
 
         for ident in range(cfg.n_identities):
@@ -256,7 +260,6 @@ def generate(cfg: SynthConfig) -> SynthData:
                         row = protos[p][ident] + rng_noise[p].normal(0.0, sigma[p], d)
                         feat_ids[p].append(iid)
                         feat_rows[p].append(row)
-                        coverage[split][p].add(label)
                 split_instances.append((iid, ident, label))
 
         # uploaders round-robin over the instance stream; photos group 1-3
@@ -331,9 +334,6 @@ def generate(cfg: SynthConfig) -> SynthData:
         for p in range(n_parts)
     }
     dataset = dataset_from_records(records)
-    cov_lists = {
-        split: {p: sorted(v) for p, v in parts.items()} for split, parts in coverage.items()
-    }
     return SynthData(
         config=cfg,
         registry=registry,
@@ -341,7 +341,6 @@ def generate(cfg: SynthConfig) -> SynthData:
         dataset=dataset,
         features=features,
         detections=detections,
-        coverage=cov_lists,
         poses=poses,
         activation_prob=act_prob,
     )
@@ -350,8 +349,8 @@ def generate(cfg: SynthConfig) -> SynthData:
 def write_synth(data: SynthData, out_dir: str | Path) -> list[Path]:
     """Write the benchmark to disk in the library's file formats.
 
-    Emits index.tsv, detections.tsv, coverage.json, and one feature file per
-    part under features/. Returns the written paths (sorted).
+    Emits index.tsv, detections.tsv, and one feature file per part under
+    features/. Returns the written paths (sorted).
     """
     out = Path(out_dir)
     (out / "features").mkdir(parents=True, exist_ok=True)
@@ -364,10 +363,6 @@ def write_synth(data: SynthData, out_dir: str | Path) -> list[Path]:
     det_path = out / "detections.tsv"
     write_detections(det_path, data.detections)
     paths.append(det_path)
-
-    cov_path = out / "coverage.json"
-    atomic_write_text(cov_path, json.dumps(data.coverage, sort_keys=True, indent=2) + "\n")
-    paths.append(cov_path)
 
     for pid in sorted(data.features):
         p = out / "features" / f"part_{pid:03d}.pfv"

@@ -75,8 +75,9 @@ def trained_dir(tmp_path_factory, data_dir):
 
 
 def test_synth_writes_declared_outputs(data_dir):
-    for name in ("index.tsv", "detections.tsv", "coverage.json", "manifest.json"):
+    for name in ("index.tsv", "detections.tsv", "manifest.json"):
         assert (data_dir / name).is_file()
+    assert not (data_dir / "coverage.json").exists()
     parts = sorted(p.name for p in (data_dir / "features").glob("part_*.pfv"))
     assert parts == [f"part_{k:03d}.pfv" for k in range(5)]
 
@@ -169,8 +170,8 @@ def test_match_emits_activation_rows(data_dir, tmp_path):
 def test_train_parts_outputs(trained_dir):
     tables = sorted(p.name for p in (trained_dir / "tables").glob("part_*.ppt"))
     assert tables == [f"part_{k:03d}.ppt" for k in range(5)]
-    assert (trained_dir / "models" / "half0" / "part_000.plm").is_file()
-    assert (trained_dir / "models" / "half1" / "part_000.plm").is_file()
+    # the half models are scored into the tables and never written
+    assert not (trained_dir / "models").exists()
 
     labels = dict(
         line.split("\t") for line in (trained_dir / "labels.tsv").read_text().splitlines()
@@ -405,6 +406,16 @@ def test_errors_exit_nonzero(data_dir, tmp_path, capsys):
         ('{"splits": ["val", "val"], "n_identities": 4}', "splits must be distinct names from"),
         ('{"splits": ["val", "dev"]}', "splits must be distinct names from"),
         ('{"n_identities": 4', "Expecting ',' delimiter"),
+        ('{"noise_sigma_global": -1}', "noise sigmas must be finite and non-negative"),
+        ('{"noise_sigma": Infinity}', "noise sigmas must be finite and non-negative"),
+        ('{"noise_sigma": "x"}', "could not convert string to float: 'x'"),
+        ('{"noise_sigma": [1, 2]}', "noise_sigma must have one entry per part (10)"),
+        ('{"informativeness": "abc"}', "could not convert string to float: 'abc'"),
+        ('{"informativeness": NaN}', "informativeness must be finite"),
+        ('{"activation_prob": [[0.5]]}', "activation_prob matrix must be (n_parts, pose_states)"),
+        ('{"activation_prob": 2}', "activation probabilities must lie in [0, 1]"),
+        ('{"activation_prob": NaN}', "activation probabilities must lie in [0, 1]"),
+        ('{"seed": -1}', "seed must be non-negative, got -1"),
     ],
 )
 def test_synth_config_errors_name_the_file(tmp_path, capsys, text, message):
@@ -414,6 +425,41 @@ def test_synth_config_errors_name_the_file(tmp_path, capsys, text, message):
     assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
     assert not (out / "index.tsv").exists()
+
+
+def test_synth_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
+    # a config too large for memory, without allocating it
+    def out_of_memory(cfg):
+        raise MemoryError(f"Unable to allocate an array with shape (40, {cfg.feature_dim})")
+
+    monkeypatch.setattr("partfusion.cli.generate", out_of_memory)
+    config = _write_config(tmp_path, {"feature_dim": 100_000_000})
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "synth")]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate an array with shape (40, 100000000)\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["synth", "match", "train-parts", "learn-weights", "recognition", "recognition-no-fill",
+     "oneshot", "retrieval", "ablation", "faces-split"],
+)
+def test_command_writes_only_its_manifest_outputs(data_dir, trained_dir, tmp_path, command):
+    """The output directory holds the manifest and the files it lists: nothing undeclared, no temporary file."""
+    data = ["--dataset", str(data_dir / "index.tsv")]
+    features = [*data, "--features", str(data_dir / "features")]
+    argv = {
+        "synth": ["synth", "--config", str(_write_config(tmp_path, SMALL_CONFIG))],
+        "match": ["match", *data, "--detections", str(data_dir / "detections.tsv")],
+        "train-parts": ["train-parts", *features],
+        "learn-weights": ["learn-weights", "--tables", str(trained_dir), "--clamp"],
+        "oneshot": ["eval", "--protocol", "oneshot", *features, "--shots", "1,2", "--repeats", "2"],
+        "retrieval": ["eval", "--protocol", "retrieval", *features, "--k-list", "1,3"],
+    }.get(command, ["eval", "--protocol", command, *features])
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == sorted([*listed, "manifest.json"])
 
 
 @pytest.mark.parametrize("n_weights", [2, 6])

@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import tracemalloc
 from unittest import mock
 
@@ -14,8 +13,6 @@ from partfusion import (
     TrainConfig,
     hinge_objective,
     hinge_subgradient,
-    load_model,
-    save_model,
     softmax,
     train_binary,
     train_multiclass,
@@ -576,52 +573,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         assert [f.name for f in dataclasses.fields(TrainConfig)] == ["C", "epochs", "seed"]
-
-
-class TestModelFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        model = LinearModel(
-            rng.normal(size=(3, 5)), rng.normal(size=3), np.array([2, 5, 9]), []
-        )
-        path = tmp_path / "m.plm"
-        save_model(path, model)
-        back = load_model(path)
-        np.testing.assert_array_equal(back.W, model.W)
-        np.testing.assert_array_equal(back.b, model.b)
-        np.testing.assert_array_equal(back.class_index, model.class_index)
-
-    def test_truncated_or_trailing_bytes_rejected(self, tmp_path):
-        model = LinearModel(np.ones((2, 3)), np.zeros(2), np.arange(2), [])
-        save_model(tmp_path / "m.plm", model)
-        buf = (tmp_path / "m.plm").read_bytes()
-        path = tmp_path / "bad.plm"
-        for body, message in [
-            (buf[:-1], f"needs {len(buf)} bytes, got {len(buf) - 1}"),
-            (buf + b"\0", f"needs {len(buf)} bytes, got {len(buf) + 1}"),
-            (buf[:6], "truncated header: 6 bytes, the header needs 12"),
-            (b"PLM2" + buf[4:], "bad model magic"),
-        ]:
-            path.write_bytes(body)
-            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
-                load_model(path)
-
-    def test_invalid_parameters_name_the_path(self, tmp_path):
-        model = LinearModel(np.ones((2, 3)), np.zeros(2), np.arange(2), [])
-        path = tmp_path / "m.plm"
-        save_model(path, model)
-        buf = bytearray(path.read_bytes())
-        buf[12:20] = buf[20:28]  # class index [1, 1]
-        path.write_bytes(bytes(buf))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: class_index has duplicates"):
-            load_model(path)
-
-    def test_write_is_deterministic(self, tmp_path):
-        model = LinearModel(np.ones((2, 2)), np.zeros(2), np.arange(2), [])
-        p1, p2 = tmp_path / "a.plm", tmp_path / "b.plm"
-        save_model(p1, model)
-        save_model(p2, model)
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 def _bump(W, c, j, eps):

@@ -116,14 +116,6 @@ class TestGenerate:
         sigma = np.sqrt(chance * (1 - chance) / report.n_test)
         assert abs(report.accuracy - chance) <= 3 * sigma
 
-    def test_coverage_matches_features(self, bench):
-        for split in bench.config.splits:
-            insts = bench.dataset.split_instances(split)
-            for pid in range(bench.config.n_parts):
-                have = set(bench.features[pid].instance_ids.tolist())
-                covered = sorted({i.label for i in insts if i.instance_id in have})
-                assert bench.coverage[split][pid] == covered
-
     def test_detections_reference_known_photos(self, bench):
         photos = {i.photo_id for i in bench.dataset.instances}
         assert set(bench.detections) <= photos
