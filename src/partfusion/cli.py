@@ -46,7 +46,6 @@ from .protocols import (
     run_retrieval_protocol,
     write_report,
 )
-from .svm import TrainConfig
 from .synth import SynthConfig, config_from_json, generate, write_synth
 
 __all__ = ["main"]
@@ -114,10 +113,6 @@ def _registry_for(features: dict[int, FeatureMatrix], no_face: bool):
     n_parts = len(features)
     include_face = not no_face and n_parts >= 2
     return make_registry(n_parts - 1 - (1 if include_face else 0), include_face)
-
-
-def _train_cfg(args) -> TrainConfig:
-    return TrainConfig(C=args.svm_c, epochs=args.epochs)
 
 
 def _weights_for(args, registry) -> tuple[FusionWeights, list[Path]]:
@@ -191,9 +186,7 @@ def cmd_train_parts(args) -> int:
     dataset = load_index(args.dataset)
     features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
     registry = _registry_for(features, args.no_face)
-    trained = half_split_training(
-        dataset, features, registry, args.split, args.seed, _train_cfg(args)
-    )
+    trained = half_split_training(dataset, features, registry, args.split, args.seed)
 
     outputs: list[Path] = []
     tables_dir = out / "tables"
@@ -222,8 +215,8 @@ def cmd_train_parts(args) -> int:
         "dataset": args.dataset,
         "features": args.features,
         "split": args.split,
-        "svm_c": args.svm_c,
-        "epochs": args.epochs,
+        "svm_c": DEFAULT_TRAIN_CFG.C,
+        "epochs": DEFAULT_TRAIN_CFG.epochs,
         "no_face": args.no_face,
         "n_identities": trained.n_identities,
         "excluded_identities": trained.excluded_identities,
@@ -290,39 +283,35 @@ def cmd_learn_weights(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.protocol == "ablation" and args.weights:
+        raise ValueError("--weights does not apply to --protocol ablation: ablation always fuses uniformly")
     out = _out_dir(args)
     dataset = load_index(args.dataset)
     features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
     registry = _registry_for(features, args.no_face)
     fw, weight_inputs = _weights_for(args, registry)
-    cfg = _train_cfg(args)
     mask = args.mask if args.mask and args.mask != "all" else None
 
     outputs: list[Path] = []
     if args.protocol in ("recognition", "recognition-no-fill"):
         fill = args.protocol == "recognition"
-        report = eval_recognition(dataset, features, registry, fw, args.split, args.seed, mask, cfg, fill=fill)
+        report = eval_recognition(dataset, features, registry, fw, args.split, args.seed, mask, fill=fill)
         write_report(report, out / "report.txt")
         outputs.append(out / "report.txt")
     elif args.protocol == "oneshot":
         shots = _parse_list("--shots", args.shots, int)
-        report = eval_oneshot(
-            dataset, features, registry, fw, args.split, shots, args.repeats, args.seed, mask, cfg
-        )
+        report = eval_oneshot(dataset, features, registry, fw, args.split, shots, args.repeats, args.seed, mask)
         write_report(report, out / "report.txt", out / "curve.csv")
         outputs += [out / "report.txt", out / "curve.csv"]
     elif args.protocol == "retrieval":
         K_list = _parse_list("--k-list", args.k_list, int)
         report = run_retrieval_protocol(
-            dataset, features, registry, fw, args.val_split, args.split, args.seed, K_list, mask, cfg
+            dataset, features, registry, fw, args.val_split, args.split, args.seed, K_list, mask
         )
         write_report(report, out / "report.txt", out / "curve.csv")
         outputs += [out / "report.txt", out / "curve.csv"]
     elif args.protocol == "ablation":
-        uniform = FusionWeights(np.ones(len(registry.parts)))
-        reports = eval_ablation(
-            dataset, features, registry, uniform, split=args.split, seed=args.seed, train_cfg=cfg
-        )
+        reports = eval_ablation(dataset, features, registry, fw, args.split, args.seed)
         summary = []
         for mask_name, report in reports.items():
             p = out / f"report_{mask_name}.txt"
@@ -333,9 +322,7 @@ def cmd_eval(args) -> int:
         atomic_write_text(summary_path, "\n".join(summary) + "\n")
         outputs.append(summary_path)
     elif args.protocol == "faces-split":
-        face_report, nonface_report = eval_faces_split(
-            dataset, features, registry, fw, args.split, args.seed, mask, cfg
-        )
+        face_report, nonface_report = eval_faces_split(dataset, features, registry, fw, args.split, args.seed, mask)
         write_report(face_report, out / "report_faces.txt")
         write_report(nonface_report, out / "report_nonfaces.txt")
         outputs += [out / "report_faces.txt", out / "report_nonfaces.txt"]
@@ -353,12 +340,10 @@ def cmd_eval(args) -> int:
         "shots": args.shots,
         "repeats": args.repeats,
         "k_list": args.k_list,
-        "svm_c": args.svm_c,
-        "epochs": args.epochs,
+        "svm_c": DEFAULT_TRAIN_CFG.C,
+        "epochs": DEFAULT_TRAIN_CFG.epochs,
         "no_face": args.no_face,
     }
-    if args.protocol == "ablation":
-        weight_inputs = []
     inputs = [Path(args.dataset)] + feature_files + weight_inputs
     _write_manifest(out, "eval", config, inputs, outputs, args.seed)
     return 0
@@ -391,8 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--features", required=True, help="directory of part_*.pfv files")
     p.add_argument("--split", default="val")
-    p.add_argument("--svm-c", type=float, default=DEFAULT_TRAIN_CFG.C)
-    p.add_argument("--epochs", type=int, default=DEFAULT_TRAIN_CFG.epochs)
     p.add_argument("--no-face", action="store_true", help="treat the last part as a poselet")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -424,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weights",
         default=None,
-        help="weights file; uniform when omitted; ablation always fuses uniformly",
+        help="weights file; uniform when omitted; not taken by ablation, which always fuses uniformly",
     )
     p.add_argument("--split", default="test")
     p.add_argument("--val-split", default="val", help="reference split for retrieval")
@@ -432,8 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", default="1,2,3")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--k-list", default="1,2,5,10,20")
-    p.add_argument("--svm-c", type=float, default=DEFAULT_TRAIN_CFG.C)
-    p.add_argument("--epochs", type=int, default=DEFAULT_TRAIN_CFG.epochs)
     p.add_argument("--no-face", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

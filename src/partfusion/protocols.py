@@ -34,7 +34,6 @@ from .data import (
     atomic_write_text,
 )
 from .fusion import (
-    DEFAULT_C_GRID,
     FusionWeights,
     ProbabilityTable,
     WeightLearningInfo,
@@ -66,6 +65,8 @@ __all__ = [
     "write_report",
 ]
 
+# The one part-SVM setting. `train-parts` and every protocol train with it, so
+# the weights learned on the training tables fit the models each protocol fuses.
 DEFAULT_TRAIN_CFG = TrainConfig(C=10.0, epochs=30)
 # Each ablation mask and the part kind it needs; "all" needs none.
 _ABLATION_MASKS = {"all": None, "global": "global", "poselets": "poselet", "face": "face"}
@@ -185,10 +186,9 @@ def _train_part_models(
     features: dict[int, FeatureMatrix],
     train_ids: np.ndarray,
     label_of: dict[int, int],
-    cfg: TrainConfig,
     seed_parts: tuple[int, ...],
 ) -> dict[int, LinearModel | None]:
-    """Train one multiclass SVM per part on its activated training rows.
+    """Train one multiclass SVM per part on its activated training rows, with `DEFAULT_TRAIN_CFG`.
 
     A part whose training activations cover fewer than 2 identities gets no
     model (treated downstream as never activating). The global part must
@@ -205,7 +205,7 @@ def _train_part_models(
         if np.unique(labels).size < 2:
             models[pid] = None
             continue
-        part_cfg = replace(cfg, seed=mix_seed(*seed_parts, pid, cfg.seed))
+        part_cfg = replace(DEFAULT_TRAIN_CFG, seed=mix_seed(*seed_parts, pid, DEFAULT_TRAIN_CFG.seed))
         models[pid] = train_multiclass(fm.rows(ids), labels, part_cfg)
     return models
 
@@ -334,7 +334,6 @@ def _train_halves(
     split: str,
     seed: int,
     part_ids: tuple[int, ...],
-    cfg: TrainConfig,
 ) -> HalfModels:
     """Train the given parts' SVMs on each half, seeded per (seed, eval half, part).
 
@@ -345,7 +344,7 @@ def _train_halves(
 
     def train(eval_half: int) -> dict[int, LinearModel | None]:
         return _train_part_models(
-            part_ids, trained.features, train_ids[eval_half], trained.label_of, cfg, (seed, eval_half)
+            part_ids, trained.features, train_ids[eval_half], trained.label_of, (seed, eval_half)
         )
 
     for eval_half, models in enumerate(_forked_map(train, (0, 1), [ids.size for ids in train_ids])):
@@ -436,7 +435,6 @@ def eval_recognition(
     split: str = "test",
     seed: int = 0,
     component_mask: str | None = None,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
     fill: bool = True,
 ) -> EvalReport:
     """Half-split recognition accuracy with sparsity filling and fusion.
@@ -447,7 +445,7 @@ def eval_recognition(
     contribute zeros and the report's protocol is ``recognition-no-fill``.
     """
     mask_ids = registry.resolve_mask(component_mask)
-    trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg)
+    trained = _train_halves(dataset, features, split, seed, mask_ids)
     return _recognition(trained, registry, fw, component_mask, seed, fill)
 
 
@@ -459,7 +457,6 @@ def eval_faces_split(
     split: str = "test",
     seed: int = 0,
     component_mask: str | None = None,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> tuple[EvalReport, EvalReport]:
     """Recognition accuracy restricted to face-activated instances and the rest.
 
@@ -468,7 +465,7 @@ def eval_faces_split(
     flag ``empty_subset``.
     """
     mask_ids = registry.resolve_mask(component_mask)
-    trained = _train_halves(dataset, features, split, seed, mask_ids, train_cfg)
+    trained = _train_halves(dataset, features, split, seed, mask_ids)
     folds = _score_halves(trained, mask_ids, True, fw)
     face_parts = [p for p in registry.ids_of_kind("face") if p in mask_ids]
 
@@ -496,7 +493,6 @@ def eval_ablation(
     fw: FusionWeights,
     split: str = "test",
     seed: int = 0,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> dict[str, EvalReport]:
     """Recognition accuracy per component mask: all, global, poselets and face, then no-fill.
 
@@ -505,7 +501,7 @@ def eval_ablation(
     no-fill variant score those same models, so each report equals its own
     recognition run.
     """
-    trained = _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
+    trained = half_split_training(dataset, features, registry, split, seed)
     out = {
         mask: _recognition(trained, registry, fw, None if kind is None else mask, seed, True)
         for mask, kind in _ABLATION_MASKS.items()
@@ -525,7 +521,6 @@ def eval_oneshot(
     repeats: int = 10,
     seed: int = 0,
     component_mask: str | None = None,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> EvalReport:
     """Few-shot recognition: sample `shots` training instances per identity.
 
@@ -565,7 +560,7 @@ def eval_oneshot(
         rng = np.random.default_rng(np.random.SeedSequence([seed, s, r]))
         train_ids = np.sort(np.concatenate([rng.choice(pool, size=s, replace=False) for pool in pools]))
         eval_ids = np.setdiff1d(all_ids, train_ids)
-        models = _train_part_models(mask_ids, features, train_ids, label_of, train_cfg, (seed, s, r))
+        models = _train_part_models(mask_ids, features, train_ids, label_of, (seed, s, r))
         correct, _ = _score_fold(models, features, eval_ids, label_of, len(pools), mask_ids, True, fw)
         return float(np.mean(correct))
 
@@ -602,7 +597,6 @@ def train_reference_models(
     registry: PartRegistry,
     split: str = "val",
     seed: int = 0,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> ReferenceModels:
     """Train all part SVMs on half 0 of the given split's stratified halves.
 
@@ -612,7 +606,7 @@ def train_reference_models(
     train_ids = split_set.eval_ids(0)
 
     def train(pid: int) -> LinearModel | None:
-        return _train_part_models((pid,), split_set.features, train_ids, split_set.label_of, train_cfg, (seed, 7))[pid]
+        return _train_part_models((pid,), split_set.features, train_ids, split_set.label_of, (seed, 7))[pid]
 
     rows = [int(np.count_nonzero(split_set.features[pid].contains(train_ids))) for pid in registry.part_ids]
     models = dict(zip(registry.part_ids, _forked_map(train, registry.part_ids, rows)))
@@ -734,10 +728,9 @@ def run_retrieval_protocol(
     seed: int = 0,
     K_list: tuple[int, ...] = (1, 2, 5, 10, 20),
     component_mask: str | None = None,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> EvalReport:
     """End-to-end retrieval: reference models on val, embeddings and recall on test."""
-    ref = train_reference_models(dataset, features, registry, val_split, seed, train_cfg)
+    ref = train_reference_models(dataset, features, registry, val_split, seed)
     mask_ids = registry.resolve_mask(component_mask)
     insts = sorted(dataset.split_instances(test_split), key=lambda i: i.instance_id)
     ids = np.asarray([i.instance_id for i in insts], dtype=np.int64)
@@ -755,14 +748,13 @@ def half_split_training(
     registry: PartRegistry,
     split: str = "val",
     seed: int = 0,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
 ) -> HalfModels:
     """Train per-part SVMs on both halves, for the filled tables weight learning reads.
 
     Each instance's table row comes from the model trained on the opposite
     half. `HalfModels.filled_tables` yields the tables one part at a time.
     """
-    return _train_halves(dataset, features, split, seed, registry.part_ids, train_cfg)
+    return _train_halves(dataset, features, split, seed, registry.part_ids)
 
 
 def learn_fusion_weights(
@@ -771,13 +763,9 @@ def learn_fusion_weights(
     registry: PartRegistry,
     split: str = "val",
     seed: int = 0,
-    C_grid: tuple[float, ...] = DEFAULT_C_GRID,
-    train_cfg: TrainConfig = DEFAULT_TRAIN_CFG,
     clamp_nonnegative: bool = False,
 ) -> tuple[FusionWeights, WeightLearningInfo]:
-    """Full weight-learning pipeline on a validation split."""
-    trained = half_split_training(dataset, features, registry, split, seed, train_cfg)
+    """Full weight-learning pipeline on a validation split, over `fusion.DEFAULT_C_GRID`."""
+    trained = half_split_training(dataset, features, registry, split, seed)
     tables = {table.part_id: table for table in trained.filled_tables()}
-    return learn_weights(
-        tables, trained.label_of, trained.halves, C_grid=C_grid, clamp_nonnegative=clamp_nonnegative
-    )
+    return learn_weights(tables, trained.label_of, trained.halves, clamp_nonnegative=clamp_nonnegative)

@@ -44,6 +44,13 @@ __all__ = [
     "write_synth",
 ]
 
+# The noise and activation model when `SynthConfig.noise_sigma` or
+# `activation_prob` is None: per-kind sigmas, the range each (poselet, pose)
+# activation rate is drawn from, and the face's pose-independent rate.
+_GLOBAL_SIGMA, _POSELET_SIGMA, _FACE_SIGMA = 1.3, 0.8, 0.5
+_POSELET_ACTIVATION = (0.05, 0.6)
+_FACE_ACTIVATION = 0.52
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -53,7 +60,9 @@ class SynthConfig:
     default emits disjoint validation and test identity sets of 40 each.
     Per-part sequences run in part_id order (global, poselets..., face);
     scalars broadcast. ``activation_prob`` of None draws each (poselet, pose)
-    rate uniformly from [activation_low, activation_high] under the seed.
+    rate uniformly from [0.05, 0.6] under the seed and activates the face at
+    0.52; ``noise_sigma`` of None gives the global part 1.3, each poselet 0.8
+    and the face 0.5.
     """
 
     n_identities: int = 40
@@ -63,15 +72,9 @@ class SynthConfig:
     include_face: bool = True
     feature_dim: int = 32
     pose_states: int = 4
-    activation_low: float = 0.05
-    activation_high: float = 0.6
-    face_activation: float = 0.52
     activation_prob: float | tuple[tuple[float, ...], ...] | None = None
     informativeness: float | tuple[float, ...] = 1.0
     noise_sigma: float | tuple[float, ...] | None = None
-    noise_sigma_global: float = 1.3
-    noise_sigma_poselet: float = 0.8
-    noise_sigma_face: float = 0.5
     detection_miss: float = 0.05
     n_uploaders: int = 10
     splits: tuple[str, ...] = ("val", "test")
@@ -82,6 +85,8 @@ class SynthConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
         if (
             isinstance(self.splits, str)
             or not self.splits
@@ -99,16 +104,8 @@ class SynthConfig:
             raise ValueError("instances_max below instances_min")
         if self.feature_dim < 1 or self.pose_states < 1 or self.n_poselets < 1:
             raise ValueError("dimensions and counts must be at least 1")
-        for p in (
-            self.activation_low,
-            self.activation_high,
-            self.face_activation,
-            self.detection_miss,
-        ):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError("probabilities must lie in [0, 1]")
-        if self.activation_high < self.activation_low:
-            raise ValueError("activation_high below activation_low")
+        if not (0.0 <= self.detection_miss <= 1.0):
+            raise ValueError(f"detection_miss must lie in [0, 1], got {self.detection_miss!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         sigma = self.sigma_vector()
@@ -136,10 +133,10 @@ class SynthConfig:
     def sigma_vector(self) -> np.ndarray:
         if self.noise_sigma is not None:
             return self._per_part(self.noise_sigma, "noise_sigma")
-        sig = np.full(self.n_parts, self.noise_sigma_poselet)
-        sig[GLOBAL_PART_ID] = self.noise_sigma_global
+        sig = np.full(self.n_parts, _POSELET_SIGMA)
+        sig[GLOBAL_PART_ID] = _GLOBAL_SIGMA
         if self.include_face:
-            sig[-1] = self.noise_sigma_face
+            sig[-1] = _FACE_SIGMA
         return sig
 
     def informativeness_vector(self) -> np.ndarray:
@@ -151,11 +148,9 @@ class SynthConfig:
         A[GLOBAL_PART_ID] = 1.0
         if self.activation_prob is None:
             rng = np.random.default_rng(np.random.SeedSequence([self.seed, 1]))
-            A[1 : 1 + self.n_poselets] = rng.uniform(
-                self.activation_low, self.activation_high, (self.n_poselets, self.pose_states)
-            )
+            A[1 : 1 + self.n_poselets] = rng.uniform(*_POSELET_ACTIVATION, (self.n_poselets, self.pose_states))
             if self.include_face:
-                A[-1] = self.face_activation
+                A[-1] = _FACE_ACTIVATION
         elif isinstance(self.activation_prob, (int, float)):
             A[1:] = float(self.activation_prob)
         else:

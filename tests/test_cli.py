@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, determinism, error paths."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -7,12 +8,13 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from partfusion.cli import _load_parts, _registry_for, main
+from partfusion.cli import _build_parser, _load_parts, _registry_for, main
 from partfusion.data import load_index, read_features
 from partfusion.fusion import FusionWeights, read_weights, write_prob_table
 from partfusion.protocols import eval_recognition, half_split_training, report_text
@@ -406,7 +408,7 @@ def test_errors_exit_nonzero(data_dir, tmp_path, capsys):
         ('{"splits": ["val", "val"], "n_identities": 4}', "splits must be distinct names from"),
         ('{"splits": ["val", "dev"]}', "splits must be distinct names from"),
         ('{"n_identities": 4', "Expecting ',' delimiter"),
-        ('{"noise_sigma_global": -1}', "noise sigmas must be finite and non-negative"),
+        ('{"noise_sigma_global": -1}', "unknown config key 'noise_sigma_global'"),
         ('{"noise_sigma": Infinity}', "noise sigmas must be finite and non-negative"),
         ('{"noise_sigma": "x"}', "could not convert string to float: 'x'"),
         ('{"noise_sigma": [1, 2]}', "noise_sigma must have one entry per part (10)"),
@@ -416,6 +418,8 @@ def test_errors_exit_nonzero(data_dir, tmp_path, capsys):
         ('{"activation_prob": 2}', "activation probabilities must lie in [0, 1]"),
         ('{"activation_prob": NaN}', "activation probabilities must lie in [0, 1]"),
         ('{"seed": -1}', "seed must be non-negative, got -1"),
+        ('{"include_face": "no"}', "include_face must be true or false, got 'no'"),
+        ('{"include_face": 0}', "include_face must be true or false, got 0"),
     ],
 )
 def test_synth_config_errors_name_the_file(tmp_path, capsys, text, message):
@@ -478,6 +482,20 @@ def test_eval_rejects_weights_not_matching_parts(data_dir, tmp_path, capsys, n_w
     )
     assert rc == 1
     assert f"{weights}: {n_weights} weights for 5 parts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_weights", [1, 5])
+def test_eval_ablation_rejects_weights(data_dir, tmp_path, capsys, n_weights):
+    # ablation fuses uniformly, so any --weights file, matching the parts or not, is a mistake
+    weights = tmp_path / "weights.tsv"
+    weights.write_text("".join(f"{i}\t1.0\n" for i in range(n_weights)) + "bias\t0.0\n")
+    out = tmp_path / "e"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    assert main(["eval", "--protocol", "ablation", *data, "--weights", str(weights), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --weights does not apply to --protocol ablation: ablation always fuses uniformly\n"
+    )
+    assert not out.exists()
 
 
 def test_eval_truncated_feature_header_names_the_file(data_dir, tmp_path, capsys):
@@ -640,24 +658,6 @@ def test_learn_weights_rejects_non_finite_c(trained_dir, tmp_path, capsys, grid)
     assert not (out / "manifest.json").exists()
 
 
-def test_train_parts_rejects_non_finite_c(data_dir, tmp_path, capsys):
-    out = tmp_path / "parts"
-    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
-    rc = main(["train-parts", *data, "--svm-c", "nan", "--out", str(out)])
-    assert rc == 1
-    assert "error: C must be a positive finite number, got nan" in capsys.readouterr().err
-    assert not (out / "tables").exists()
-
-
-def test_train_parts_rejects_subnormal_c(data_dir, tmp_path, capsys):
-    # positive and finite, but its reciprocal, and so the SVM's lambda, overflows
-    out = tmp_path / "parts"
-    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
-    assert main(["train-parts", *data, "--svm-c", "1e-320", "--out", str(out)]) == 1
-    assert "error: C must be a positive finite number, got 1e-320" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-
-
 def test_train_parts_tables_equal_the_library_tables(data_dir, trained_dir, tmp_path):
     # the command writes each table as it is built; here the library's tables are all held at once
     dataset = load_index(data_dir / "index.tsv")
@@ -727,3 +727,20 @@ def test_module_entry_point(tmp_path, child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+def test_readme_names_exactly_the_parser_flags():
+    """Every option of the command and its subcommands is documented, and README names no other flag."""
+    parser = _build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        flag
+        for p in [parser, *subcommands.choices.values()]
+        for action in p._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert sorted(flags - named) == [], "flags README does not document"
+    assert sorted(named - flags) == [], "flags README names that the parser lacks"

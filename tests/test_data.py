@@ -16,7 +16,7 @@ from partfusion import (
     write_index,
 )
 from partfusion.data import PartInfo, PartRegistry, atomic_write_bytes, dataset_from_records
-from partfusion.protocols import DEFAULT_TRAIN_CFG, _train_part_models
+from partfusion.protocols import _train_part_models
 
 
 def _records():
@@ -250,7 +250,7 @@ class TestCoverage:
 
     @staticmethod
     def _coverage(feats, labels, train_ids):
-        models = _train_part_models(tuple(feats), feats, np.array(train_ids), labels, DEFAULT_TRAIN_CFG, (0,))
+        models = _train_part_models(tuple(feats), feats, np.array(train_ids), labels, (0,))
         return {pid: model.class_index.tolist() for pid, model in models.items()}
 
     def test_coverage_sets(self):

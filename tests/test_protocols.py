@@ -179,9 +179,15 @@ def test_recognition_needs_two_usable_identities():
         eval_recognition(dataset, {0: fm}, registry_data.registry, fw, split="test")
 
 
+def _with_face_activation(cfg: SynthConfig, rate: float) -> SynthConfig:
+    """``cfg`` with the face activating at ``rate`` in every pose and the poselet rates drawn as before."""
+    A = cfg.activation_matrix()
+    A[-1] = rate
+    return replace(cfg, activation_prob=tuple(map(tuple, A.tolist())))
+
+
 def test_faces_split_separates_face_activated_instances():
-    cfg = replace(SMALL, seed=13, noise_sigma=(2.5, 2.5, 2.5, 2.5, 0.1), face_activation=0.5)
-    data = generate(cfg)
+    data = generate(_with_face_activation(replace(SMALL, seed=13, noise_sigma=(2.5, 2.5, 2.5, 2.5, 0.1)), 0.5))
     fw = FusionWeights(np.ones(len(data.registry.parts)))
     faces, nonfaces = eval_faces_split(data.dataset, data.features, data.registry, fw, split="test")
     assert faces.protocol == "recognition-faces"
@@ -207,7 +213,7 @@ def test_faces_split_mask_override(small, small_fw):
 
 
 def test_faces_split_flags_an_empty_face_subset(small_fw):
-    data = generate(replace(SMALL, face_activation=0.0, seed=20))
+    data = generate(_with_face_activation(replace(SMALL, seed=20), 0.0))
     assert len(data.features[data.registry.ids_of_kind("face")[0]]) == 0
     faces, nonfaces = eval_faces_split(data.dataset, data.features, data.registry, small_fw, split="test")
     overall = eval_recognition(data.dataset, data.features, data.registry, small_fw, split="test")

@@ -135,13 +135,11 @@ class TestConfigValidation:
             SynthConfig(n_identities=1)
 
     def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            SynthConfig(activation_low=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"detection_miss must lie in \[0, 1\], got 1.5"):
             SynthConfig(detection_miss=1.5)
 
     def test_config_json_round_trip(self, tmp_path):
-        cfg = _small(noise_sigma_global=1.1)
+        cfg = _small(noise_sigma=1.1, activation_prob=0.4)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
         back = config_from_json(path)
