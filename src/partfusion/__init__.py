@@ -9,6 +9,15 @@ matching, evaluation protocols, and a synthetic benchmark round it out.
 
 from __future__ import annotations
 
+import os
+
+# OpenBLAS reads this once, when numpy first loads it, so it is set before the
+# imports below. One BLAS thread per process: the products here are small, a
+# second thread spins idle after each threaded product and after each fork,
+# and `workers._forked_map` supplies the parallelism. A value the caller set
+# is kept, and numpy imported before this package keeps its own threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .data import (

@@ -285,6 +285,12 @@ def cmd_learn_weights(args) -> int:
 def cmd_eval(args) -> int:
     if args.protocol == "ablation" and args.weights:
         raise ValueError("--weights does not apply to --protocol ablation: ablation always fuses uniformly")
+    if args.protocol == "ablation" and args.mask and args.mask != "all":
+        raise ValueError("--mask does not apply to --protocol ablation: ablation scores every component mask")
+    if args.protocol != "retrieval" and args.val_split != "val":
+        raise ValueError(
+            f"--val-split does not apply to --protocol {args.protocol}: only retrieval trains on a reference split"
+        )
     out = _out_dir(args)
     dataset = load_index(args.dataset)
     features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
@@ -410,8 +416,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="weights file; uniform when omitted; not taken by ablation, which always fuses uniformly",
     )
     p.add_argument("--split", default="test")
-    p.add_argument("--val-split", default="val", help="reference split for retrieval")
-    p.add_argument("--mask", default="all", help="component mask, e.g. global,face")
+    p.add_argument("--val-split", default="val", help="reference split; taken by retrieval only")
+    p.add_argument(
+        "--mask",
+        default="all",
+        help="component mask, e.g. global,face; not taken by ablation, which scores every mask",
+    )
     p.add_argument("--shots", default="1,2,3")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--k-list", default="1,2,5,10,20")

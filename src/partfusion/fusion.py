@@ -169,8 +169,14 @@ def fill_sparsity_rows(
     if not np.any(act):
         return out
     F_i = np.asarray(F_i, dtype=np.int64)
-    mass = P0[act][:, F_i].sum(axis=1) if F_i.size else np.zeros(int(act.sum()))
-    out[act] = mass[:, None] * np.asarray(P_hat, dtype=np.float64)[act] + (1.0 - mass)[:, None] * P0[act]
+    P0_act = P0[act]
+    mass = P0_act[:, F_i].sum(axis=1) if F_i.size else np.zeros(P0_act.shape[0])
+    # mass * P_hat + (1 - mass) * P0, blended in the gathered copies
+    blend = np.asarray(P_hat, dtype=np.float64)[act]
+    blend *= mass[:, None]
+    P0_act *= (1.0 - mass)[:, None]
+    blend += P0_act
+    out[act] = blend
     return out
 
 

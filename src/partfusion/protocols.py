@@ -70,6 +70,8 @@ __all__ = [
 DEFAULT_TRAIN_CFG = TrainConfig(C=10.0, epochs=30)
 # Each ablation mask and the part kind it needs; "all" needs none.
 _ABLATION_MASKS = {"all": None, "global": "global", "poselets": "poselet", "face": "face"}
+# Bytes of one (query block, corpus) float64 array in `_neighbor_identity_flags`.
+_QUERY_BLOCK_BYTES = 1 << 19
 
 
 def stratified_half_split(instances: list[Instance], seed: int) -> dict[int, int]:
@@ -640,23 +642,57 @@ def _neighbor_identity_flags(
 ) -> np.ndarray:
     """(queries, depth) flags: is each query's r-th nearest neighbor the same identity?
 
-    One distance row per query keeps memory at O(n * |Y|). The row is the
-    same element arithmetic and last-axis reduction as an all-pairs
-    difference tensor, so every distance, and every tie, is bit-identical.
-    Only the rows no farther than the (depth+1)-th smallest distance, the
-    query itself included, can rank within ``depth``; those candidates,
-    every tie at the boundary among them, are sorted by (distance,
-    instance id).
+    The embeddings must be finite. For each block of queries, Gram distances
+    g = |a|^2 + |b|^2 - 2 a.b, one matrix product, only choose candidates.
+    With e a bound on |g - d^2| for the distance d computed below, a row can
+    rank within ``depth`` only if its g - e is at most the (depth+1)-th
+    smallest g + e, the query itself included. So the rows whose g is at
+    most that (depth+1)-th smallest g plus 2e are kept. Each query's candidates then get the
+    distance of an all-pairs difference tensor, the same element arithmetic
+    and last-axis reduction, so every distance, and every tie, is
+    bit-identical to it. Only the candidates no farther than the (depth+1)-th
+    smallest such distance can rank within ``depth``; those, every tie at
+    the boundary among them, are sorted by (distance, instance id). A query
+    block spans about `_QUERY_BLOCK_BYTES` per (block, corpus) array, so
+    memory stays O(n * |Y|).
+
+    The bound e: a dot product of |Y| terms is off by at most
+    gamma_|Y| (|a|^2 + |b|^2) / 2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1). With the rounding of the squared
+    norms, the Gram sum and the exact path's differences, squares, sum and
+    square root, g is within (4 |Y| + 16) u (|a|^2 + |b|^2) of d^2, where
+    u = 2^-53. e takes that at the largest norms, adds |Y| 2^-1000 for
+    underflow, and is doubled to cover the rounding of the cut itself. Where
+    the Gram terms could overflow, e is infinite and every row is a
+    candidate.
     """
-    flags = np.zeros((len(query_idx), depth), dtype=bool)
-    for row, q in enumerate(query_idx):
-        d = embeddings[q] - embeddings
-        dist = np.sqrt(np.sum(d * d, axis=1))
-        # ~(>) rather than <= keeps every row if the boundary distance is NaN
-        candidates = np.flatnonzero(~(dist > np.partition(dist, depth)[depth]))
-        order = candidates[np.lexsort((instance_ids[candidates], dist[candidates]))]
-        order = order[order != q][:depth]
-        flags[row] = labels[order] == labels[q]
+    n, dim = embeddings.shape
+    sq = np.einsum("ij,ij->i", embeddings, embeddings)
+    scale = 2.0 * float(sq.max())
+    e = 2.0 * ((4 * dim + 16) * 2.0**-53 * scale + dim * 2.0**-1000)
+    if not np.isfinite(4.0 * scale):
+        e = np.inf
+    queries = np.asarray(query_idx, dtype=np.int64)
+    block = max(1, _QUERY_BLOCK_BYTES // (8 * n))
+    flags = np.zeros((len(queries), depth), dtype=bool)
+    for start in range(0, len(queries), block):
+        qs = queries[start : start + block]
+        gram = embeddings[qs] @ embeddings.T
+        gram *= -2.0
+        gram += sq
+        gram += sq[qs, None]
+        cut = np.partition(gram, depth, axis=1)[:, depth] + 2.0 * e
+        # ~(>) rather than <= keeps a row whose overflowing Gram terms gave NaN
+        near_rows = ~(gram > cut[:, None])
+        for r, q in enumerate(qs.tolist()):
+            near = np.flatnonzero(near_rows[r])
+            d = embeddings[q] - embeddings[near]
+            dist = np.sqrt(np.sum(d * d, axis=1))
+            keep = dist <= np.partition(dist, depth)[depth]
+            candidates, dist = near[keep], dist[keep]
+            order = candidates[np.lexsort((instance_ids[candidates], dist))]
+            order = order[order != q][:depth]
+            flags[start + r] = labels[order] == labels[q]
     return flags
 
 
@@ -681,6 +717,8 @@ def eval_retrieval(
     n = embeddings.shape[0]
     if n < 2:
         raise ValueError("retrieval needs at least 2 instances")
+    if not np.all(np.isfinite(embeddings)):
+        raise ValueError("retrieval needs finite embeddings")
 
     uniq, counts = np.unique(labels, return_counts=True)
     count_of = dict(zip(uniq.tolist(), counts.tolist()))

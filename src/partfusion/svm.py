@@ -27,9 +27,15 @@ step leaves that set of rows unchanged, which is the exact optimum, or after
 `_NEWTON_MAX_STEPS`. A grid of C values is fitted in ascending C, each fit
 starting from the previous optimum.
 
-Every product of a row block with a weight matrix is sized so that OpenBLAS
-runs it on one thread (`_row_blocked_scores`); each row's dot product, and
-so every score and objective, is that of the unblocked product.
+Products over a whole dataset, the scores and objectives
+(`_row_blocked_scores`) and the Newton sums, run in the row blocks of
+`_row_blocks`. The blocks fix the bits: they set the order of the Newton
+sums, and with more than about 130 classes OpenBLAS can round a row's scores
+differently in a block than in one product over every row. The SGD steps'
+mini-batch products are not blocked. Imported before numpy, the package
+runs OpenBLAS on one thread per process unless the caller set
+``OPENBLAS_NUM_THREADS`` (see ``partfusion/__init__.py``), so none of these
+products is threaded.
 """
 
 from __future__ import annotations
@@ -58,11 +64,9 @@ _BATCH_SIZE = 32
 # batches, so no batch straddles two blocks.
 _GATHER_BLOCK_BATCHES = 128
 # A row block's product with a weight matrix does about this many
-# multiply-adds and spans at most `_MAX_BLOCK_ROWS` rows. OpenBLAS 0.3.31
-# threads a product above about 5e5 multiply-adds, so a block, even a last one
-# of 1.5 blocks, stays on one thread. A threaded product leaves its idle
-# thread spinning through the small steps that follow, which costs CPU time
-# and saves no wall time.
+# multiply-adds and spans at most `_MAX_BLOCK_ROWS` rows. The block boundaries
+# set the order of the Newton sums and, above about 130 classes, the rounding
+# of the scores, so other sizes would change the weights and the tables.
 _BLOCK_MULTIPLY_ADDS = 200_000
 _MAX_BLOCK_ROWS = 8192
 # Newton steps per binary fit. A fit stops earlier, usually within ten steps,
@@ -158,7 +162,7 @@ def _signs(y_pos: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _row_blocks(n: int, multiply_adds_per_row: int) -> list[slice]:
-    """Row blocks whose product with a weight matrix OpenBLAS keeps on one thread.
+    """Row blocks of about `_BLOCK_MULTIPLY_ADDS` for a product with a weight matrix.
 
     A block spans a multiple of 8 rows, at most `_MAX_BLOCK_ROWS`, and does
     about `_BLOCK_MULTIPLY_ADDS` multiply-adds. A last block shorter than
@@ -173,14 +177,23 @@ def _row_blocks(n: int, multiply_adds_per_row: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _row_blocked_scores(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``X @ W.T + b``, one product per block of `_row_blocks`.
+def _row_blocked_scores(
+    X: np.ndarray,
+    W: np.ndarray,
+    b: np.ndarray,
+    blocks: list[slice] | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``X @ W.T + b``, one product per block of `_row_blocks` (or of ``blocks``), into ``out`` when given.
 
-    Each row's dot products are the unblocked ones, so the scores are
-    bit-identical; a dataset of at most one block takes a single product.
+    A dataset of at most one block takes a single product. For larger ones
+    the blocks fix the bits: with more than about 130 classes, OpenBLAS may
+    round a row's dot products differently in a block than in one product
+    over every row, by up to a few units in the last place.
     """
-    out = np.empty((X.shape[0], W.shape[0]))
-    for rows in _row_blocks(X.shape[0], X.shape[1] * W.shape[0]):
+    if out is None:
+        out = np.empty((X.shape[0], W.shape[0]))
+    for rows in blocks if blocks is not None else _row_blocks(X.shape[0], X.shape[1] * W.shape[0]):
         np.matmul(X[rows], W.T, out=out[rows])
     out += b
     return out
@@ -210,11 +223,19 @@ def _signed_hinge_objective(
     X: np.ndarray,
     S: np.ndarray,
     lam: float,
+    blocks: list[slice] | None = None,
+    scores: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`hinge_objective` on float64 X and its sign matrix S, (n, n_classes)."""
-    margins = S * _row_blocked_scores(X, W, b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * np.sum(W * W, axis=1) + hinge.sum(axis=0) / X.shape[0]
+    """`hinge_objective` on float64 X and its sign matrix S, (n, n_classes).
+
+    ``blocks``, when given, are ``X``'s `_row_blocks` for this weight shape;
+    ``scores``, an (n, n_classes) array the margins and hinges overwrite.
+    """
+    hinge = _row_blocked_scores(X, W, b, blocks, scores)
+    np.multiply(S, hinge, out=hinge)
+    np.subtract(1.0, hinge, out=hinge)
+    np.maximum(0.0, hinge, out=hinge)
+    return 0.5 * lam * (W * W).sum(axis=1) + hinge.sum(axis=0) / X.shape[0]
 
 
 def hinge_subgradient(
@@ -233,18 +254,50 @@ def hinge_subgradient(
     return _signed_subgradient(W, b, X, _signs(np.asarray(y_pos), W.shape[0]), lam)
 
 
+def _subgradient_buffers(rows: int, n_classes: int, d: int) -> tuple[np.ndarray, ...]:
+    """Work arrays of `_signed_subgradient` for up to ``rows`` rows."""
+    return (
+        np.empty((rows, n_classes)),
+        np.empty((rows, n_classes), dtype=bool),
+        np.empty((n_classes, d)),
+        np.empty((n_classes, d)),
+        np.empty(n_classes),
+    )
+
+
 def _signed_subgradient(
     W: np.ndarray,
     b: np.ndarray,
     X: np.ndarray,
     S: np.ndarray,
     lam: float,
+    buffers: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`hinge_subgradient` on float64 X and its sign matrix S, (n, n_classes)."""
-    margins = S * (X @ W.T + b)
-    coef = (margins < 1.0) * S
+    """`hinge_subgradient` on float64 X and its sign matrix S, (n, n_classes).
+
+    Computes ``margins = S * (X @ W.T + b)``, ``coef = (margins < 1) * S``,
+    ``lam * W - (coef.T @ X) / n`` and ``-coef.sum(axis=0) / n`` with every
+    intermediate written into ``buffers`` (`_subgradient_buffers` of at least
+    n rows; fresh ones when omitted). The returned arrays are two of them.
+    """
     n = X.shape[0]
-    return lam * W - (coef.T @ X) / n, -coef.sum(axis=0) / n
+    if buffers is None:
+        buffers = _subgradient_buffers(n, *W.shape)
+    margins, inside, coef_X, gW, gb = buffers
+    margins, inside = margins[:n], inside[:n]
+    np.matmul(X, W.T, out=margins)
+    margins += b
+    np.multiply(S, margins, out=margins)
+    np.less(margins, 1.0, out=inside)
+    coef = np.multiply(inside, S, out=margins)
+    np.matmul(coef.T, X, out=coef_X)
+    coef_X /= n
+    np.multiply(lam, W, out=gW)
+    gW -= coef_X
+    np.add.reduce(coef, axis=0, out=gb)
+    np.negative(gb, out=gb)
+    gb /= n
+    return gW, gb
 
 
 def _sgd_step(
@@ -254,15 +307,19 @@ def _sgd_step(
     Sb: np.ndarray,
     lam: float,
     eta: np.ndarray,
+    buffers: tuple[np.ndarray, ...] | None = None,
 ) -> None:
     """One mini-batch step, updating W and b in place.
 
     Shapes: W (K, d), b (K,), Xb (B, d) the batch rows, Sb (B, K) their
-    signs, eta (K,). The step is `hinge_subgradient`'s on the batch.
+    signs, eta (K,). The step is `hinge_subgradient`'s on the batch;
+    ``buffers`` are `_signed_subgradient`'s.
     """
-    gW, gb = _signed_subgradient(W, b, Xb, Sb, lam)
-    W -= eta[:, None] * gW
-    b -= eta * gb
+    gW, gb = _signed_subgradient(W, b, Xb, Sb, lam, buffers)
+    gW *= eta[:, None]
+    W -= gW
+    gb *= eta
+    b -= gb
 
 
 def _run_sgd(
@@ -280,7 +337,8 @@ def _run_sgd(
     block's step sizes gain / (lambda * t), with t as float64. The
     block is a whole number of batches, so each step takes a slice of it
     holding exactly the rows a per-step gather would; only the epoch's last
-    batch may be short.
+    batch may be short. The steps share one set of work arrays, allocated
+    once per fit.
     """
     X = np.asarray(X, dtype=np.float64)
     y_pos = np.asarray(y_pos, dtype=np.int64)
@@ -295,29 +353,35 @@ def _run_sgd(
     b = np.zeros(n_classes)
     gain = np.ones(n_classes)
     S = _signs(y_pos, n_classes)
+    blocks = _row_blocks(n, d * n_classes)
+    scores = np.empty((n, n_classes))
+    prev_W, prev_b = np.empty_like(W), np.empty_like(b)
 
-    history = [_signed_hinge_objective(W, b, X, S, lam)]
+    history = [_signed_hinge_objective(W, b, X, S, lam, blocks, scores)]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n, d, n_classes]))
     B = _BATCH_SIZE
     block = _GATHER_BLOCK_BATCHES * B
+    buffers = _subgradient_buffers(min(B, n), n_classes, d)
+    index_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     t = 0
     for _epoch in range(cfg.epochs):
-        prev_W, prev_b = W.copy(), b.copy()
+        np.copyto(prev_W, W)
+        np.copyto(prev_b, b)
         prev_obj = history[-1]
-        perm = rng.permutation(n).astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+        perm = rng.permutation(n).astype(index_type)
         for start in range(0, n, block):
             idx = perm[start : start + block]
-            Xs, Ss = np.take(X, idx, axis=0), np.take(S, idx, axis=0)
+            Xs, Ss = X.take(idx, axis=0), S.take(idx, axis=0)
             steps = -(-idx.shape[0] // B)  # the epoch's last batch may be short
             ts = np.arange(t + 1, t + steps + 1, dtype=np.float64)
             etas = gain / (lam * ts[:, None])
             t += steps
             for j in range(steps):
                 rows = slice(j * B, (j + 1) * B)
-                _sgd_step(W, b, Xs[rows], Ss[rows], lam, etas[j])
-        obj = _signed_hinge_objective(W, b, X, S, lam)
+                _sgd_step(W, b, Xs[rows], Ss[rows], lam, etas[j], buffers)
+        obj = _signed_hinge_objective(W, b, X, S, lam, blocks, scores)
         worse = obj > prev_obj
-        if np.any(worse):
+        if worse.any():
             # reject the epoch for regressed rows and damp their step
             W[worse] = prev_W[worse]
             b[worse] = prev_b[worse]
@@ -394,8 +458,8 @@ def _line_search(
     piece it starts in; when the rows inside the margin there are those of
     that piece, the root is exact. Otherwise the search continues inside the
     bracket of the root, bisecting when a Newton step would leave it. Long
-    dot products are written as sums because OpenBLAS threads a ``dot`` of
-    more than about 10^4 elements.
+    dot products are written as sums; a ``dot`` would round them differently
+    and move the weights.
     """
     n = margins.shape[0]
     a0, a1 = lam * (w @ dw), lam * (dw @ dw)

@@ -10,8 +10,12 @@ affinity mask (``taskset -c 0`` makes it serial) and runs serially where
 Forked, not spawned: a spawned worker would pay interpreter start-up and
 the package import, and need the features pickled, which costs more than
 the small fits it would run. Forking is safe here because the package
-starts no Python threads, and OpenBLAS shuts its thread pool down before
-each ``fork`` through its own ``pthread_atfork`` handler.
+starts no Python threads, and OpenBLAS runs on the calling thread alone:
+the package sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller chose a
+count, so the workers are the only parallelism and no BLAS thread is left
+idle across a ``fork``. Where a caller asked for more BLAS threads,
+OpenBLAS's own ``pthread_atfork`` handler shuts its pool down before each
+``fork``.
 """
 
 from __future__ import annotations

@@ -498,6 +498,26 @@ def test_eval_ablation_rejects_weights(data_dir, tmp_path, capsys, n_weights):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "protocol,flag,value,message",
+    [
+        ("ablation", "--mask", "face", "ablation scores every component mask"),
+        ("ablation", "--mask", "global,face", "ablation scores every component mask"),
+        *[
+            (protocol, "--val-split", "test", "only retrieval trains on a reference split")
+            for protocol in ("recognition", "recognition-no-fill", "oneshot", "ablation", "faces-split")
+        ],
+    ],
+)
+def test_eval_rejects_flags_its_protocol_never_reads(data_dir, tmp_path, capsys, protocol, flag, value, message):
+    # the manifest would record a setting the reports do not reflect
+    out = tmp_path / "e"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    assert main(["eval", "--protocol", protocol, *data, flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} does not apply to --protocol {protocol}: {message}\n"
+    assert not out.exists()
+
+
 def test_eval_truncated_feature_header_names_the_file(data_dir, tmp_path, capsys):
     features = tmp_path / "features"
     shutil.copytree(data_dir / "features", features)
@@ -704,6 +724,34 @@ def test_cli_match_leaves_scipy_out(data_dir, tmp_path, child_env):
     proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "0 []", proc.stderr
     assert (tmp_path / "match" / "activations.tsv").is_file()
+
+
+_BLAS_THREADS = (
+    "import os; {imports}; a = np.ones((1500, 1500)); a @ a; "
+    "print(len(os.listdir('/proc/self/task')))"
+)
+
+
+def _child_threads(child_env, imports, setting=None):
+    """Threads of a fresh interpreter after a 1500 x 1500 product, with OPENBLAS_NUM_THREADS as given."""
+    env = {k: v for k, v in child_env.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    code = _BLAS_THREADS.format(imports=imports)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_cli_runs_one_blas_thread_unless_the_caller_sets_a_count(child_env):
+    assert _child_threads(child_env, "import partfusion.cli; import numpy as np") == 1
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts one thread per CPU, and this process may use one")
+    assert _child_threads(child_env, "import partfusion.cli; import numpy as np", "2") == 2
+    # numpy imported first has started its threads before the package could set the count
+    default = _child_threads(child_env, "import numpy as np")
+    assert default > 1
+    assert _child_threads(child_env, "import numpy as np; import partfusion.cli") == default
 
 
 def test_module_entry_point(tmp_path, child_env):

@@ -435,6 +435,64 @@ def test_neighbor_flags_keep_every_tie_at_the_depth_boundary(seed):
         assert np.array_equal(kept, np.asarray([neighbor_ranks[q][:depth] for q in queries])), depth
 
 
+def _lattice_retrieval_inputs(seed, n, dim, scale):
+    """n rows on 5 lattice points, times ``scale``: tie groups of ~n/5 rows straddle every depth cut."""
+    rng = np.random.default_rng(seed)
+    points = rng.choice([0.0, 0.1, 0.3, 1.0 / 3.0, 0.7], size=(5, dim))
+    emb = points[rng.integers(0, 5, size=n)] * scale
+    labels = rng.integers(0, 8, size=n)
+    ids = rng.permutation(10 * n)[:n].astype(np.int64)
+    return emb, labels, ids
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_neighbor_flags_equal_the_oracle_at_large_norms_across_query_blocks(scale):
+    # 400 queries span three query blocks; the Gram prefilter's bound grows
+    # with the norms, so scaled ties and near-ties must still rank exactly
+    n = 400
+    assert protocols._QUERY_BLOCK_BYTES // (8 * n) < n // 2
+    emb, labels, ids = _lattice_retrieval_inputs(7, n, 3, scale)
+    emb[::7] += scale * 1e-9  # near-ties, inside some Gram rounding bounds
+    _, _, neighbor_ranks = _dense_retrieval(emb, labels, ids, (1,))
+    queries = sorted(neighbor_ranks)
+    for depth in (1, 20, 79, 80, 81, 399):
+        kept = protocols._neighbor_identity_flags(emb, labels, ids, queries, depth)
+        assert np.array_equal(kept, np.asarray([neighbor_ranks[q][:depth] for q in queries])), depth
+
+    rng = np.random.default_rng(8)
+    emb = rng.dirichlet(np.full(20, 0.2), size=150) * scale
+    labels = rng.integers(0, 30, size=150)
+    ids = rng.permutation(150).astype(np.int64)
+    curve, flags, _ = _dense_retrieval(emb, labels, ids, (1, 2, 5, 10, 20))
+    rep = eval_retrieval(emb, labels, ids)
+    assert (rep.curve, rep.flags) == (curve, flags)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_retrieval_rejects_non_finite_embeddings(bad):
+    emb = np.eye(4)
+    emb[2, 1] = bad
+    with pytest.raises(ValueError, match="finite embeddings"):
+        eval_retrieval(emb, np.array([0, 0, 1, 1]), np.arange(4))
+
+
+def test_retrieval_query_blocks_bound_their_temporaries():
+    # each (query block, corpus) array is about _QUERY_BLOCK_BYTES; the
+    # embeddings themselves take 1200 * 60 * 8 bytes = 0.55 MB
+    rng = np.random.default_rng(9)
+    n, n_y = 1200, 60
+    emb = rng.dirichlet(np.full(n_y, 0.1), size=n)
+    labels = np.repeat(np.arange(n // 20), 20)
+    ids = rng.permutation(n).astype(np.int64)
+    tracemalloc.start()
+    try:
+        eval_retrieval(emb, labels, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * protocols._QUERY_BLOCK_BYTES, f"peak {peak / 2**20:.2f} MB"
+
+
 def test_retrieval_memory_is_linear_in_instances():
     # the dense tensor would take 2 * 1000^2 * 40 * 8 bytes = 640 MB here
     rng = np.random.default_rng(5)
