@@ -287,10 +287,14 @@ def cmd_eval(args) -> int:
         raise ValueError("--weights does not apply to --protocol ablation: ablation always fuses uniformly")
     if args.protocol == "ablation" and args.mask and args.mask != "all":
         raise ValueError("--mask does not apply to --protocol ablation: ablation scores every component mask")
-    if args.protocol != "retrieval" and args.val_split != "val":
-        raise ValueError(
-            f"--val-split does not apply to --protocol {args.protocol}: only retrieval trains on a reference split"
-        )
+    for flag, value, default, owner, reason in (
+        ("--val-split", args.val_split, "val", "retrieval", "only retrieval trains on a reference split"),
+        ("--shots", args.shots, "1,2,3", "oneshot", "only oneshot trains on a few shots per identity"),
+        ("--repeats", args.repeats, 10, "oneshot", "only oneshot repeats its shot draws"),
+        ("--k-list", args.k_list, "1,2,5,10,20", "retrieval", "only retrieval reports recall at K"),
+    ):
+        if args.protocol != owner and value != default:
+            raise ValueError(f"{flag} does not apply to --protocol {args.protocol}: {reason}")
     out = _out_dir(args)
     dataset = load_index(args.dataset)
     features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
@@ -422,9 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="component mask, e.g. global,face; not taken by ablation, which scores every mask",
     )
-    p.add_argument("--shots", default="1,2,3")
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--k-list", default="1,2,5,10,20")
+    p.add_argument("--shots", default="1,2,3", help="comma-separated shot counts; taken by oneshot only")
+    p.add_argument("--repeats", type=int, default=10, help="draws per shot count; taken by oneshot only")
+    p.add_argument("--k-list", default="1,2,5,10,20", help="comma-separated K of recall@K; taken by retrieval only")
     p.add_argument("--no-face", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -60,7 +60,7 @@ class Detection:
     activations: tuple[tuple[int, BBox, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise ValueError("detection score must be finite")
         part_ids = [a[0] for a in self.activations]
         if len(part_ids) != len(set(part_ids)):
@@ -217,30 +217,18 @@ def _opt_value(aug: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     return float(sub[r, c].sum())
 
 
-def match_detections(
-    truths: list[Instance],
-    detections: list[Detection],
-    tau_iou: float = 0.3,
-    lam: float = 0.5,
-) -> Assignment:
-    """Optimal truth-to-detection assignment for one photo.
+def _forced_pairs(adm: np.ndarray, W: np.ndarray) -> list[tuple[int, int]]:
+    """(row, col) pairs of the lexicographically smallest optimal matching.
 
-    Deterministic: among optimal matchings, returns the one whose sorted
-    (truth_id, detection_id) pair list is lexicographically smallest, found
-    by greedily forcing the smallest pair that keeps optimality attainable.
+    Greedily forces, in row then column order, each admissible edge that
+    keeps the optimal augmented total attainable over the rows and columns
+    still free.
     """
-    if not (0.0 <= tau_iou <= 1.0 and 0.0 <= lam <= 1.0):
-        raise ValueError("tau_iou and lambda must lie in [0, 1]")
-    truths, detections = _sorted_inputs(truths, detections)
-    if not truths or not detections:
-        return _assignment_from_pairs([], truths, detections, 0.0)
-
-    adm, W = _edge_weights(truths, detections, tau_iou, lam)
     aug = _augmented(adm, W)
     n, m = aug.shape
     opt = _opt_value(aug, np.arange(n), np.arange(m))
 
-    forced: list[tuple[int, int]] = []  # (row, col) indices
+    forced: list[tuple[int, int]] = []
     forced_sum = 0.0
     free_rows = np.ones(n, dtype=bool)
     free_cols = np.ones(m, dtype=bool)
@@ -259,6 +247,35 @@ def match_detections(
                 free_rows[i] = False
                 free_cols[j] = False
                 break
+    return forced
+
+
+def match_detections(
+    truths: list[Instance],
+    detections: list[Detection],
+    tau_iou: float = 0.3,
+    lam: float = 0.5,
+) -> Assignment:
+    """Optimal truth-to-detection assignment for one photo.
+
+    Deterministic: among optimal matchings, returns the one whose sorted
+    (truth_id, detection_id) pair list is lexicographically smallest, found
+    by greedily forcing the smallest pair that keeps optimality attainable.
+    When no truth and no detection has more than one admissible edge, the
+    edges are disjoint and together form the only optimal matching, which
+    forcing would return edge by edge; it is returned without a solve.
+    """
+    if not (0.0 <= tau_iou <= 1.0 and 0.0 <= lam <= 1.0):
+        raise ValueError("tau_iou and lambda must lie in [0, 1]")
+    truths, detections = _sorted_inputs(truths, detections)
+    if not truths or not detections:
+        return _assignment_from_pairs([], truths, detections, 0.0)
+
+    adm, W = _edge_weights(truths, detections, tau_iou, lam)
+    if adm.sum(axis=0).max() <= 1 and adm.sum(axis=1).max() <= 1:
+        forced = np.argwhere(adm).tolist()
+    else:
+        forced = _forced_pairs(adm, W)
 
     pairs = [(truths[i].instance_id, detections[j].detection_id) for i, j in forced]
     weight = float(sum(W[i, j] for i, j in forced))

@@ -202,7 +202,36 @@ def _label(split: str, idx: int) -> str:
     return f"{split}_{idx:04d}"
 
 
+class _Doubles:
+    """``n`` doubles drawn at once from a generator, handed out in draw order.
+
+    ``random()`` and ``uniform(lo, hi)`` return what the generator's own
+    one-value calls would have returned at that point of its stream: numpy
+    draws ``uniform`` as ``lo + (hi - lo) * u`` from one double ``u``.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int) -> None:
+        self._next = iter(rng.random(n).tolist()).__next__
+
+    def random(self) -> float:
+        return self._next()
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self._next()
+
+
 def generate(cfg: SynthConfig) -> SynthData:
+    """Draw the benchmark; everything follows from ``cfg``, seed included.
+
+    Each split has one generator per stream: counts, poses, activation
+    coins, photos (group sizes and head boxes), detections, prototypes, and
+    each part's noise. Instances are numbered identity by identity, and the
+    per-instance streams (poses, coins, each part's noise over the instances
+    it activates on) are drawn as whole arrays in that order. The detection
+    stream is drawn ahead as one array of doubles, and each photo's head
+    boxes as one array after its group size, so every generator yields the
+    values that one draw per instance, part and coordinate would.
+    """
     registry = cfg.registry()
     sigma = cfg.sigma_vector()
     info = cfg.informativeness_vector()
@@ -211,8 +240,7 @@ def generate(cfg: SynthConfig) -> SynthData:
 
     records: list[tuple] = []
     poses: dict[int, int] = {}
-    active: dict[int, np.ndarray] = {}  # instance_id -> bool per part
-    feat_ids: dict[int, list[int]] = {p: [] for p in range(n_parts)}
+    feat_ids: dict[int, list[np.ndarray]] = {p: [] for p in range(n_parts)}
     feat_rows: dict[int, list[np.ndarray]] = {p: [] for p in range(n_parts)}
     detections: dict[int, list[Detection]] = {}
 
@@ -238,34 +266,31 @@ def generate(cfg: SynthConfig) -> SynthData:
         }
 
         counts = rng_count.integers(cfg.instances_min, cfg.instances_max + 1, cfg.n_identities)
-        split_instances: list[tuple[int, int, str]] = []  # (instance_id, identity idx, label)
-
-        for ident in range(cfg.n_identities):
-            label = _label(split, ident)
-            for _k in range(int(counts[ident])):
-                iid = next_instance
-                next_instance += 1
-                pose = int(rng_pose.integers(cfg.pose_states))
-                poses[iid] = pose
-                mask = rng_act.random(n_parts) < act_prob[:, pose]
-                mask[GLOBAL_PART_ID] = True
-                active[iid] = mask
-                for p in range(n_parts):
-                    if mask[p]:
-                        row = protos[p][ident] + rng_noise[p].normal(0.0, sigma[p], d)
-                        feat_ids[p].append(iid)
-                        feat_rows[p].append(row)
-                split_instances.append((iid, ident, label))
+        ident = np.repeat(np.arange(cfg.n_identities), counts)  # row r is instance first_iid + r
+        n = ident.size
+        first_iid = next_instance
+        next_instance += n
+        iids = np.arange(first_iid, next_instance, dtype=np.int64)
+        pose = rng_pose.integers(cfg.pose_states, size=n)
+        poses.update(zip(iids.tolist(), pose.tolist()))
+        active = rng_act.random((n, n_parts)) < act_prob[:, pose].T
+        active[:, GLOBAL_PART_ID] = True
+        for p in range(n_parts):
+            rows = np.flatnonzero(active[:, p])
+            feat_ids[p].append(iids[rows])
+            feat_rows[p].append(protos[p][ident[rows]] + rng_noise[p].normal(0.0, sigma[p], (rows.size, d)))
+        labels = [_label(split, i) for i in range(cfg.n_identities)]
+        split_instances = [(iid, i, labels[i]) for iid, i in zip(iids.tolist(), ident.tolist())]
+        # a detection takes a miss coin, then two jitters, a score per active
+        # non-global part and its own score
+        det = _Doubles(rng_det, 4 * n + int(active[:, 1:].sum()))
 
         # uploaders round-robin over the instance stream; photos group 1-3
         # same-uploader instances, never repeating an identity inside a photo
         uploader_base = split_idx * cfg.n_uploaders
         by_uploader: dict[int, list[tuple[int, int, str]]] = {}
-        uploader_of: dict[int, int] = {}
         for pos, item in enumerate(split_instances):
-            uid = uploader_base + (pos % cfg.n_uploaders)
-            uploader_of[item[0]] = uid
-            by_uploader.setdefault(uid, []).append(item)
+            by_uploader.setdefault(uploader_base + (pos % cfg.n_uploaders), []).append(item)
 
         for uid in sorted(by_uploader):
             pool = by_uploader[uid]
@@ -283,35 +308,37 @@ def generate(cfg: SynthConfig) -> SynthData:
                 photo_id = next_photo
                 next_photo += 1
                 album_id = uid * 1000 + (photo_id % 7)
+                box = _Doubles(rng_photo, 4 * len(group))
                 dets: list[Detection] = []
-                for slot, (iid, ident, label) in enumerate(group):
-                    w = float(rng_photo.uniform(18.0, 30.0))
-                    h = w * float(rng_photo.uniform(0.9, 1.2))
-                    x = 10.0 + 70.0 * slot + float(rng_photo.uniform(-5.0, 5.0))
-                    y = 15.0 + float(rng_photo.uniform(-5.0, 5.0))
+                for slot, (iid, _ident, label) in enumerate(group):
+                    w = box.uniform(18.0, 30.0)
+                    h = w * box.uniform(0.9, 1.2)
+                    x = 10.0 + 70.0 * slot + box.uniform(-5.0, 5.0)
+                    y = 15.0 + box.uniform(-5.0, 5.0)
                     head = BBox(x, y, w, h)
                     records.append((iid, photo_id, album_id, uid, head, label, split))
-                    if rng_det.random() < cfg.detection_miss:
+                    if det.random() < cfg.detection_miss:
                         continue
                     body = body_from_head(head)
-                    jx = float(rng_det.uniform(-0.05, 0.05)) * body.w
-                    jy = float(rng_det.uniform(-0.05, 0.05)) * body.h
+                    jx = det.uniform(-0.05, 0.05) * body.w
+                    jy = det.uniform(-0.05, 0.05) * body.h
                     person = BBox(body.x + jx, body.y + jy, body.w, body.h)
                     acts = []
+                    row = active[iid - first_iid].tolist()
                     for p in range(1, n_parts):
-                        if active[iid][p]:
+                        if row[p]:
                             patch = BBox(
                                 person.x + (p % 3) * person.w / 3.0,
                                 person.y + (p // 3) * person.h / 4.0,
                                 person.w / 3.0,
                                 person.h / 4.0,
                             )
-                            acts.append((p, patch, float(rng_det.uniform(0.5, 1.0))))
+                            acts.append((p, patch, det.uniform(0.5, 1.0)))
                     dets.append(
                         Detection(
                             next_detection,
                             person,
-                            float(rng_det.uniform(0.5, 1.0)),
+                            det.uniform(0.5, 1.0),
                             tuple(acts),
                         )
                     )
@@ -320,12 +347,7 @@ def generate(cfg: SynthConfig) -> SynthData:
                     detections[photo_id] = dets
 
     features = {
-        p: FeatureMatrix(
-            p,
-            np.asarray(feat_ids[p], dtype=np.int64),
-            np.asarray(feat_rows[p], dtype=np.float64).reshape(len(feat_rows[p]), d),
-            normalized=False,
-        ).normalized_copy()
+        p: FeatureMatrix(p, np.concatenate(feat_ids[p]), np.concatenate(feat_rows[p])).normalized_copy()
         for p in range(n_parts)
     }
     dataset = dataset_from_records(records)

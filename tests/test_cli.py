@@ -507,6 +507,18 @@ def test_eval_ablation_rejects_weights(data_dir, tmp_path, capsys, n_weights):
             (protocol, "--val-split", "test", "only retrieval trains on a reference split")
             for protocol in ("recognition", "recognition-no-fill", "oneshot", "ablation", "faces-split")
         ],
+        *[
+            (protocol, flag, value, message)
+            for protocol in ("recognition", "recognition-no-fill", "retrieval", "ablation", "faces-split")
+            for flag, value, message in (
+                ("--shots", "9", "only oneshot trains on a few shots per identity"),
+                ("--repeats", "3", "only oneshot repeats its shot draws"),
+            )
+        ],
+        *[
+            (protocol, "--k-list", "5", "only retrieval reports recall at K")
+            for protocol in ("recognition", "recognition-no-fill", "oneshot", "ablation", "faces-split")
+        ],
     ],
 )
 def test_eval_rejects_flags_its_protocol_never_reads(data_dir, tmp_path, capsys, protocol, flag, value, message):

@@ -360,3 +360,63 @@ class TestDetectionFile:
         path.write_text("1\t1\t0\t0\t10\t10\t0.5" + group + group + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:1: a part may appear at most once")):
             load_detections(path)
+
+
+def _forcing_assignment(truths, dets, tau_iou, lam):
+    """match_detections through the general forcing path, whatever the photo's shape."""
+    truths, dets = matching._sorted_inputs(truths, dets)
+    adm, W = matching._edge_weights(truths, dets, tau_iou, lam)
+    forced = matching._forced_pairs(adm, W)
+    pairs = [(truths[i].instance_id, dets[j].detection_id) for i, j in forced]
+    return matching._assignment_from_pairs(pairs, truths, dets, float(sum(W[i, j] for i, j in forced)))
+
+
+def _matching_shaped_photo(rng):
+    """Truths 400 apart; each has at most one detection near its body, and some detections sit far from all."""
+    truths = [
+        _truth(i + 1, x=400.0 * i + float(rng.uniform(0, 50)), y=float(rng.uniform(0, 50)),
+               w=float(rng.uniform(8, 40)), h=float(rng.uniform(8, 40)))
+        for i in range(int(rng.integers(1, 8)))
+    ]
+    boxes = []
+    for t in truths:
+        if rng.random() < 0.7:
+            body = body_from_head(t.head)
+            shift, scale = float(rng.uniform(-0.3, 0.3)), float(rng.uniform(0.7, 1.3))
+            boxes.append(BBox(body.x + shift * body.w, body.y + shift * body.h, body.w * scale, body.h * scale))
+    for _ in range(int(rng.integers(0, 3))):
+        boxes.append(BBox(10_000.0 + float(rng.uniform(0, 300)), 0.0, 40.0, 80.0))
+    det_ids = rng.permutation(len(boxes)) + 1
+    dets = [Detection(int(k), box, float(rng.uniform(0, 1)), ()) for k, box in zip(det_ids, boxes)]
+    return truths, dets
+
+
+def _is_matching_shaped(truths, dets, tau_iou):
+    truths, dets = matching._sorted_inputs(truths, dets)
+    adm, _ = matching._edge_weights(truths, dets, tau_iou, 0.5)
+    return adm.sum(axis=0).max() <= 1 and adm.sum(axis=1).max() <= 1
+
+
+def test_matcher_fast_path_equals_both_oracles():
+    rng = np.random.default_rng(19)
+    photos = [(*_matching_shaped_photo(rng), 0.3) for _ in range(150)]
+    photos += [(*_random_photo(rng), 0.3) for _ in range(150)]
+    photos += [(*_random_photo(rng, max_side=6), 0.0) for _ in range(60)]
+    shaped = 0
+    for truths, dets, tau_iou in photos:
+        if not truths or not dets:
+            continue
+        lam = float(rng.uniform(0, 1))
+        a = match_detections(truths, dets, tau_iou=tau_iou, lam=lam)
+        b = match_bruteforce(truths, dets, tau_iou=tau_iou, lam=lam)
+        c = _forcing_assignment(truths, dets, tau_iou, lam)
+        assert a == b == c
+        assert a.total_weight == c.total_weight
+        if _is_matching_shaped(truths, dets, tau_iou):
+            shaped += 1
+            assert a.total_weight == b.total_weight
+        else:
+            assert a.total_weight == pytest.approx(b.total_weight, abs=1e-9)
+        if tau_iou == 0.0 and len(truths) * len(dets) > 1:
+            assert not _is_matching_shaped(truths, dets, tau_iou)  # a complete graph
+    assert 150 <= shaped < 300

@@ -7,8 +7,11 @@ import pytest
 from scipy import stats
 
 from partfusion import FusionWeights, SynthConfig, generate
+from partfusion.data import GLOBAL_PART_ID, FeatureMatrix, dataset_from_records
+from partfusion.geometry import BBox, body_from_head
+from partfusion.matching import Detection
 from partfusion.protocols import eval_recognition
-from partfusion.synth import config_from_json, planted_config, write_synth
+from partfusion.synth import SynthData, config_from_json, planted_config, write_synth
 
 
 def _small(**over):
@@ -23,6 +26,150 @@ def _small(**over):
     )
     base.update(over)
     return SynthConfig(**base)
+
+
+def _scalar_generate(cfg: SynthConfig) -> SynthData:
+    """The generator as first written: one draw per instance, part and coordinate.
+
+    Kept as the oracle for `generate`, whose whole-array draws must yield the
+    same values from every stream.
+    """
+    registry = cfg.registry()
+    sigma = cfg.sigma_vector()
+    info = cfg.informativeness_vector()
+    act_prob = cfg.activation_matrix()
+    n_parts, d = cfg.n_parts, cfg.feature_dim
+
+    records: list[tuple] = []
+    poses: dict[int, int] = {}
+    active: dict[int, np.ndarray] = {}  # instance_id -> bool per part
+    feat_ids: dict[int, list[int]] = {p: [] for p in range(n_parts)}
+    feat_rows: dict[int, list[np.ndarray]] = {p: [] for p in range(n_parts)}
+    detections: dict[int, list[Detection]] = {}
+
+    next_instance = 1
+    next_photo = 1
+    next_detection = 1
+
+    for split_idx, split in enumerate(cfg.splits):
+        rng_count = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, split_idx]))
+        rng_pose = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, split_idx]))
+        rng_act = np.random.default_rng(np.random.SeedSequence([cfg.seed, 4, split_idx]))
+        rng_photo = np.random.default_rng(np.random.SeedSequence([cfg.seed, 5, split_idx]))
+        rng_det = np.random.default_rng(np.random.SeedSequence([cfg.seed, 6, split_idx]))
+        rng_noise = {
+            p: np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, split_idx, p]))
+            for p in range(n_parts)
+        }
+        rng_proto = np.random.default_rng(np.random.SeedSequence([cfg.seed, 8, split_idx]))
+        # prototypes per part: (n_identities, d), scaled by that part's informativeness
+        protos = {
+            p: rng_proto.normal(0.0, 1.0, (cfg.n_identities, d)) * info[p]
+            for p in range(n_parts)
+        }
+
+        counts = rng_count.integers(cfg.instances_min, cfg.instances_max + 1, cfg.n_identities)
+        split_instances: list[tuple[int, int, str]] = []  # (instance_id, identity idx, label)
+
+        for ident in range(cfg.n_identities):
+            label = f"{split}_{ident:04d}"
+            for _k in range(int(counts[ident])):
+                iid = next_instance
+                next_instance += 1
+                pose = int(rng_pose.integers(cfg.pose_states))
+                poses[iid] = pose
+                mask = rng_act.random(n_parts) < act_prob[:, pose]
+                mask[GLOBAL_PART_ID] = True
+                active[iid] = mask
+                for p in range(n_parts):
+                    if mask[p]:
+                        row = protos[p][ident] + rng_noise[p].normal(0.0, sigma[p], d)
+                        feat_ids[p].append(iid)
+                        feat_rows[p].append(row)
+                split_instances.append((iid, ident, label))
+
+        # uploaders round-robin over the instance stream; photos group 1-3
+        # same-uploader instances, never repeating an identity inside a photo
+        uploader_base = split_idx * cfg.n_uploaders
+        by_uploader: dict[int, list[tuple[int, int, str]]] = {}
+        uploader_of: dict[int, int] = {}
+        for pos, item in enumerate(split_instances):
+            uid = uploader_base + (pos % cfg.n_uploaders)
+            uploader_of[item[0]] = uid
+            by_uploader.setdefault(uid, []).append(item)
+
+        for uid in sorted(by_uploader):
+            pool = by_uploader[uid]
+            pos = 0
+            while pos < len(pool):
+                size = int(rng_photo.integers(1, 4))
+                group: list[tuple[int, int, str]] = []
+                seen_idents: set[int] = set()
+                while pos < len(pool) and len(group) < size:
+                    if pool[pos][1] in seen_idents:
+                        break
+                    group.append(pool[pos])
+                    seen_idents.add(pool[pos][1])
+                    pos += 1
+                photo_id = next_photo
+                next_photo += 1
+                album_id = uid * 1000 + (photo_id % 7)
+                dets: list[Detection] = []
+                for slot, (iid, ident, label) in enumerate(group):
+                    w = float(rng_photo.uniform(18.0, 30.0))
+                    h = w * float(rng_photo.uniform(0.9, 1.2))
+                    x = 10.0 + 70.0 * slot + float(rng_photo.uniform(-5.0, 5.0))
+                    y = 15.0 + float(rng_photo.uniform(-5.0, 5.0))
+                    head = BBox(x, y, w, h)
+                    records.append((iid, photo_id, album_id, uid, head, label, split))
+                    if rng_det.random() < cfg.detection_miss:
+                        continue
+                    body = body_from_head(head)
+                    jx = float(rng_det.uniform(-0.05, 0.05)) * body.w
+                    jy = float(rng_det.uniform(-0.05, 0.05)) * body.h
+                    person = BBox(body.x + jx, body.y + jy, body.w, body.h)
+                    acts = []
+                    for p in range(1, n_parts):
+                        if active[iid][p]:
+                            patch = BBox(
+                                person.x + (p % 3) * person.w / 3.0,
+                                person.y + (p // 3) * person.h / 4.0,
+                                person.w / 3.0,
+                                person.h / 4.0,
+                            )
+                            acts.append((p, patch, float(rng_det.uniform(0.5, 1.0))))
+                    dets.append(
+                        Detection(
+                            next_detection,
+                            person,
+                            float(rng_det.uniform(0.5, 1.0)),
+                            tuple(acts),
+                        )
+                    )
+                    next_detection += 1
+                if dets:
+                    detections[photo_id] = dets
+
+    features = {
+        p: FeatureMatrix(
+            p,
+            np.asarray(feat_ids[p], dtype=np.int64),
+            np.asarray(feat_rows[p], dtype=np.float64).reshape(len(feat_rows[p]), d),
+            normalized=False,
+        ).normalized_copy()
+        for p in range(n_parts)
+    }
+    dataset = dataset_from_records(records)
+    return SynthData(
+        config=cfg,
+        registry=registry,
+        records=records,
+        dataset=dataset,
+        features=features,
+        detections=detections,
+        poses=poses,
+        activation_prob=act_prob,
+    )
 
 
 class TestGenerate:
@@ -167,3 +314,37 @@ class TestPlantedConfig:
             data.dataset, data.features, data.registry, fw, "val", 0, "poselets"
         )
         assert report.accuracy > 0.5
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {},
+        dataclasses.asdict(SynthConfig(n_identities=6)),  # the defaults: 8 poselets, 32 dims, both splits
+        dict(splits=("val", "test"), n_identities=12, instances_min=3, instances_max=9),
+        dict(instances_min=2, instances_max=7, n_identities=9),
+        dict(detection_miss=0.0),
+        dict(detection_miss=1.0),
+        dict(detection_miss=0.4, activation_prob=0.0),
+        dict(activation_prob=1.0),
+        dict(include_face=False),
+        dict(pose_states=1),
+        dict(pose_states=7, noise_sigma=0.0),
+        dict(noise_sigma=(0.0, 1.0, 2.0, 3.0, 0.5), informativeness=0.0, seed=913),
+    ],
+)
+def test_generate_matches_the_scalar_generator(tmp_path, over):
+    cfg = _small(**over)
+    got, want = generate(cfg), _scalar_generate(cfg)
+    assert got.records == want.records
+    assert got.poses == want.poses
+    assert got.detections == want.detections
+    assert set(got.features) == set(want.features)
+    for p, fm in want.features.items():
+        assert got.features[p].instance_ids.tobytes() == fm.instance_ids.tobytes()
+        assert got.features[p].X.tobytes() == fm.X.tobytes()
+    files = write_synth(got, tmp_path / "got")
+    oracle = write_synth(want, tmp_path / "want")
+    assert [p.relative_to(tmp_path / "got") for p in files] == [p.relative_to(tmp_path / "want") for p in oracle]
+    for a, b in zip(files, oracle):
+        assert a.read_bytes() == b.read_bytes(), a.name
