@@ -33,6 +33,6 @@ print("inactive part fill      ", inactive)
 
 # fusion is a weighted sum of the filled distributions, one row per instance
 fw = FusionWeights(np.array([1.0, 1.5]))
-fused = fuse_matrix({0: p0[None, :], 1: filled[None, :]}, fw)[0]
+fused = fuse_matrix([(0, p0[None, :]), (1, filled[None, :])], fw)[0]
 print("fused scores            ", fused)
 print("predicted identity      ", int(np.argmax(fused)))

@@ -35,7 +35,7 @@ from .fusion import (
     write_prob_table,
     write_weights,
 )
-from .matching import activations_per_instance, load_detections, match_detections
+from .matching import LAMBDA_SCORE, activations_per_instance, load_detections, match_detections
 from .protocols import (
     DEFAULT_TRAIN_CFG,
     eval_ablation,
@@ -149,7 +149,7 @@ def cmd_match(args) -> int:
     for photo_id in sorted(by_photo_truths):
         truths = by_photo_truths[photo_id]
         dets = by_photo_dets.get(photo_id, [])
-        assignment = match_detections(truths, dets, args.tau_iou, args.lambda_score)
+        assignment = match_detections(truths, dets, args.tau_iou)
         table = activations_per_instance(assignment, truths, dets)
         for iid in sorted(table):
             for part_id, patch, act in table[iid]:
@@ -173,7 +173,7 @@ def cmd_match(args) -> int:
         "dataset": args.dataset,
         "detections": args.detections,
         "tau_iou": args.tau_iou,
-        "lambda_score": args.lambda_score,
+        "lambda_score": LAMBDA_SCORE,
     }
     _write_manifest(
         out, "match", config, [Path(args.dataset), Path(args.detections)], [act_path], args.seed
@@ -377,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--tau-iou", type=float, default=0.3)
-    p.add_argument("--lambda-score", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_match)

@@ -237,17 +237,14 @@ def read_weights(path: str | Path) -> FusionWeights:
     return FusionWeights(np.asarray([w[i] for i in range(len(w))]), 0.0 if bias is None else bias)
 
 
-def fuse_matrix(
-    prob: dict[int, np.ndarray] | Iterable[tuple[int, np.ndarray]], fw: FusionWeights
-) -> np.ndarray:
+def fuse_matrix(prob: Iterable[tuple[int, np.ndarray]], fw: FusionWeights) -> np.ndarray:
     """Weighted sum of per-part probability matrices (rows aligned across parts).
 
-    ``prob`` maps part ids to matrices, or yields (part id, matrix) pairs in
-    ascending part order, so each part can be fused as it is computed. Either
-    way the sum runs in ascending part order: s = w_0 P_0, then s = s + w_k P_k.
+    ``prob`` yields (part id, matrix) pairs in ascending part order, so each
+    part can be fused as it is computed: s = w_0 P_0, then s = s + w_k P_k.
     """
     s: np.ndarray | None = None
-    for part_id, P in sorted(prob.items()) if isinstance(prob, dict) else prob:
+    for part_id, P in prob:
         if part_id >= len(fw):
             raise ValueError(f"no fusion weight for part {part_id}")
         s = fw.w[part_id] * P if s is None else s + fw.w[part_id] * P

@@ -39,6 +39,7 @@ from .geometry import BBox, body_from_head, iou
 __all__ = [
     "Assignment",
     "Detection",
+    "LAMBDA_SCORE",
     "activations_per_instance",
     "load_detections",
     "match_bruteforce",
@@ -47,6 +48,8 @@ __all__ = [
     "write_detections",
 ]
 
+# The weight of the normalized detection score in an edge weight; the IoU takes the rest.
+LAMBDA_SCORE = 0.5
 _WEIGHT_EPS = 1e-9
 
 
@@ -254,7 +257,7 @@ def match_detections(
     truths: list[Instance],
     detections: list[Detection],
     tau_iou: float = 0.3,
-    lam: float = 0.5,
+    lam: float = LAMBDA_SCORE,
 ) -> Assignment:
     """Optimal truth-to-detection assignment for one photo.
 
@@ -286,7 +289,7 @@ def match_bruteforce(
     truths: list[Instance],
     detections: list[Detection],
     tau_iou: float = 0.3,
-    lam: float = 0.5,
+    lam: float = LAMBDA_SCORE,
 ) -> Assignment:
     """Exhaustive-enumeration oracle with the same semantics as match_detections.
 

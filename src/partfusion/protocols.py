@@ -166,21 +166,9 @@ def _kept_instances(
     return kept, local_of, len(counts) - len(keep), len(instances) - len(kept)
 
 
-def _normalized(features: dict[int, FeatureMatrix], ids: np.ndarray | None = None) -> dict[int, FeatureMatrix]:
-    """L2-normalized features; given ``ids``, only the rows of those instances.
-
-    Each part keeps the rows of ``ids`` it has. `l2_normalize_rows` works row
-    by row, so a row normalized here equals its row in
-    `FeatureMatrix.normalized_copy`.
-    """
-    if ids is None:
-        return {pid: fm.normalized_copy() for pid, fm in features.items()}
-    ids = np.unique(ids)
-    out: dict[int, FeatureMatrix] = {}
-    for pid, fm in features.items():
-        held = ids[fm.contains(ids)]
-        out[pid] = FeatureMatrix(pid, held, fm.rows(held), fm.normalized).normalized_copy()
-    return out
+def _normalized(features: dict[int, FeatureMatrix]) -> dict[int, FeatureMatrix]:
+    """L2-normalized features; an already-normalized part passes through uncopied."""
+    return {pid: fm.normalized_copy() for pid, fm in features.items()}
 
 
 def _train_part_models(
@@ -624,12 +612,12 @@ def build_identity_embeddings(
 ) -> np.ndarray:
     """(len(ids), reference identities) fused probability rows of the instances, from the masked parts.
 
-    Only the rows of ``ids`` are L2-normalized; the reference models must
-    include a trained global model.
+    Raw features are L2-normalized first; the reference models must include
+    a trained global model.
     """
     if ref.models.get(GLOBAL_PART_ID) is None:
         raise ValueError("reference models must include a trained global model")
-    parts = _part_probabilities(ref.models, _normalized(features, ids), ids, ref.n_identities, mask_ids, fill=True)
+    parts = _part_probabilities(ref.models, _normalized(features), ids, ref.n_identities, mask_ids, fill=True)
     return fuse_matrix(((pid, P) for pid, P, _ in parts), fw)
 
 

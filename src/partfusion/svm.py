@@ -8,7 +8,8 @@ schedule is eta_t = g_c / (lambda * t) with lambda = 1 / (C * n) and a gain
 g_c per class that starts at 1. The loop gathers the rows of 128 mini-batches
 with one ``np.take`` and computes their step sizes in one division, so each
 step works on slice views of that block; the batches, their order and every
-update stay those of a gather per step.
+update stay those of a gather per step. Each step is `hinge_subgradient`'s
+update on its batch, taken inline in work arrays allocated once per fit.
 
 The recorded objective history is non-increasing per class by construction:
 at each epoch boundary the full-data objective is evaluated, and any class
@@ -161,6 +162,14 @@ def _signs(y_pos: np.ndarray, n_classes: int) -> np.ndarray:
     return np.where(y_pos[:, None] == np.arange(n_classes)[None, :], 1.0, -1.0)
 
 
+def _checked_signs(X: np.ndarray, y_pos: np.ndarray, n_classes: int) -> np.ndarray:
+    """`_signs` of a caller's ``y_pos``, which holds one class row position in [0, n_classes) per row of X."""
+    y_pos = np.asarray(y_pos)
+    if y_pos.shape != (X.shape[0],) or y_pos.dtype.kind not in "iu" or np.any((y_pos < 0) | (y_pos >= n_classes)):
+        raise ValueError(f"y_pos must hold one integer in [0, {n_classes}) per row of X ({X.shape[0]})")
+    return _signs(y_pos, n_classes)
+
+
 def _row_blocks(n: int, multiply_adds_per_row: int) -> list[slice]:
     """Row blocks of about `_BLOCK_MULTIPLY_ADDS` for a product with a weight matrix.
 
@@ -181,10 +190,9 @@ def _row_blocked_scores(
     X: np.ndarray,
     W: np.ndarray,
     b: np.ndarray,
-    blocks: list[slice] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``X @ W.T + b``, one product per block of `_row_blocks` (or of ``blocks``), into ``out`` when given.
+    """``X @ W.T + b``, one product per block of `_row_blocks`, into ``out`` when given.
 
     A dataset of at most one block takes a single product. For larger ones
     the blocks fix the bits: with more than about 130 classes, OpenBLAS may
@@ -193,7 +201,7 @@ def _row_blocked_scores(
     """
     if out is None:
         out = np.empty((X.shape[0], W.shape[0]))
-    for rows in blocks if blocks is not None else _row_blocks(X.shape[0], X.shape[1] * W.shape[0]):
+    for rows in _row_blocks(X.shape[0], X.shape[1] * W.shape[0]):
         np.matmul(X[rows], W.T, out=out[rows])
     out += b
     return out
@@ -214,7 +222,7 @@ def hinge_objective(
     positions (0-based). The bias is unregularized.
     """
     X = np.asarray(X, dtype=np.float64)
-    return _signed_hinge_objective(W, b, X, _signs(np.asarray(y_pos), W.shape[0]), lam)
+    return _signed_hinge_objective(W, b, X, _checked_signs(X, y_pos, W.shape[0]), lam)
 
 
 def _signed_hinge_objective(
@@ -223,15 +231,13 @@ def _signed_hinge_objective(
     X: np.ndarray,
     S: np.ndarray,
     lam: float,
-    blocks: list[slice] | None = None,
     scores: np.ndarray | None = None,
 ) -> np.ndarray:
     """`hinge_objective` on float64 X and its sign matrix S, (n, n_classes).
 
-    ``blocks``, when given, are ``X``'s `_row_blocks` for this weight shape;
-    ``scores``, an (n, n_classes) array the margins and hinges overwrite.
+    ``scores``, when given, is an (n, n_classes) array the margins and hinges overwrite.
     """
-    hinge = _row_blocked_scores(X, W, b, blocks, scores)
+    hinge = _row_blocked_scores(X, W, b, scores)
     np.multiply(S, hinge, out=hinge)
     np.subtract(1.0, hinge, out=hinge)
     np.maximum(0.0, hinge, out=hinge)
@@ -251,75 +257,10 @@ def hinge_subgradient(
     subgradient choice.
     """
     X = np.asarray(X, dtype=np.float64)
-    return _signed_subgradient(W, b, X, _signs(np.asarray(y_pos), W.shape[0]), lam)
-
-
-def _subgradient_buffers(rows: int, n_classes: int, d: int) -> tuple[np.ndarray, ...]:
-    """Work arrays of `_signed_subgradient` for up to ``rows`` rows."""
-    return (
-        np.empty((rows, n_classes)),
-        np.empty((rows, n_classes), dtype=bool),
-        np.empty((n_classes, d)),
-        np.empty((n_classes, d)),
-        np.empty(n_classes),
-    )
-
-
-def _signed_subgradient(
-    W: np.ndarray,
-    b: np.ndarray,
-    X: np.ndarray,
-    S: np.ndarray,
-    lam: float,
-    buffers: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`hinge_subgradient` on float64 X and its sign matrix S, (n, n_classes).
-
-    Computes ``margins = S * (X @ W.T + b)``, ``coef = (margins < 1) * S``,
-    ``lam * W - (coef.T @ X) / n`` and ``-coef.sum(axis=0) / n`` with every
-    intermediate written into ``buffers`` (`_subgradient_buffers` of at least
-    n rows; fresh ones when omitted). The returned arrays are two of them.
-    """
+    S = _checked_signs(X, y_pos, W.shape[0])
+    coef = (S * (X @ W.T + b) < 1.0) * S
     n = X.shape[0]
-    if buffers is None:
-        buffers = _subgradient_buffers(n, *W.shape)
-    margins, inside, coef_X, gW, gb = buffers
-    margins, inside = margins[:n], inside[:n]
-    np.matmul(X, W.T, out=margins)
-    margins += b
-    np.multiply(S, margins, out=margins)
-    np.less(margins, 1.0, out=inside)
-    coef = np.multiply(inside, S, out=margins)
-    np.matmul(coef.T, X, out=coef_X)
-    coef_X /= n
-    np.multiply(lam, W, out=gW)
-    gW -= coef_X
-    np.add.reduce(coef, axis=0, out=gb)
-    np.negative(gb, out=gb)
-    gb /= n
-    return gW, gb
-
-
-def _sgd_step(
-    W: np.ndarray,
-    b: np.ndarray,
-    Xb: np.ndarray,
-    Sb: np.ndarray,
-    lam: float,
-    eta: np.ndarray,
-    buffers: tuple[np.ndarray, ...] | None = None,
-) -> None:
-    """One mini-batch step, updating W and b in place.
-
-    Shapes: W (K, d), b (K,), Xb (B, d) the batch rows, Sb (B, K) their
-    signs, eta (K,). The step is `hinge_subgradient`'s on the batch;
-    ``buffers`` are `_signed_subgradient`'s.
-    """
-    gW, gb = _signed_subgradient(W, b, Xb, Sb, lam, buffers)
-    gW *= eta[:, None]
-    W -= gW
-    gb *= eta
-    b -= gb
+    return lam * W - (coef.T @ X) / n, -coef.sum(axis=0) / n
 
 
 def _run_sgd(
@@ -337,8 +278,8 @@ def _run_sgd(
     block's step sizes gain / (lambda * t), with t as float64. The
     block is a whole number of batches, so each step takes a slice of it
     holding exactly the rows a per-step gather would; only the epoch's last
-    batch may be short. The steps share one set of work arrays, allocated
-    once per fit.
+    batch may be short. Each step takes `hinge_subgradient`'s update on its
+    batch, in work arrays allocated once per fit.
     """
     X = np.asarray(X, dtype=np.float64)
     y_pos = np.asarray(y_pos, dtype=np.int64)
@@ -353,15 +294,16 @@ def _run_sgd(
     b = np.zeros(n_classes)
     gain = np.ones(n_classes)
     S = _signs(y_pos, n_classes)
-    blocks = _row_blocks(n, d * n_classes)
     scores = np.empty((n, n_classes))
     prev_W, prev_b = np.empty_like(W), np.empty_like(b)
 
-    history = [_signed_hinge_objective(W, b, X, S, lam, blocks, scores)]
+    history = [_signed_hinge_objective(W, b, X, S, lam, scores)]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n, d, n_classes]))
     B = _BATCH_SIZE
     block = _GATHER_BLOCK_BATCHES * B
-    buffers = _subgradient_buffers(min(B, n), n_classes, d)
+    margins = np.empty((min(B, n), n_classes))  # a step's margins, then its coef
+    inside = np.empty(margins.shape, dtype=bool)
+    coef_X, gW, gb = np.empty((n_classes, d)), np.empty((n_classes, d)), np.empty(n_classes)
     index_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     t = 0
     for _epoch in range(cfg.epochs):
@@ -377,9 +319,25 @@ def _run_sgd(
             etas = gain / (lam * ts[:, None])
             t += steps
             for j in range(steps):
-                rows = slice(j * B, (j + 1) * B)
-                _sgd_step(W, b, Xs[rows], Ss[rows], lam, etas[j], buffers)
-        obj = _signed_hinge_objective(W, b, X, S, lam, blocks, scores)
+                Xb, Sb = Xs[j * B : (j + 1) * B], Ss[j * B : (j + 1) * B]
+                m, eta = Xb.shape[0], etas[j]
+                coef, on = margins[:m], inside[:m]
+                np.matmul(Xb, W.T, out=coef)
+                coef += b
+                coef *= Sb
+                np.less(coef, 1.0, out=on)
+                np.multiply(on, Sb, out=coef)
+                np.matmul(coef.T, Xb, out=coef_X)
+                coef_X /= m
+                np.multiply(lam, W, out=gW)
+                gW -= coef_X
+                gW *= eta[:, None]
+                W -= gW
+                np.add.reduce(coef, axis=0, out=gb)
+                gb /= m
+                gb *= eta
+                b += gb
+        obj = _signed_hinge_objective(W, b, X, S, lam, scores)
         worse = obj > prev_obj
         if worse.any():
             # reject the epoch for regressed rows and damp their step

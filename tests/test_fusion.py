@@ -131,28 +131,28 @@ def _scalar_fill(p_hat, p0_row, F_i, activated):
 
 class TestFusePredict:
     def test_single_part_identity(self):
-        s = fuse_matrix({0: np.array([[0.2, 0.8]])}, FusionWeights(np.array([1.0])))
+        s = fuse_matrix([(0, np.array([[0.2, 0.8]]))], FusionWeights(np.array([1.0])))
         np.testing.assert_allclose(s, [[0.2, 0.8]])
 
     def test_convexity_of_identical_tables(self):
-        P = {0: np.array([[0.3, 0.7]]), 1: np.array([[0.3, 0.7]])}
+        P = [(0, np.array([[0.3, 0.7]])), (1, np.array([[0.3, 0.7]]))]
         s = fuse_matrix(P, FusionWeights(np.array([0.5, 0.5])))
         np.testing.assert_allclose(s, [[0.3, 0.7]])
 
     def test_hand_fusion(self):
-        P = {0: np.array([[0.6, 0.4]]), 1: np.array([[0.2, 0.8]])}
+        P = [(0, np.array([[0.6, 0.4]])), (1, np.array([[0.2, 0.8]]))]
         s = fuse_matrix(P, FusionWeights(np.array([2.0, 1.0])))
         np.testing.assert_allclose(s, [[1.4, 1.6]])
         assert np.argmax(s, axis=1).tolist() == [1]
 
     def test_part_without_weight_rejected(self):
-        P = {0: np.full((2, 3), 1.0 / 3.0), 2: np.full((2, 3), 1.0 / 3.0)}
+        P = [(0, np.full((2, 3), 1.0 / 3.0)), (2, np.full((2, 3), 1.0 / 3.0))]
         with pytest.raises(ValueError, match="no fusion weight for part 2"):
             fuse_matrix(P, FusionWeights(np.ones(2)))
 
     def test_fuse_linear_in_weights(self):
         rng = np.random.default_rng(23)
-        P = {0: rng.dirichlet(np.ones(4), size=6), 1: rng.dirichlet(np.ones(4), size=6)}
+        P = [(0, rng.dirichlet(np.ones(4), size=6)), (1, rng.dirichlet(np.ones(4), size=6))]
         w = rng.normal(size=2)
         a = 3.7
         s1 = fuse_matrix(P, FusionWeights(w))
@@ -160,12 +160,13 @@ class TestFusePredict:
         np.testing.assert_allclose(s2, a * s1, rtol=1e-12)
         assert np.array_equal(np.argmax(s1, axis=1), np.argmax(s2, axis=1))
 
-    def test_parts_in_order_fuse_like_the_dict(self):
-        # callers fuse each part as it is computed; the sum must be the dict's, bit for bit
+    def test_parts_fuse_in_stream_order(self):
+        # callers fuse each part as it is computed; the sum runs in the stream's ascending part order
         rng = np.random.default_rng(24)
         P = {pid: rng.dirichlet(np.ones(5), size=7) for pid in (0, 1, 3)}
         fw = FusionWeights(rng.normal(size=4))
-        assert np.array_equal(fuse_matrix(iter(sorted(P.items())), fw), fuse_matrix(P, fw))
+        want = fw.w[0] * P[0] + fw.w[1] * P[1] + fw.w[3] * P[3]
+        assert np.array_equal(fuse_matrix(iter(sorted(P.items())), fw), want)
         with pytest.raises(ValueError, match="no fusion weight for part 3"):
             fuse_matrix(iter(sorted(P.items())), FusionWeights(np.ones(3)))
         with pytest.raises(ValueError, match="at least one part"):
@@ -382,7 +383,7 @@ class TestLearnWeights:
         # s = (sum of w) * P: same argmax as one part whenever the sum is positive
         assert fw.w.sum() > 0
         base = np.argmax(tables[0].P, axis=1)
-        fused = np.argmax(fuse_matrix({p: t.P for p, t in tables.items()}, fw), axis=1)
+        fused = np.argmax(fuse_matrix(((p, t.P) for p, t in sorted(tables.items())), fw), axis=1)
         np.testing.assert_array_equal(fused, base)
 
     def test_clamp_flag(self):

@@ -541,7 +541,7 @@ def test_embeddings_cluster_by_identity(small_fw):
     assert abs(float(vec.sum()) - float(small_fw.w.sum())) < 1e-9
 
 
-def test_embedding_normalizes_only_the_rows_it_reads(small_fw):
+def test_embedding_normalizes_raw_features(small_fw):
     data = generate(replace(SMALL, seed=18, splits=("val", "test")))
     rng = np.random.default_rng(18)
     raw = {
@@ -549,18 +549,13 @@ def test_embedding_normalizes_only_the_rows_it_reads(small_fw):
         for pid, fm in data.features.items()
     }
     test_ids = np.asarray(sorted(i.instance_id for i in data.dataset.split_instances("test")), dtype=np.int64)
-    ids = test_ids[[5, 1, 5, 9]]  # unsorted, with a repeat
-    rows = protocols._normalized(raw, ids)
-    for pid, fm in raw.items():
-        held = np.unique(ids)[fm.contains(np.unique(ids))]
-        assert rows[pid].normalized and np.array_equal(rows[pid].instance_ids, held)
-        # l2_normalize_rows works row by row: the same bits as normalizing every row
-        assert np.array_equal(rows[pid].X, fm.normalized_copy().rows(held))
+    normalized = protocols._normalized(raw)
+    assert all(normalized[pid] is fm for pid, fm in protocols._normalized(normalized).items())
 
     ref = train_reference_models(data.dataset, data.features, data.registry, split="val")
     mask = tuple(sorted(ref.models))
     got = build_identity_embeddings(test_ids, raw, ref, small_fw, mask)
-    want = build_identity_embeddings(test_ids, protocols._normalized(raw), ref, small_fw, mask)
+    want = build_identity_embeddings(test_ids, normalized, ref, small_fw, mask)
     assert np.array_equal(got, want)
 
 

@@ -26,7 +26,6 @@ from partfusion.svm import (
     _row_blocked_scores,
     _row_blocks,
     _run_sgd,
-    _sgd_step,
     _signs,
 )
 
@@ -179,6 +178,23 @@ class TestHingePieces:
         y = np.zeros(10, dtype=int)
         obj = hinge_objective(np.zeros((2, 3)), np.zeros(2), X, y, 0.5)
         np.testing.assert_allclose(obj, [1.0, 1.0])
+
+    @pytest.mark.parametrize("fn", [hinge_objective, hinge_subgradient])
+    @pytest.mark.parametrize(
+        "y_pos",
+        [
+            [0],  # would broadcast class 0 over every row
+            7,  # would surface numpy's IndexError
+            [0, 1],  # would surface numpy's broadcast error
+            [0, 1, 7, 0, 1],  # would score row 2 as no class's positive
+            [0, 1, -1, 0, 1],
+            [0, 1, 0.5, 0, 1],  # would score row 2 as no class's positive
+        ],
+    )
+    def test_y_pos_checked(self, fn, y_pos):
+        X = np.ones((5, 3))
+        with pytest.raises(ValueError, match=r"y_pos must hold one integer in \[0, 2\) per row of X \(5\)"):
+            fn(np.zeros((2, 3)), np.zeros(2), X, y_pos, 0.5)
 
 
 def _fit(X, y, C, init=None):
@@ -398,7 +414,7 @@ class TestNewton:
 
 
 class TestSgdStep:
-    """One loop step equals the update built from `hinge_subgradient`."""
+    """The per-step oracle's update equals the one built from `hinge_subgradient`."""
 
     # a short batch is the epoch's last one, with fewer than `_BATCH_SIZE` rows
     @pytest.mark.parametrize("K,short", [(4, False), (4, True), (1, True), (3, False)])
@@ -417,9 +433,10 @@ class TestSgdStep:
 
         gW, gb = hinge_subgradient(W, b, X[idx], y_pos[idx], lam)
         expected_W, expected_b = W - eta[:, None] * gW, b - eta * gb
-        _sgd_step(W, b, X[idx], S[idx], lam, eta)
-        assert np.array_equal(W, expected_W)
-        assert np.array_equal(b, expected_b)
+        W, b = W[None].copy(), b[None].copy()
+        _stacked_sgd_step(W, b, X[idx][None], S[idx][None], np.full((1, 1, 1), lam), eta[None])
+        assert np.array_equal(W[0], expected_W)
+        assert np.array_equal(b[0], expected_b)
 
 
 def _unblocked_objective(W, b, X, y_pos, lam):
@@ -511,6 +528,12 @@ class TestBlockedLoop:
         n = blocks * _GATHER_BLOCK_BATCHES * batch_size + extra
         cfg = TrainConfig(C=2.0**log_c, epochs=epochs, seed=row_seed)
         self._case(seed, n, d, K, cfg, batch_size)
+
+    # the production batch size at the protocols' class counts: one-batch epochs of oneshot's one-shot
+    # poselet fits (n = K = 20), and several batches with a short last one (n = 180, K = 60)
+    @pytest.mark.parametrize("n,K", [(20, 20), (180, 60)])
+    def test_production_batches(self, n, K):
+        self._case(7, n, 32, K, TrainConfig(C=10.0, epochs=30, seed=4), svm._BATCH_SIZE)
 
     @pytest.mark.parametrize("K,short", [(1, True), (3, False)])
     def test_rolls_back_across_blocks(self, K, short):
