@@ -54,6 +54,9 @@ DEFAULT_C_GRID = tuple(2.0**k for k in range(-8, 9, 2))
 
 _TABLE_MAGIC = b"PPT1"
 _TABLE_HEADER_BYTES = 16  # magic, part_id, n_y, n
+# Rows per step of the elementwise work in `fill_sparsity_rows` and
+# `fuse_matrix`: the step sets only the size of their temporaries.
+_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -157,26 +160,47 @@ def fill_sparsity_rows(
     P0: np.ndarray,
     F_i: np.ndarray,
     activated: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sparsity filling over a block of instances, one row per instance.
 
-    ``P_hat`` rows are consulted only where ``activated`` is set; inactive
-    rows copy the global rows.
+    ``P_hat`` rows are consulted only where ``activated`` is set. Returns a
+    new array whose inactive rows copy the global rows. Given ``out``, which
+    may be ``P_hat`` itself, only the activated rows of ``out`` are written
+    and its other rows are left as they are: a caller that keeps the global
+    rows there, or fills several row sets of one table, makes no copy.
+
+    The coverage masses of several activated rows are summed column by
+    column over F_i, the order in which numpy sums their (rows, |F_i|)
+    gather ``P0[activated][:, F_i]``, without making that gather; one row's
+    mass is the pairwise sum numpy takes of a single row. The blend is
+    elementwise and runs `_BLOCK_ROWS` activated rows at a time.
     """
     P0 = np.asarray(P0, dtype=np.float64)
-    out = P0.copy()
-    act = np.asarray(activated, dtype=bool)
-    if not np.any(act):
+    P_hat = np.asarray(P_hat, dtype=np.float64)
+    if out is None:
+        out = P0.copy()
+    rows = np.flatnonzero(np.asarray(activated, dtype=bool))
+    if rows.size == 0:
         return out
     F_i = np.asarray(F_i, dtype=np.int64)
-    P0_act = P0[act]
-    mass = P0_act[:, F_i].sum(axis=1) if F_i.size else np.zeros(P0_act.shape[0])
-    # mass * P_hat + (1 - mass) * P0, blended in the gathered copies
-    blend = np.asarray(P_hat, dtype=np.float64)[act]
-    blend *= mass[:, None]
-    P0_act *= (1.0 - mass)[:, None]
-    blend += P0_act
-    out[act] = blend
+    if F_i.size == 0:
+        mass = np.zeros(rows.size)
+    elif rows.size == 1:
+        mass = P0[rows[0], F_i].sum(keepdims=True)  # pairwise, as numpy sums one row's gather
+    else:
+        mass = P0[rows, F_i[0]]
+        for f in F_i[1:].tolist():
+            mass += P0[rows, f]
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        block, m = rows[start : start + _BLOCK_ROWS], mass[start : start + _BLOCK_ROWS, None]
+        # mass * P_hat + (1 - mass) * P0, blended in the gathered copies
+        blend = P_hat[block]
+        blend *= m
+        P0_block = P0[block]
+        P0_block *= 1.0 - m
+        blend += P0_block
+        out[block] = blend
     return out
 
 
@@ -241,13 +265,20 @@ def fuse_matrix(prob: Iterable[tuple[int, np.ndarray]], fw: FusionWeights) -> np
     """Weighted sum of per-part probability matrices (rows aligned across parts).
 
     ``prob`` yields (part id, matrix) pairs in ascending part order, so each
-    part can be fused as it is computed: s = w_0 P_0, then s = s + w_k P_k.
+    part can be fused as it is computed: s = w_0 P_0, then s = s + w_k P_k,
+    added `_BLOCK_ROWS` rows at a time so that no full-size w_k P_k is made.
     """
     s: np.ndarray | None = None
     for part_id, P in prob:
         if part_id >= len(fw):
             raise ValueError(f"no fusion weight for part {part_id}")
-        s = fw.w[part_id] * P if s is None else s + fw.w[part_id] * P
+        if s is None:
+            s = fw.w[part_id] * P
+            continue
+        if np.shape(P) != s.shape:
+            raise ValueError(f"part {part_id} matrix is {np.shape(P)}, the first part's is {s.shape}")
+        for start in range(0, s.shape[0], _BLOCK_ROWS):
+            s[start : start + _BLOCK_ROWS] += fw.w[part_id] * P[start : start + _BLOCK_ROWS]
     if s is None:
         raise ValueError("fuse needs at least one part")
     return s

@@ -192,12 +192,50 @@ def _train_part_models(
         if pid == GLOBAL_PART_ID and ids.size != train_ids.size:
             raise ValueError("global part must carry a feature row for every instance")
         labels = np.asarray([label_of[i] for i in ids.tolist()], dtype=np.int64)
-        if np.unique(labels).size < 2:
+        if labels.size == 0 or np.all(labels == labels[0]):  # fewer than 2 identities
             models[pid] = None
             continue
         part_cfg = replace(DEFAULT_TRAIN_CFG, seed=mix_seed(*seed_parts, pid, DEFAULT_TRAIN_CFG.seed))
         models[pid] = train_multiclass(fm.rows(ids), labels, part_cfg)
     return models
+
+
+def _write_probabilities(
+    model: LinearModel, fm: FeatureMatrix, ids: np.ndarray, out: np.ndarray, rows: np.ndarray
+) -> None:
+    """Write the model's distributions for ``ids`` into ``out[rows]``, zero outside its classes.
+
+    The rows are scored, normalized and written one `LinearModel.block_scores`
+    block at a time, so only one block's features and scores are held.
+    """
+    for block, probs in model.block_scores(ids.size, lambda b: fm.rows(ids[b])):
+        softmax(probs, out=probs)
+        if model.n_classes == out.shape[1]:
+            out[rows[block]] = probs
+        else:
+            embedded = np.zeros((probs.shape[0], out.shape[1]))
+            embedded[:, model.class_index] = probs
+            out[rows[block]] = embedded
+            del embedded
+        del probs  # before the next block is scored
+
+
+def _write_global(
+    models: dict[int, LinearModel | None],
+    features: dict[int, FeatureMatrix],
+    eval_ids: np.ndarray,
+    out: np.ndarray,
+    rows: np.ndarray,
+) -> None:
+    """Write the global part's distributions for ``eval_ids`` into ``out[rows]``.
+
+    They are uniform when the models hold no global model.
+    """
+    global_model = models.get(GLOBAL_PART_ID)
+    if global_model is None:
+        out[rows] = 1.0 / out.shape[1]
+    else:
+        _write_probabilities(global_model, features[GLOBAL_PART_ID], eval_ids, out, rows)
 
 
 def _part_probabilities(
@@ -211,48 +249,60 @@ def _part_probabilities(
     """Per-part dense probability matrices over the evaluation rows, one part at a time.
 
     Yields (part id, matrix, feature-level activation mask) in ascending
-    part order, so a caller holds only the parts it keeps. The global matrix
-    is computed once, before the first part, and is yielded as the global
-    part's matrix itself: callers must not modify a yielded matrix. With
-    ``fill`` the matrices follow the sparsity-filling rule against the global
-    row (uniform when the global part is masked out); without it,
-    non-activated rows are all-zero and activated rows carry the raw part
-    distribution embedded over the full identity set.
+    part order. The global matrix is computed once, before the first part,
+    and is yielded as the global part's matrix itself: callers must not
+    modify it. Every other part is built in one (n_eval, n_y) buffer that
+    the next part overwrites, so a caller uses each part's matrix before
+    asking for the next. With ``fill`` the matrices follow the
+    sparsity-filling rule against the global row (uniform when the global
+    part is masked out); without it, non-activated rows are all-zero and
+    activated rows carry the raw part distribution embedded over the full
+    identity set.
     """
-    n_eval = eval_ids.shape[0]
-    if GLOBAL_PART_ID in models and models[GLOBAL_PART_ID] is not None:
-        global_model = models[GLOBAL_PART_ID]
-        P0 = softmax(global_model.scores(features[GLOBAL_PART_ID].rows(eval_ids)))
-        # embed in case the training half covered fewer identities than n_y
-        if global_model.n_classes != n_y:
-            full = np.zeros((n_eval, n_y))
-            full[:, global_model.class_index] = P0
-            P0 = full
-    else:
-        P0 = np.full((n_eval, n_y), 1.0 / n_y)
-
+    rows = np.arange(eval_ids.shape[0])
+    P0 = np.empty((rows.size, n_y))
+    _write_global(models, features, eval_ids, P0, rows)
+    part: np.ndarray | None = None
     for pid in sorted(mask_ids):
         if pid == GLOBAL_PART_ID:
-            yield pid, P0, np.ones(n_eval, dtype=bool)
+            yield pid, P0, np.ones(rows.size, dtype=bool)
+            continue
+        if part is None:
+            part = np.empty_like(P0)
+        if fill:
+            np.copyto(part, P0)
         else:
-            yield pid, *_part_matrix(models.get(pid), features[pid], eval_ids, P0, fill)
+            part.fill(0.0)
+        yield pid, part, _part_matrix(models.get(pid), features[pid], eval_ids, P0, fill, part, rows)
 
 
 def _part_matrix(
-    model: LinearModel | None, fm: FeatureMatrix, eval_ids: np.ndarray, P0: np.ndarray, fill: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """One non-global part's matrix and activation mask (see `_part_probabilities`)."""
-    n_eval, n_y = P0.shape
+    model: LinearModel | None,
+    fm: FeatureMatrix,
+    eval_ids: np.ndarray,
+    P0: np.ndarray,
+    fill: bool,
+    out: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Write one non-global part's matrix rows (see `_part_probabilities`); return its activation mask.
+
+    ``out`` and ``P0`` share their rows, and ``rows[j]`` is the row of
+    ``eval_ids[j]``. Those rows of ``out`` must hold their ``P0`` rows with
+    ``fill`` and zeros without it; only the rows the part's model scores
+    are written.
+    """
     act = fm.contains(eval_ids)
-    usable = act if model is not None else np.zeros(n_eval, dtype=bool)
-    P_hat = np.zeros((n_eval, n_y))
-    if model is not None and np.any(usable):
-        probs = softmax(model.scores(fm.rows(eval_ids[usable])))
-        P_hat[np.ix_(np.flatnonzero(usable), model.class_index)] = probs
-    if not fill:
-        return P_hat, act
-    F_i = model.class_index if model is not None else np.zeros(0, dtype=np.int64)
-    return fill_sparsity_rows(P_hat, P0, F_i, usable), act
+    usable = act if model is not None else np.zeros(act.shape, dtype=bool)
+    targets = rows[usable]
+    if targets.size:
+        _write_probabilities(model, fm, eval_ids[usable], out, targets)
+    if fill:
+        F_i = model.class_index if model is not None else np.zeros(0, dtype=np.int64)
+        filled = np.zeros(out.shape[0], dtype=bool)
+        filled[targets] = True
+        fill_sparsity_rows(out, P0, F_i, filled, out=out)
+    return act
 
 
 @dataclass
@@ -282,23 +332,29 @@ class HalfModels:
     def filled_tables(self) -> Iterator[ProbabilityTable]:
         """Each trained part's filled table over the whole split, in ascending part order.
 
-        Both halves' rows of a part are computed in step, so a caller that
-        keeps one table at a time holds one part's matrices at a time.
+        Both halves' global rows are held in one array in instance order.
+        Each part's table starts as a copy of it, and both halves' part rows
+        are filled in place there, so a caller that drops each table before
+        taking the next holds about two tables' worth.
         """
         ids = [self.eval_ids(eval_half) for eval_half in (0, 1)]
-        folds = [
-            _part_probabilities(
-                self.models[1 - eval_half], self.features, ids[eval_half], self.n_identities,
-                tuple(self.models[1 - eval_half]), True,
-            )
-            for eval_half in (0, 1)
-        ]
+        models = [self.models[1 - eval_half] for eval_half in (0, 1)]
         all_ids = np.concatenate(ids)
-        for (pid, P_0, act_0), (_, P_1, act_1) in zip(*folds):
-            table = ProbabilityTable(
-                pid, all_ids, np.concatenate([P_0, P_1], axis=0), np.concatenate([act_0, act_1])
-            )
-            del P_0, P_1
+        order = np.argsort(all_ids, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        rows = [position[: ids[0].size], position[ids[0].size :]]
+        P0 = np.empty((all_ids.size, self.n_identities))
+        for h in (0, 1):
+            _write_global(models[h], self.features, ids[h], P0, rows[h])
+        for pid in sorted(models[0]):
+            P = P0.copy()
+            act = np.ones(all_ids.size, dtype=bool)
+            if pid != GLOBAL_PART_ID:
+                for h in (0, 1):
+                    act[rows[h]] = _part_matrix(models[h].get(pid), self.features[pid], ids[h], P0, True, P, rows[h])
+            table = ProbabilityTable(pid, all_ids[order], P, act)
+            del P
             yield table
             del table
 
@@ -549,7 +605,7 @@ def eval_oneshot(
         label_of, all_ids, pools = pools_of[s]
         rng = np.random.default_rng(np.random.SeedSequence([seed, s, r]))
         train_ids = np.sort(np.concatenate([rng.choice(pool, size=s, replace=False) for pool in pools]))
-        eval_ids = np.setdiff1d(all_ids, train_ids)
+        eval_ids = np.setdiff1d(all_ids, train_ids, assume_unique=True)
         models = _train_part_models(mask_ids, features, train_ids, label_of, (seed, s, r))
         correct, _ = _score_fold(models, features, eval_ids, label_of, len(pools), mask_ids, True, fw)
         return float(np.mean(correct))
@@ -755,7 +811,11 @@ def run_retrieval_protocol(
     K_list: tuple[int, ...] = (1, 2, 5, 10, 20),
     component_mask: str | None = None,
 ) -> EvalReport:
-    """End-to-end retrieval: reference models on val, embeddings and recall on test."""
+    """End-to-end retrieval: reference models on val, embeddings and recall on test.
+
+    Raw features are L2-normalized once, here, for both stages.
+    """
+    features = _normalized(features)
     ref = train_reference_models(dataset, features, registry, val_split, seed)
     mask_ids = registry.resolve_mask(component_mask)
     insts = sorted(dataset.split_instances(test_split), key=lambda i: i.instance_id)

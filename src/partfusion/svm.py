@@ -42,7 +42,7 @@ products is threaded.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +123,7 @@ class LinearModel:
             raise ValueError("W must be (n_classes, d) with matching bias vector")
         if self.class_index.shape != (self.W.shape[0],):
             raise ValueError("class_index length must match W rows")
-        if np.unique(self.class_index).size != self.class_index.size:
+        if _distinct(self.class_index).size != self.class_index.size:
             raise ValueError("class_index has duplicates")
         if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
             raise ValueError("non-finite model parameters")
@@ -145,16 +145,43 @@ class LinearModel:
             raise ValueError(f"feature dim {X.shape[1]} != model dim {self.dim}")
         return _row_blocked_scores(X, self.W, self.b)
 
+    def block_scores(
+        self, n: int, features_of: Callable[[slice], np.ndarray]
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """`scores` of n feature rows, one `_row_blocks` block at a time.
 
-def softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Exp-normalize scores along the last axis, max-subtracted for stability."""
+        Yields (block, its scores), where ``features_of(block)`` gives the
+        block's feature rows. Each block's product is the one `scores`
+        computes for it over all n rows, so the scores are bit-identical,
+        and only one block's rows and scores are held at a time.
+        """
+        for block in _row_blocks(n, self.dim * self.n_classes):
+            scores = np.matmul(features_of(block), self.W.T)
+            scores += self.b
+            yield block, scores
+            del scores  # before the next block's product
+
+
+def softmax(scores: np.ndarray, temperature: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """Exp-normalize scores along the last axis, max-subtracted for stability.
+
+    The result goes into ``out`` when given, which may be ``scores`` itself,
+    and otherwise into one new array.
+    """
     z = np.asarray(scores, dtype=np.float64)
     if z.shape[-1] == 0:
         raise ValueError("softmax of an empty score vector")
-    z = z / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = np.divide(z, temperature, out=out)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: ``np.unique``'s result without its ``numpy.ma`` import."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
 def _signs(y_pos: np.ndarray, n_classes: int) -> np.ndarray:
@@ -361,7 +388,7 @@ def train_multiclass(
     The mini-batch schedule follows the row order given.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    class_index = np.unique(labels)
+    class_index = _distinct(labels)
     if class_index.size < 2:
         raise ValueError("degenerate problem: need at least 2 distinct labels")
     y_pos = np.searchsorted(class_index, labels)

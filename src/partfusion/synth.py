@@ -14,6 +14,7 @@ byte-identical files on reruns.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, fields, replace
 from numbers import Integral
@@ -231,7 +232,24 @@ def generate(cfg: SynthConfig) -> SynthData:
     stream is drawn ahead as one array of doubles, and each photo's head
     boxes as one array after its group size, so every generator yields the
     values that one draw per instance, part and coordinate would.
+
+    The draw builds hundreds of thousands of boxes, detections and records,
+    which Python's cyclic garbage collector would scan again and again as
+    they accumulate. So the collector is paused while the draw runs and is
+    then left as the caller had it; reference counting still frees what the
+    draw drops.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _draw(cfg)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _draw(cfg: SynthConfig) -> SynthData:
+    """`generate`'s draw, run with the garbage collector paused."""
     registry = cfg.registry()
     sigma = cfg.sigma_vector()
     info = cfg.informativeness_vector()

@@ -442,16 +442,11 @@ def test_synth_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: Unable to allocate an array with shape (40, 100000000)\n"
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["synth", "match", "train-parts", "learn-weights", "recognition", "recognition-no-fill",
-     "oneshot", "retrieval", "ablation", "faces-split"],
-)
-def test_command_writes_only_its_manifest_outputs(data_dir, trained_dir, tmp_path, command):
-    """The output directory holds the manifest and the files it lists: nothing undeclared, no temporary file."""
+def _command_argv(command, data_dir, trained_dir, tmp_path):
+    """The argv of one command (an eval protocol by its name) on the module's data, without --out."""
     data = ["--dataset", str(data_dir / "index.tsv")]
     features = [*data, "--features", str(data_dir / "features")]
-    argv = {
+    return {
         "synth": ["synth", "--config", str(_write_config(tmp_path, SMALL_CONFIG))],
         "match": ["match", *data, "--detections", str(data_dir / "detections.tsv")],
         "train-parts": ["train-parts", *features],
@@ -459,6 +454,16 @@ def test_command_writes_only_its_manifest_outputs(data_dir, trained_dir, tmp_pat
         "oneshot": ["eval", "--protocol", "oneshot", *features, "--shots", "1,2", "--repeats", "2"],
         "retrieval": ["eval", "--protocol", "retrieval", *features, "--k-list", "1,3"],
     }.get(command, ["eval", "--protocol", command, *features])
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["synth", "match", "train-parts", "learn-weights", "recognition", "recognition-no-fill",
+     "oneshot", "retrieval", "ablation", "faces-split"],
+)
+def test_command_writes_only_its_manifest_outputs(data_dir, trained_dir, tmp_path, command):
+    """The output directory holds the manifest and the files it lists: nothing undeclared, no temporary file."""
+    argv = _command_argv(command, data_dir, trained_dir, tmp_path)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     listed = json.loads((out / "manifest.json").read_text())["outputs"]
@@ -719,23 +724,24 @@ def test_list_flags_name_the_flag_and_the_value(data_dir, trained_dir, tmp_path,
     assert not (out / "manifest.json").exists()
 
 
-def test_cli_match_leaves_scipy_out(data_dir, tmp_path, child_env):
-    # the assignment solver is in-repo: matching, the one stage that solves
-    # assignments, must run in a fresh interpreter without importing scipy
-    argv = [
-        "match",
-        "--dataset", str(data_dir / "index.tsv"),
-        "--detections", str(data_dir / "detections.tsv"),
-        "--out", str(tmp_path / "match"),
-    ]
+@pytest.mark.parametrize(
+    "command",
+    ["match", "train-parts", "learn-weights", "recognition", "recognition-no-fill",
+     "ablation", "faces-split", "oneshot", "retrieval"],
+)
+def test_cli_commands_leave_scipy_and_numpy_ma_out(data_dir, trained_dir, tmp_path, child_env, command):
+    # the assignment solver is in-repo, and no command calls a numpy set
+    # routine that imports numpy.ma: each runs in a fresh interpreter without
+    # importing scipy or numpy.ma
+    argv = [*_command_argv(command, data_dir, trained_dir, tmp_path), "--out", str(tmp_path / "out")]
     code = (
         "import sys; from partfusion.cli import main; "
         f"rc = main({argv!r}); "
-        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "0 []", proc.stderr
-    assert (tmp_path / "match" / "activations.tsv").is_file()
+    assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 _BLAS_THREADS = (

@@ -107,6 +107,12 @@ class TestFillSparsity:
             P_hat[:, F] = rng.dirichlet(np.ones(F.size), size=rows)
         activated = rng.random(rows) < p_active
         block = fill_sparsity_rows(P_hat, P0, F, activated)
+        # the buffer path writes only the activated rows of out, which may be P_hat itself
+        kept = P0.copy()
+        assert fill_sparsity_rows(P_hat, P0, F, activated, out=kept) is kept
+        in_place = np.where(activated[:, None], P_hat, P0)
+        fill_sparsity_rows(in_place, P0, F, activated, out=in_place)
+        assert kept.tobytes() == in_place.tobytes() == block.tobytes()
         for r in range(rows):
             act = bool(activated[r])
             expect = _scalar_fill(P_hat[r], P0[r], F, act)
@@ -119,6 +125,29 @@ class TestFillSparsity:
             np.testing.assert_allclose(block[r], expect, rtol=0.0, atol=2 * max(F.size, 1) * np.finfo(np.float64).eps)
             if not act:
                 assert np.array_equal(block[r], P0[r])
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blend_equals_the_gathered_blend_bit_for_bit(self, seed):
+        # the fill sums the mass column by column and blends in row blocks; the
+        # gathered reference sums numpy's (rows, F) gather and blends every row at once
+        rng = np.random.default_rng(seed)
+        rows, n_y = int(rng.integers(1, 400)), int(rng.integers(1, 120))
+        P0 = rng.dirichlet(np.full(n_y, 0.05), size=rows)  # many entries underflow to zero
+        P0[: rows // 3] *= 1.0 + 1e-15  # masses a little over 1: 1 - mass < 0, and -0.0 products
+        F = np.flatnonzero(rng.random(n_y) < rng.random())
+        P_hat = np.zeros((rows, n_y))
+        if F.size:
+            P_hat[:, F] = rng.dirichlet(np.ones(F.size), size=rows)
+        activated = rng.random(rows) < rng.choice([0.003, 0.5, 1.0])
+        want = P0.copy()
+        if activated.any():
+            P0_act = P0[activated]
+            mass = P0_act[:, F].sum(axis=1) if F.size else np.zeros(P0_act.shape[0])
+            blend = P_hat[activated] * mass[:, None]
+            blend += P0_act * (1.0 - mass)[:, None]
+            want[activated] = blend
+        assert fill_sparsity_rows(P_hat, P0, F, activated).tobytes() == want.tobytes()
 
 
 def _scalar_fill(p_hat, p0_row, F_i, activated):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partfusion.data
 from partfusion import protocols
 from partfusion.data import BBox, Dataset, FeatureMatrix, Instance
 from partfusion.fusion import FusionWeights
@@ -559,6 +560,24 @@ def test_embedding_normalizes_raw_features(small_fw):
     assert np.array_equal(got, want)
 
 
+def test_retrieval_protocol_normalizes_raw_features_once(small_fw, monkeypatch):
+    data = generate(replace(SMALL, seed=18, splits=("val", "test")))
+    rng = np.random.default_rng(20)
+    raw = {
+        pid: FeatureMatrix(pid, fm.instance_ids, fm.X * rng.uniform(0.5, 4.0, (len(fm), 1)))
+        for pid, fm in data.features.items()
+    }
+    normalized = {pid: fm.normalized_copy() for pid, fm in raw.items()}
+    want = run_retrieval_protocol(data.dataset, normalized, data.registry, small_fw, seed=3)
+
+    normalize = partfusion.data.l2_normalize_rows
+    rows: list[int] = []
+    monkeypatch.setattr(partfusion.data, "l2_normalize_rows", lambda X: rows.append(len(X)) or normalize(X))
+    got = run_retrieval_protocol(data.dataset, raw, data.registry, small_fw, seed=3)
+    assert rows == [len(fm) for fm in raw.values()]  # once per part
+    assert report_text(got) == report_text(want)
+
+
 def test_embedding_requires_global_model(small, small_fw):
     trained = train_reference_models(small.dataset, small.features, small.registry, split="test")
     without_part_0 = {pid: model for pid, model in trained.models.items() if pid != 0}
@@ -635,3 +654,51 @@ def test_write_report_emits_curve_csv(tmp_path):
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "x,mean,sigma"
     assert [float(v) for v in lines[1].split(",")] == [1.0, 0.5, 0.1]
+
+
+@pytest.fixture(scope="module")
+def trained_60():
+    """60 identities per split: a table is 0.3-0.6 MB, so numpy's fixed-size buffers stay small beside it."""
+    data = generate(SynthConfig(n_identities=60))
+    return data, half_split_training(data.dataset, data.features, data.registry, split="val")
+
+
+def _peak_bytes(fn) -> int:
+    """The tracemalloc peak of one call, counting only what it allocates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_filled_tables_hold_the_global_rows_and_one_table(trained_60):
+    # a caller that drops each table holds about two tables' worth
+    _, trained = trained_60
+    table_bytes = len(trained.halves) * trained.n_identities * 8
+
+    def write_each():
+        for table in trained.filled_tables():
+            del table
+
+    peak = _peak_bytes(write_each)
+    assert peak <= 2.5 * table_bytes, f"{peak / table_bytes:.2f} tables"
+
+
+def test_scoring_holds_the_global_matrix_the_sum_and_one_part_buffer(trained_60):
+    # plus one score block and one blend block of the part being filled
+    data, trained = trained_60
+    n_y, part_ids = trained.n_identities, data.registry.part_ids
+    fw = FusionWeights(np.ones(len(part_ids)))
+    models = trained.models[1]
+    ids = trained.eval_ids(0)
+    for fill in (True, False):
+        peak = _peak_bytes(
+            lambda: protocols._score_fold(models, trained.features, ids, trained.label_of, n_y, part_ids, fill, fw)
+        )
+        assert peak <= 4 * ids.size * n_y * 8, f"fill={fill}: {peak / (ids.size * n_y * 8):.2f} tables"
+    test_ids = np.asarray(sorted(i.instance_id for i in data.dataset.split_instances("test")), dtype=np.int64)
+    ref = ReferenceModels(models, n_y)
+    peak = _peak_bytes(lambda: build_identity_embeddings(test_ids, trained.features, ref, fw, part_ids))
+    assert peak <= 4 * test_ids.size * n_y * 8, f"{peak / (test_ids.size * n_y * 8):.2f} tables"

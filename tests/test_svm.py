@@ -140,6 +140,34 @@ class TestScoreSoftmax:
         with pytest.raises(ValueError):
             softmax(np.array([]))
 
+    def test_softmax_into_its_scores(self):
+        # one pass over the caller's array gives the bits of the allocating call
+        rng = np.random.default_rng(10)
+        for temperature in (1.0, 0.7):
+            s = rng.normal(0, 30, (50, 17))
+            want = softmax(s, temperature)
+            assert softmax(s, temperature, out=s) is s
+            assert s.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,K", [(1, 3), (37, 5), (5000, 40), (18_160, 195)])
+    def test_block_scores_are_the_scores(self, n, K):
+        # one block of rows at a time, with the bits of one scores call over every
+        # row (above about 130 classes a block rounds unlike one full product)
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 32))
+        model = LinearModel(rng.normal(size=(K, 32)), rng.normal(size=K), np.arange(K))
+        seen = []
+
+        def rows(block):
+            seen.append(block)
+            return X[block].copy()
+
+        got = np.empty((n, K))
+        for block, scores in model.block_scores(n, rows):
+            got[block] = scores
+        assert got.tobytes() == model.scores(X).tobytes()
+        assert seen == _row_blocks(n, 32 * K)
+
 
 class TestHingePieces:
     def test_subgradient_matches_finite_differences(self):

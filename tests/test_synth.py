@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -10,6 +11,7 @@ from partfusion import FusionWeights, SynthConfig, generate
 from partfusion.data import GLOBAL_PART_ID, FeatureMatrix, dataset_from_records
 from partfusion.geometry import BBox, body_from_head
 from partfusion.matching import Detection
+from partfusion import synth
 from partfusion.protocols import eval_recognition
 from partfusion.synth import SynthData, config_from_json, planted_config, write_synth
 
@@ -348,3 +350,20 @@ def test_generate_matches_the_scalar_generator(tmp_path, over):
     assert [p.relative_to(tmp_path / "got") for p in files] == [p.relative_to(tmp_path / "want") for p in oracle]
     for a, b in zip(files, oracle):
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_generate_pauses_the_collector_and_restores_it(monkeypatch, collecting):
+    draw, seen = synth._draw, []
+    monkeypatch.setattr(synth, "_draw", lambda cfg: seen.append(gc.isenabled()) or draw(cfg))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        generate(_small())
+        assert seen == [False] and gc.isenabled() == collecting
+        monkeypatch.setattr(synth, "_draw", lambda cfg: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            generate(_small())
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
