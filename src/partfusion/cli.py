@@ -186,7 +186,7 @@ def cmd_train_parts(args) -> int:
     dataset = load_index(args.dataset)
     features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
     registry = _registry_for(features, args.no_face)
-    trained = half_split_training(dataset, features, registry, args.split, args.seed)
+    trained = half_split_training(dataset, features, registry.part_ids, args.split, args.seed)
 
     outputs: list[Path] = []
     tables_dir = out / "tables"

@@ -24,32 +24,25 @@ import numpy as np
 from .geometry import BBox, GeometryError
 
 __all__ = [
-    "GLOBAL_PART_ID",
-    "SPLITS",
     "Dataset",
     "FeatureMatrix",
     "Instance",
     "PartInfo",
     "PartRegistry",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "dataset_from_records",
-    "format_num",
     "l2_normalize_rows",
     "load_index",
     "make_registry",
-    "numeric_field_error",
     "read_features",
-    "read_records",
-    "read_tsv_rows",
-    "require_header",
     "write_features",
     "write_index",
 ]
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file and rename, so readers never see partial files.
+def atomic_write_bytes(path: str | Path, *chunks: bytes | np.ndarray) -> None:
+    """Write the buffers in order via a temp file and rename, so readers never see partial files.
+
+    A chunk is any contiguous buffer (``bytes``, a numpy array), written as
+    it is, with no joined copy.
 
     An existing target is unlinked before the rename: renaming over an
     existing file makes some filesystems (ext4's ``auto_da_alloc``) flush the
@@ -58,7 +51,9 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
     path.unlink(missing_ok=True)
     os.replace(tmp, path)
 
@@ -399,9 +394,9 @@ def write_features(path: str | Path, fm: FeatureMatrix) -> None:
     header = _FEATURE_MAGIC + struct.pack("<III B", fm.part_id, d, n, 1 if fm.normalized else 0)
     rec = np.dtype([("id", "<u8"), ("x", "<f4", (d,))])
     body = np.empty(n, dtype=rec)
-    body["id"] = fm.instance_ids.astype(np.uint64)
-    body["x"] = fm.X.astype(np.float32)
-    atomic_write_bytes(path, header + body.tobytes())
+    body["id"] = fm.instance_ids
+    body["x"] = fm.X
+    atomic_write_bytes(path, header, body)
 
 
 def read_features(path: str | Path) -> FeatureMatrix:

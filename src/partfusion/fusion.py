@@ -35,7 +35,6 @@ from .data import atomic_write_bytes, atomic_write_text, read_records, read_tsv_
 from .svm import train_binary
 
 __all__ = [
-    "DEFAULT_C_GRID",
     "FusionWeights",
     "ProbabilityTable",
     "WeightLearningInfo",
@@ -103,10 +102,10 @@ def write_prob_table(path: str | Path, table: ProbabilityTable) -> None:
     header = _TABLE_MAGIC + struct.pack("<III", table.part_id, n_y, n)
     rec = np.dtype([("id", "<u8"), ("act", "u1"), ("p", "<f4", (n_y,))])
     body = np.empty(n, dtype=rec)
-    body["id"] = table.instance_ids.astype(np.uint64)
-    body["act"] = table.activated.astype(np.uint8)
-    body["p"] = table.P.astype(np.float32)
-    atomic_write_bytes(path, header + body.tobytes())
+    body["id"] = table.instance_ids
+    body["act"] = table.activated
+    body["p"] = table.P
+    atomic_write_bytes(path, header, body)
 
 
 def read_prob_table(path: str | Path) -> ProbabilityTable:

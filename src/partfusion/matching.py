@@ -39,7 +39,6 @@ from .geometry import BBox, body_from_head, iou
 __all__ = [
     "Assignment",
     "Detection",
-    "LAMBDA_SCORE",
     "activations_per_instance",
     "load_detections",
     "match_bruteforce",

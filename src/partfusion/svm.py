@@ -53,7 +53,6 @@ __all__ = [
     "TrainConfig",
     "hinge_objective",
     "hinge_subgradient",
-    "mix_seed",
     "softmax",
     "train_binary",
     "train_multiclass",

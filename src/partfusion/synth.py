@@ -39,7 +39,6 @@ from .matching import Detection, write_detections
 __all__ = [
     "SynthConfig",
     "SynthData",
-    "config_from_json",
     "generate",
     "planted_config",
     "write_synth",

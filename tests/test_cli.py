@@ -700,7 +700,7 @@ def test_train_parts_tables_equal_the_library_tables(data_dir, trained_dir, tmp_
     dataset = load_index(data_dir / "index.tsv")
     features, _ = _load_parts(data_dir / "features", "part_*.pfv", read_features)
     registry = _registry_for(features, False)
-    trained = half_split_training(dataset, features, registry, "val", 0)
+    trained = half_split_training(dataset, features, registry.part_ids, "val", 0)
     tables = {table.part_id: table for table in trained.filled_tables()}
     written = sorted((trained_dir / "tables").glob("part_*.ppt"))
     assert [p.name for p in written] == [f"part_{pid:03d}.ppt" for pid in sorted(tables)]

@@ -16,7 +16,7 @@ from partfusion import (
     write_index,
 )
 from partfusion.data import PartInfo, PartRegistry, atomic_write_bytes, dataset_from_records
-from partfusion.protocols import _train_part_models
+from partfusion.protocols import _train_part_model
 
 
 def _records():
@@ -250,8 +250,8 @@ class TestCoverage:
 
     @staticmethod
     def _coverage(feats, labels, train_ids):
-        models = _train_part_models(tuple(feats), feats, np.array(train_ids), labels, (0,))
-        return {pid: model.class_index.tolist() for pid, model in models.items()}
+        ids = np.array(train_ids)
+        return {pid: _train_part_model(pid, fm, ids, labels, (0,)).class_index.tolist() for pid, fm in feats.items()}
 
     def test_coverage_sets(self):
         rng = np.random.default_rng(2)

@@ -251,6 +251,26 @@ class TestProbabilityTable:
         with pytest.raises(ValueError, match=re.escape(f"{path}: expected 2 records, found 1")):
             read_prob_table(path)
 
+    def test_write_holds_only_the_record_array(self, tmp_path):
+        # A 6,400 x 320 table: the float32 records are about half the float64 P.
+        rng = np.random.default_rng(25)
+        P = rng.random((6400, 320))
+        P /= P.sum(axis=1, keepdims=True)
+        t = ProbabilityTable(4, np.arange(6400) * 3 + 1, P, rng.random(6400) < 0.5)
+        path = tmp_path / "part_004.ppt"
+        write_prob_table(path, ProbabilityTable(0, np.array([1]), np.array([[1.0]]), np.array([True])))
+        tracemalloc.start()
+        try:
+            write_prob_table(path, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * P.nbytes, f"peak {peak / P.nbytes:.2f} tables"
+        rec = np.dtype([("id", "<u8"), ("act", "u1"), ("p", "<f4", (320,))])
+        body = np.empty(6400, dtype=rec)
+        body["id"], body["act"], body["p"] = t.instance_ids.astype(np.uint64), t.activated, P.astype(np.float32)
+        assert path.read_bytes() == b"PPT1" + np.array([4, 320, 6400], dtype="<u4").tobytes() + body.tobytes()
+
 
 class TestWeightsFile:
     def test_round_trip(self, tmp_path):

@@ -587,7 +587,7 @@ def test_embedding_requires_global_model(small, small_fw):
 
 
 def test_half_split_training_artifacts(small):
-    art = half_split_training(small.dataset, small.features, small.registry, split="test")
+    art = half_split_training(small.dataset, small.features, small.registry.part_ids, split="test")
     kept = {i.instance_id for i in small.dataset.split_instances("test")}
     assert set(art.halves) == set(art.label_of) == kept
     assert art.excluded_identities == 0 and art.excluded_instances == 0
@@ -660,7 +660,7 @@ def test_write_report_emits_curve_csv(tmp_path):
 def trained_60():
     """60 identities per split: a table is 0.3-0.6 MB, so numpy's fixed-size buffers stay small beside it."""
     data = generate(SynthConfig(n_identities=60))
-    return data, half_split_training(data.dataset, data.features, data.registry, split="val")
+    return data, half_split_training(data.dataset, data.features, data.registry.part_ids, split="val")
 
 
 def _peak_bytes(fn) -> int:
