@@ -336,17 +336,20 @@ class FeatureMatrix:
 
     Rows exist only for instances on which the part activated; the global
     part carries a row for every instance. ``instance_ids`` is kept strictly
-    increasing so lookups are binary searches.
+    increasing so lookups are binary searches. float32 rows (as a feature
+    file stores them) are kept as they are, and `rows` widens only the rows
+    it gathers; every other input becomes float64.
     """
 
     part_id: int
     instance_ids: np.ndarray  # (n,) int64, strictly increasing
-    X: np.ndarray  # (n, d) float64
+    X: np.ndarray  # (n, d) float32 or float64
     normalized: bool = False
 
     def __post_init__(self) -> None:
         self.instance_ids = np.asarray(self.instance_ids, dtype=np.int64)
-        self.X = np.asarray(self.X, dtype=np.float64)
+        X = np.asarray(self.X)
+        self.X = X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
         if self.X.ndim != 2 or self.X.shape[0] != self.instance_ids.shape[0]:
             raise ValueError("instance_ids and X row counts differ")
         order = np.argsort(self.instance_ids, kind="stable")
@@ -375,18 +378,19 @@ class FeatureMatrix:
         return self.instance_ids[pos] == ids
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Feature rows for `ids`; every id must be present."""
+        """float64 feature rows for `ids`; every id must be present."""
         ids = np.asarray(ids, dtype=np.int64)
         pos = np.searchsorted(self.instance_ids, ids)
         if np.any(pos >= len(self)) or not np.array_equal(self.instance_ids[np.minimum(pos, len(self) - 1)], ids):
             missing = ids[~self.contains(ids)]
             raise KeyError(f"part {self.part_id}: no feature row for instances {missing[:5].tolist()}")
-        return self.X[pos]
+        return self.X[pos].astype(np.float64, copy=False)
 
     def normalized_copy(self) -> "FeatureMatrix":
         if self.normalized:
             return self
-        return FeatureMatrix(self.part_id, self.instance_ids, l2_normalize_rows(self.X), normalized=True)
+        X = l2_normalize_rows(self.X.astype(np.float64, copy=False))
+        return FeatureMatrix(self.part_id, self.instance_ids, X, normalized=True)
 
 
 def write_features(path: str | Path, fm: FeatureMatrix) -> None:
@@ -411,6 +415,6 @@ def read_features(path: str | Path) -> FeatureMatrix:
     return FeatureMatrix(
         part_id,
         body["id"].astype(np.int64),
-        body["x"].astype(np.float64),
+        body["x"].astype(np.float32),
         normalized=bool(flag),
     )

@@ -121,7 +121,7 @@ def read_prob_table(path: str | Path) -> ProbabilityTable:
     sums = P.sum(axis=1, keepdims=True)
     if n and np.max(np.abs(sums - 1.0)) > 1e-3:
         raise ValueError(f"{path}: stored rows are not distributions")
-    P = P / sums
+    P /= sums
     return ProbabilityTable(part_id, body["id"].astype(np.int64), P, body["act"].astype(bool))
 
 

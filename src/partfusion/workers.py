@@ -5,7 +5,8 @@ runs such jobs on ``os.fork`` workers so that every job executes exactly the
 code it would run serially: results, and so every output byte, are the same
 whatever the worker count. It uses one worker per CPU in the process's
 affinity mask (``taskset -c 0`` makes it serial) and runs serially where
-``os.fork`` or ``os.sched_getaffinity`` does not exist.
+``os.fork`` or ``os.sched_getaffinity`` does not exist. When it forks, no job
+runs in the caller, so its heap keeps nothing of the jobs, whatever their order.
 
 Forked, not spawned: a spawned worker would pay interpreter start-up and
 the package import, and need the features pickled, which costs more than
@@ -72,9 +73,10 @@ def _forked_map(fn: Callable[[J], R], jobs: Sequence[J], costs: Sequence[float])
     """``[fn(j) for j in jobs]``, with the jobs spread over forked workers.
 
     ``costs[i]`` estimates job i's run time; it only steers the placement
-    (see `_deal`). The parent runs the first share itself. Each worker sends
-    its pickled results through a pipe and exits with ``os._exit``. The
-    parent reaps every worker, killing the ones still running when it leaves
+    (see `_deal`). Each non-empty share runs in its own worker, so no job
+    runs in the caller. Each worker sends its pickled results through a pipe
+    and exits with ``os._exit``. The parent reads the pipes in share order
+    and reaps every worker, killing the ones still running when it leaves
     early (an error, ``KeyboardInterrupt``). A worker's exception is raised
     again here unchanged; a worker that exits without a result raises
     `RuntimeError` with its exit status.
@@ -87,12 +89,11 @@ def _forked_map(fn: Callable[[J], R], jobs: Sequence[J], costs: Sequence[float])
     if workers <= 1:
         return [fn(job) for job in jobs]
 
-    own, *others = _deal(costs, workers)
     running: dict[int, int] = {}  # pid -> read end of its pipe
     share_of: dict[int, list[int]] = {}
     results: list = [None] * len(jobs)
     try:
-        for share in filter(None, others):
+        for share in filter(None, _deal(costs, workers)):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -101,8 +102,6 @@ def _forked_map(fn: Callable[[J], R], jobs: Sequence[J], costs: Sequence[float])
             os.close(write_fd)
             running[pid] = read_fd
             share_of[pid] = share
-        for i in own:
-            results[i] = fn(jobs[i])
         for pid, share in share_of.items():
             payload = _read_all(running[pid])
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

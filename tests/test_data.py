@@ -205,6 +205,22 @@ class TestFeatureMatrix:
             assert np.array_equal(back.X, stored.X.astype(np.float32))
             assert back.normalized == stored.normalized
 
+    def test_read_keeps_float32_rows_and_widens_gathered_ones(self, tmp_path):
+        rng = np.random.default_rng(6)
+        fm = FeatureMatrix(2, np.arange(10, 30), rng.normal(size=(20, 5)))
+        assert fm.X.dtype == np.float64
+        path = tmp_path / "part_002.pfv"
+        write_features(path, fm)
+        back = read_features(path)
+        assert back.X.dtype == np.float32
+        ids = np.array([29, 10, 17, 17])
+        got = back.rows(ids)
+        assert got.dtype == np.float64
+        assert got.tobytes() == fm.X.astype(np.float32).astype(np.float64)[ids - 10].tobytes()
+        # normalizing widens first, as if the rows had been read as float64
+        normalized = back.normalized_copy()
+        assert normalized.X.tobytes() == l2_normalize_rows(back.X.astype(np.float64)).tobytes()
+
     def test_binary_layout_little_endian(self, tmp_path):
         # hand-build a one-row file and confirm the reader decodes it
         d = 2

@@ -271,6 +271,24 @@ class TestProbabilityTable:
         body["id"], body["act"], body["p"] = t.instance_ids.astype(np.uint64), t.activated, P.astype(np.float32)
         assert path.read_bytes() == b"PPT1" + np.array([4, 320, 6400], dtype="<u4").tobytes() + body.tobytes()
 
+    def test_read_holds_the_file_and_one_table(self, tmp_path):
+        # The file's float32 records (about half a float64 table) and the returned P.
+        rng = np.random.default_rng(26)
+        P = rng.random((6400, 320))
+        P /= P.sum(axis=1, keepdims=True)
+        path = tmp_path / "part_004.ppt"
+        write_prob_table(path, ProbabilityTable(4, np.arange(6400) * 3 + 1, P, rng.random(6400) < 0.5))
+        tracemalloc.start()
+        try:
+            t = read_prob_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * P.nbytes, f"peak {peak / P.nbytes:.2f} tables"
+        rec = np.dtype([("id", "<u8"), ("act", "u1"), ("p", "<f4", (320,))])
+        stored = np.frombuffer(path.read_bytes(), dtype=rec, offset=16)["p"].astype(np.float64)
+        assert t.P.tobytes() == (stored / stored.sum(axis=1, keepdims=True)).tobytes()
+
 
 class TestWeightsFile:
     def test_round_trip(self, tmp_path):

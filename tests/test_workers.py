@@ -51,7 +51,20 @@ def test_results_come_back_in_job_order(three_cpus, open_fds):
     out = _forked_map(_square_with_pid, jobs, costs)
     assert [r for r, _ in out] == [j * j for j in jobs]
     assert len({pid for _, pid in out}) == 3
-    assert os.getpid() in {pid for _, pid in out}
+    assert os.getpid() not in {pid for _, pid in out}
+    _nothing_left(open_fds)
+
+
+@pytest.mark.parametrize("n_jobs", [2, 3, 10])
+def test_no_job_runs_in_the_caller(three_cpus, open_fds, n_jobs):
+    ran_here = []
+
+    def record(j):
+        ran_here.append(j)
+        return -j
+
+    assert _forked_map(record, list(range(n_jobs)), [1] * n_jobs) == [-j for j in range(n_jobs)]
+    assert ran_here == []
     _nothing_left(open_fds)
 
 
@@ -103,17 +116,29 @@ def test_worker_that_dies_gives_runtime_error(three_cpus, open_fds):
 
 
 def test_parent_error_kills_and_reaps_running_workers(three_cpus, open_fds):
+    # One job per worker. The parent reads job 0's worker first while the
+    # others sleep; that worker fails, or interrupts the waiting parent.
     parent = os.getpid()
 
-    def interrupt_parent(j):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
+    def fail_first(j):
+        if j == 0:
+            raise ValueError("first worker failed")
         time.sleep(60)
         return j
 
-    with pytest.raises(KeyboardInterrupt):
-        _forked_map(interrupt_parent, list(range(3)), [1] * 3)
-    _nothing_left(open_fds)
+    def interrupt_parent(j):
+        if j == 0:
+            time.sleep(0.2)  # the parent is waiting on this pipe by now
+            os.kill(parent, signal.SIGINT)
+        time.sleep(60)
+        return j
+
+    for fn, error in ((fail_first, ValueError), (interrupt_parent, KeyboardInterrupt)):
+        start = time.monotonic()
+        with pytest.raises(error):
+            _forked_map(fn, list(range(3)), [1] * 3)
+        assert time.monotonic() - start < 10
+        _nothing_left(open_fds)
 
 
 def test_costs_must_match_jobs():
