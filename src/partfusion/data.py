@@ -336,20 +336,19 @@ class FeatureMatrix:
 
     Rows exist only for instances on which the part activated; the global
     part carries a row for every instance. ``instance_ids`` is kept strictly
-    increasing so lookups are binary searches. float32 rows (as a feature
-    file stores them) are kept as they are, and `rows` widens only the rows
-    it gathers; every other input becomes float64.
+    increasing so lookups are binary searches. Rows are held as float32, the
+    precision a feature file stores, whatever the input's precision, and
+    `rows` widens only the rows it gathers.
     """
 
     part_id: int
     instance_ids: np.ndarray  # (n,) int64, strictly increasing
-    X: np.ndarray  # (n, d) float32 or float64
+    X: np.ndarray  # (n, d) float32
     normalized: bool = False
 
     def __post_init__(self) -> None:
         self.instance_ids = np.asarray(self.instance_ids, dtype=np.int64)
-        X = np.asarray(self.X)
-        self.X = X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
+        self.X = np.asarray(self.X, dtype=np.float32)
         if self.X.ndim != 2 or self.X.shape[0] != self.instance_ids.shape[0]:
             raise ValueError("instance_ids and X row counts differ")
         order = np.argsort(self.instance_ids, kind="stable")
@@ -387,10 +386,10 @@ class FeatureMatrix:
         return self.X[pos].astype(np.float64, copy=False)
 
     def normalized_copy(self) -> "FeatureMatrix":
+        """The rows L2-normalized in float64, then stored as float32; normalized rows pass through."""
         if self.normalized:
             return self
-        X = l2_normalize_rows(self.X.astype(np.float64, copy=False))
-        return FeatureMatrix(self.part_id, self.instance_ids, X, normalized=True)
+        return FeatureMatrix(self.part_id, self.instance_ids, l2_normalize_rows(self.X.astype(np.float64)), True)
 
 
 def write_features(path: str | Path, fm: FeatureMatrix) -> None:
@@ -404,7 +403,7 @@ def write_features(path: str | Path, fm: FeatureMatrix) -> None:
 
 
 def read_features(path: str | Path) -> FeatureMatrix:
-    """Read a feature file; the rows come back as stored, with the file's normalization flag."""
+    """Read a feature file as stored, with its normalization flag; a broken `FeatureMatrix` rule names ``path``."""
     buf = Path(path).read_bytes()
     if buf[:4] != _FEATURE_MAGIC:
         raise ValueError(f"{path}: bad magic {buf[:4]!r}")
@@ -412,9 +411,7 @@ def read_features(path: str | Path) -> FeatureMatrix:
     part_id, d, n, flag = struct.unpack("<III B", buf[4:_FEATURE_HEADER_BYTES])
     rec = np.dtype([("id", "<u8"), ("x", "<f4", (d,))])
     body = read_records(path, buf, _FEATURE_HEADER_BYTES, rec, n)
-    return FeatureMatrix(
-        part_id,
-        body["id"].astype(np.int64),
-        body["x"].astype(np.float32),
-        normalized=bool(flag),
-    )
+    try:
+        return FeatureMatrix(part_id, body["id"].astype(np.int64), body["x"].astype(np.float32), bool(flag))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

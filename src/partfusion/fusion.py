@@ -65,16 +65,18 @@ class ProbabilityTable:
     ``P[j]`` is a distribution over the protocol's identity set for instance
     ``instance_ids[j]``; ``activated[j]`` records whether the part fired on
     that instance (pre-filling provenance; filled rows are dense either way).
+    ``P`` is held as float32, the precision a table file stores, so each row
+    sums to 1 only within the format's 1e-3; `learn_weights` renormalizes.
     """
 
     part_id: int
     instance_ids: np.ndarray  # (n,) int64, strictly increasing
-    P: np.ndarray  # (n, |Y|) float64
+    P: np.ndarray  # (n, |Y|) float32
     activated: np.ndarray  # (n,) bool
 
     def __post_init__(self) -> None:
         self.instance_ids = np.asarray(self.instance_ids, dtype=np.int64)
-        self.P = np.asarray(self.P, dtype=np.float64)
+        self.P = np.asarray(self.P, dtype=np.float32)
         self.activated = np.asarray(self.activated, dtype=bool)
         n = self.instance_ids.shape[0]
         if self.P.ndim != 2 or self.P.shape[0] != n or self.activated.shape != (n,):
@@ -86,11 +88,10 @@ class ProbabilityTable:
             self.activated = self.activated[order]
         if n and np.any(np.diff(self.instance_ids) == 0):
             raise ValueError(f"duplicate instance ids in table for part {self.part_id}")
-        if np.any(self.P < -1e-9) or np.any(self.P > 1.0 + 1e-9):
+        if self.P.size and not (self.P.min() >= -1e-9 and self.P.max() <= 1.0 + 1e-9):
             raise ValueError("probability entries outside [0, 1]")
-        sums = self.P.sum(axis=1)
-        if n and np.max(np.abs(sums - 1.0)) > 1e-6:
-            raise ValueError("stored rows must sum to 1 within 1e-6")
+        if n and np.max(np.abs(self.P.sum(axis=1, dtype=np.float64) - 1.0)) > 1e-3:
+            raise ValueError("rows must sum to 1 within 1e-3")
 
     @property
     def n_identities(self) -> int:
@@ -109,6 +110,11 @@ def write_prob_table(path: str | Path, table: ProbabilityTable) -> None:
 
 
 def read_prob_table(path: str | Path) -> ProbabilityTable:
+    """Read a table file; a table that breaks a `ProbabilityTable` rule fails naming ``path``.
+
+    ``P`` is a read-only view of the file's float32 records, so a read holds
+    the file's bytes and no copy of them.
+    """
     buf = Path(path).read_bytes()
     if buf[:4] != _TABLE_MAGIC:
         raise ValueError(f"{path}: bad magic {buf[:4]!r}")
@@ -116,13 +122,10 @@ def read_prob_table(path: str | Path) -> ProbabilityTable:
     part_id, n_y, n = struct.unpack("<III", buf[4:_TABLE_HEADER_BYTES])
     rec = np.dtype([("id", "<u8"), ("act", "u1"), ("p", "<f4", (n_y,))])
     body = read_records(path, buf, _TABLE_HEADER_BYTES, rec, n)
-    P = body["p"].astype(np.float64)
-    # float32 storage nudges sums off 1; renormalize within the format tolerance
-    sums = P.sum(axis=1, keepdims=True)
-    if n and np.max(np.abs(sums - 1.0)) > 1e-3:
-        raise ValueError(f"{path}: stored rows are not distributions")
-    P /= sums
-    return ProbabilityTable(part_id, body["id"].astype(np.int64), P, body["act"].astype(bool))
+    try:
+        return ProbabilityTable(part_id, body["id"].astype(np.int64), body["p"], body["act"].astype(bool))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def fill_sparsity(
@@ -322,22 +325,24 @@ def learn_weights(
     (ties: smaller C), starting from that C's half-0 model. An empty grid, or
     a C that is not a positive finite number, is rejected.
 
-    The pairs live in one (n, |Y|, K+1) array, and each table's ``P`` is
-    re-pointed at its column of that array (same values), so the tables'
-    own matrices are freed as the array fills. The half-0 and half-1 pair
-    sets are gathered from it by instance, one after the other.
+    The pairs live in one (n, |Y|, K+1) float64 array. Each table's float32
+    rows are widened into its column and divided there by their sums. The
+    call empties ``tables`` as the array fills, so a table the caller holds
+    no other reference to is freed; the tables themselves are left as they
+    were, and a second call on the emptied dict is rejected. The half-0 and
+    half-1 pair sets are gathered from the array by instance, one after the
+    other.
     """
     if not tables:
-        raise ValueError("no probability tables")
+        raise ValueError("no probability tables (learn_weights empties the dict it is given)")
     part_ids = sorted(tables)
     ids = tables[part_ids[0]].instance_ids
     n_y = tables[part_ids[0]].n_identities
     if n_y < 2:
         raise ValueError("need at least 2 identities to learn weights")
-    for pid in part_ids[1:]:
-        t = tables[pid]
-        if not np.array_equal(t.instance_ids, ids) or t.n_identities != n_y:
-            raise ValueError("tables disagree on instances or identity set")
+    # a generator, so no loop name keeps a table alive: the stack loop below frees each table it takes
+    if any(not np.array_equal(t.instance_ids, ids) or t.n_identities != n_y for t in map(tables.get, part_ids[1:])):
+        raise ValueError("tables disagree on instances or identity set")
     truth = np.asarray([labels_of[i] for i in ids.tolist()], dtype=np.int64)
     half = np.asarray([halves[i] for i in ids.tolist()], dtype=np.int64)
     fit_rows, held_rows = np.flatnonzero(half == 0), np.flatnonzero(half == 1)
@@ -346,8 +351,10 @@ def learn_weights(
 
     stack = np.empty((ids.shape[0], n_y, len(part_ids)))
     for k, pid in enumerate(part_ids):
-        stack[:, :, k] = tables[pid].P
-        tables[pid].P = stack[:, :, k]
+        P = stack[:, :, k]
+        P[...] = tables.pop(pid).P
+        # numpy sums each strided row in the order it sums a contiguous copy (the tests compare the bytes)
+        P /= P.sum(axis=1, keepdims=True)
 
     def pairs(rows: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
         """The pair features and labels of these instances, in (instance, identity) order.

@@ -236,21 +236,17 @@ def _write_probabilities(
 
 
 def _write_global(
-    models: dict[int, LinearModel | None],
-    features: dict[int, FeatureMatrix],
-    eval_ids: np.ndarray,
-    out: np.ndarray,
-    rows: np.ndarray,
+    models: dict[int, LinearModel | None], features: dict[int, FeatureMatrix], eval_ids: np.ndarray, out: np.ndarray
 ) -> None:
-    """Write the global part's distributions for ``eval_ids`` into ``out[rows]``.
+    """Write the global part's distributions for ``eval_ids`` into the rows of ``out``, in order.
 
     They are uniform when the models hold no global model.
     """
     global_model = models.get(GLOBAL_PART_ID)
     if global_model is None:
-        out[rows] = 1.0 / out.shape[1]
+        out[:] = 1.0 / out.shape[1]
     else:
-        _write_probabilities(global_model, features[GLOBAL_PART_ID], eval_ids, out, rows)
+        _write_probabilities(global_model, features[GLOBAL_PART_ID], eval_ids, out, np.arange(eval_ids.size))
 
 
 def _part_probabilities(
@@ -274,13 +270,12 @@ def _part_probabilities(
     activated rows carry the raw part distribution embedded over the full
     identity set.
     """
-    rows = np.arange(eval_ids.shape[0])
-    P0 = np.empty((rows.size, n_y))
-    _write_global(models, features, eval_ids, P0, rows)
+    P0 = np.empty((eval_ids.size, n_y))
+    _write_global(models, features, eval_ids, P0)
     part: np.ndarray | None = None
     for pid in sorted(mask_ids):
         if pid == GLOBAL_PART_ID:
-            yield pid, P0, np.ones(rows.size, dtype=bool)
+            yield pid, P0, np.ones(eval_ids.size, dtype=bool)
             continue
         if part is None:
             part = np.empty_like(P0)
@@ -288,7 +283,7 @@ def _part_probabilities(
             np.copyto(part, P0)
         else:
             part.fill(0.0)
-        yield pid, part, _part_matrix(models.get(pid), features[pid], eval_ids, P0, fill, part, rows)
+        yield pid, part, _part_matrix(models.get(pid), features[pid], eval_ids, P0, fill, part)
 
 
 def _part_matrix(
@@ -298,25 +293,20 @@ def _part_matrix(
     P0: np.ndarray,
     fill: bool,
     out: np.ndarray,
-    rows: np.ndarray,
 ) -> np.ndarray:
     """Write one non-global part's matrix rows (see `_part_probabilities`); return its activation mask.
 
-    ``out`` and ``P0`` share their rows, and ``rows[j]`` is the row of
-    ``eval_ids[j]``. Those rows of ``out`` must hold their ``P0`` rows with
-    ``fill`` and zeros without it; only the rows the part's model scores
-    are written.
+    Row ``j`` of ``out`` and of ``P0`` belongs to ``eval_ids[j]``. ``out``
+    must hold ``P0`` with ``fill`` and zeros without it; only the rows the
+    part's model scores are written.
     """
     act = fm.contains(eval_ids)
     usable = act if model is not None else np.zeros(act.shape, dtype=bool)
-    targets = rows[usable]
-    if targets.size:
-        _write_probabilities(model, fm, eval_ids[usable], out, targets)
+    if usable.any():
+        _write_probabilities(model, fm, eval_ids[usable], out, np.flatnonzero(usable))
     if fill:
         F_i = model.class_index if model is not None else np.zeros(0, dtype=np.int64)
-        filled = np.zeros(out.shape[0], dtype=bool)
-        filled[targets] = True
-        fill_sparsity_rows(out, P0, F_i, filled, out=out)
+        fill_sparsity_rows(out, P0, F_i, usable, out=out)
     return act
 
 
@@ -347,10 +337,11 @@ class HalfModels:
     def filled_tables(self) -> Iterator[ProbabilityTable]:
         """Each trained part's filled table over the whole split, in ascending part order.
 
-        Both halves' global rows are held in one array in instance order.
-        Each part's table starts as a copy of it, and both halves' part rows
-        are filled in place there, so a caller that drops each table before
-        taking the next holds about two tables' worth.
+        Each half's global rows are held in one array in that half's order.
+        A part's rows for each half are filled in place in a copy of that
+        array and stored into the part's float32 table, so a caller that
+        drops each table before taking the next holds about two float64
+        tables' worth.
         """
         ids = [self.eval_ids(eval_half) for eval_half in (0, 1)]
         models = [self.models[1 - eval_half] for eval_half in (0, 1)]
@@ -359,19 +350,20 @@ class HalfModels:
         position = np.empty_like(order)
         position[order] = np.arange(order.size)
         rows = [position[: ids[0].size], position[ids[0].size :]]
-        P0 = np.empty((all_ids.size, self.n_identities))
+        P0 = [np.empty((half.size, self.n_identities)) for half in ids]
         for h in (0, 1):
-            _write_global(models[h], self.features, ids[h], P0, rows[h])
+            _write_global(models[h], self.features, ids[h], P0[h])
         for pid in sorted(models[0]):
-            P = P0.copy()
+            P = np.empty((all_ids.size, self.n_identities), dtype=np.float32)
             act = np.ones(all_ids.size, dtype=bool)
-            if pid != GLOBAL_PART_ID:
-                for h in (0, 1):
-                    act[rows[h]] = _part_matrix(models[h].get(pid), self.features[pid], ids[h], P0, True, P, rows[h])
-            table = ProbabilityTable(pid, all_ids[order], P, act)
+            for h in (0, 1):
+                part = P0[h].copy()
+                if pid != GLOBAL_PART_ID:
+                    act[rows[h]] = _part_matrix(models[h].get(pid), self.features[pid], ids[h], P0[h], True, part)
+                P[rows[h]] = part
+                del part
+            yield ProbabilityTable(pid, all_ids[order], P, act)
             del P
-            yield table
-            del table
 
 
 def _split_halves(

@@ -29,6 +29,7 @@ from .data import (
     SPLITS,
     PartRegistry,
     dataset_from_records,
+    l2_normalize_rows,
     make_registry,
     write_features,
     write_index,
@@ -364,7 +365,7 @@ def _draw(cfg: SynthConfig) -> SynthData:
                     detections[photo_id] = dets
 
     features = {
-        p: FeatureMatrix(p, np.concatenate(feat_ids[p]), np.concatenate(feat_rows[p])).normalized_copy()
+        p: FeatureMatrix(p, np.concatenate(feat_ids[p]), l2_normalize_rows(np.concatenate(feat_rows[p])), True)
         for p in range(n_parts)
     }
     dataset = dataset_from_records(records)

@@ -15,8 +15,8 @@ import pytest
 import numpy as np
 
 from partfusion.cli import _build_parser, _load_parts, _registry_for, main
-from partfusion.data import load_index, read_features
-from partfusion.fusion import FusionWeights, read_weights, write_prob_table
+from partfusion.data import FeatureMatrix, load_index, read_features, write_features
+from partfusion.fusion import FusionWeights, read_weights, write_prob_table, write_weights
 from partfusion.protocols import eval_recognition, half_split_training, report_text
 
 SMALL_CONFIG = {
@@ -708,6 +708,33 @@ def test_train_parts_tables_equal_the_library_tables(data_dir, trained_dir, tmp_
         expected = tmp_path / path.name
         write_prob_table(expected, tables[int(path.stem.split("_")[1])])
         assert path.read_bytes() == expected.read_bytes(), path.name
+
+
+def test_raw_features_score_as_their_float32_normalized_rows(data_dir, tmp_path):
+    # rows stored unnormalized (flag 0) are L2-normalized in float64 and held as float32, so
+    # they train and score as the flag-1 file that stores those float32 rows
+    rng = np.random.default_rng(8)
+    raw, unit = tmp_path / "raw", tmp_path / "unit"
+    for root in (raw, unit):
+        (root / "features").mkdir(parents=True)
+        shutil.copy(data_dir / "index.tsv", root / "index.tsv")
+    parts = sorted((data_dir / "features").glob("part_*.pfv"))
+    for path in parts:
+        fm = read_features(path)
+        scaled = FeatureMatrix(fm.part_id, fm.instance_ids, fm.X * rng.uniform(0.5, 4.0, (len(fm), 1)))
+        write_features(raw / "features" / path.name, scaled)
+        write_features(unit / "features" / path.name, scaled.normalized_copy())
+    weights = tmp_path / "weights.tsv"
+    write_weights(weights, FusionWeights(np.linspace(0.5, 1.5, len(parts)), 0.0))
+    for root in (raw, unit):
+        files = ["--dataset", str(root / "index.tsv"), "--features", str(root / "features")]
+        assert main(["train-parts", *files, "--split", "val", "--out", str(root / "parts")]) == 0
+        rec = ["--weights", str(weights), "--out", str(root / "rec")]
+        assert main(["eval", "--protocol", "recognition", *files, *rec]) == 0
+    outputs = [path.relative_to(unit) for path in sorted((unit / "parts").rglob("*.ppt"))]
+    assert len(outputs) == len(parts)
+    for rel in [*outputs, Path("parts/labels.tsv"), Path("parts/halves.tsv"), Path("rec/report.txt")]:
+        assert (raw / rel).read_bytes() == (unit / rel).read_bytes(), rel
 
 
 @pytest.mark.parametrize("flag,value", [("--c-grid", "1,,2"), ("--shots", "1,,2"), ("--k-list", "a")])

@@ -1,9 +1,14 @@
 import os
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from partfusion import (
     BBox,
@@ -158,7 +163,47 @@ class TestRegistry:
             PartRegistry((PartInfo(0, "global", "global"), PartInfo(2, "p", "poselet")))
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def _feature_parts(draw):
+    """(instance ids in any order, finite float64 or float32 rows in float32 range, normalization flag)."""
+    n, d = draw(st.integers(0, 8)), draw(st.integers(0, 5))
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    width = draw(st.sampled_from([32, 64]))
+    elements = st.floats(-_F32_MAX, _F32_MAX, width=width)
+    X = draw(hnp.arrays(np.float32 if width == 32 else np.float64, (n, d), elements=elements))
+    return np.asarray(ids, dtype=np.int64), X, draw(st.booleans())
+
+
 class TestFeatureMatrix:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(parts=_feature_parts())
+    def test_file_round_trip_is_bit_identical(self, parts):
+        ids, X, flag = parts
+        fm = FeatureMatrix(5, ids, X, normalized=flag)
+        order = np.argsort(ids)
+        assert fm.X.dtype == np.float32 and fm.X.tobytes() == X.astype(np.float32)[order].tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "part_005.pfv"
+            write_features(path, fm)
+            back = read_features(path)
+        assert back.part_id == 5 and back.normalized == flag
+        assert back.instance_ids.tobytes() == ids[order].tobytes()
+        assert back.X.dtype == np.float32 and back.X.tobytes() == fm.X.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(parts=_feature_parts(), data=st.data())
+    def test_a_file_cut_anywhere_names_its_path(self, parts, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "part_005.pfv"
+            write_features(path, FeatureMatrix(5, *parts[:2], normalized=parts[2]))
+            whole = path.read_bytes()
+            path.write_bytes(whole[: data.draw(st.integers(0, len(whole) - 1), label="cut")])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                read_features(path)
+
     def test_rows_sorted_and_lookup(self):
         fm = FeatureMatrix(1, np.array([30, 10, 20]), np.eye(3))
         assert fm.instance_ids.tolist() == [10, 20, 30]
@@ -207,19 +252,38 @@ class TestFeatureMatrix:
 
     def test_read_keeps_float32_rows_and_widens_gathered_ones(self, tmp_path):
         rng = np.random.default_rng(6)
-        fm = FeatureMatrix(2, np.arange(10, 30), rng.normal(size=(20, 5)))
-        assert fm.X.dtype == np.float64
+        X = rng.normal(size=(20, 5))
+        fm = FeatureMatrix(2, np.arange(10, 30), X)
+        # float64 input is held as the float32 rows a file stores
+        assert fm.X.dtype == np.float32
+        assert fm.X.tobytes() == X.astype(np.float32).tobytes()
         path = tmp_path / "part_002.pfv"
         write_features(path, fm)
         back = read_features(path)
         assert back.X.dtype == np.float32
+        assert back.X.tobytes() == fm.X.tobytes()
         ids = np.array([29, 10, 17, 17])
         got = back.rows(ids)
         assert got.dtype == np.float64
-        assert got.tobytes() == fm.X.astype(np.float32).astype(np.float64)[ids - 10].tobytes()
-        # normalizing widens first, as if the rows had been read as float64
+        assert got.tobytes() == X.astype(np.float32).astype(np.float64)[ids - 10].tobytes()
+        # normalizing widens first, then stores the normalized rows as float32
         normalized = back.normalized_copy()
-        assert normalized.X.tobytes() == l2_normalize_rows(back.X.astype(np.float64)).tobytes()
+        assert normalized.X.dtype == np.float32
+        assert normalized.X.tobytes() == l2_normalize_rows(back.X.astype(np.float64)).astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("id", 1, "duplicate instance ids in part 0 features"), ("x", np.nan, "non-finite feature values in part 0")],
+    )
+    def test_a_broken_feature_rule_names_the_path(self, tmp_path, field, value, message):
+        path = tmp_path / "part_000.pfv"
+        write_features(path, FeatureMatrix(0, np.array([1, 2]), np.ones((2, 2))))
+        whole = path.read_bytes()
+        body = np.frombuffer(whole, dtype=[("id", "<u8"), ("x", "<f4", (2,))], offset=17).copy()
+        body[field][1] = value
+        path.write_bytes(whole[:17] + body.tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_features(path)
 
     def test_binary_layout_little_endian(self, tmp_path):
         # hand-build a one-row file and confirm the reader decodes it

@@ -1,10 +1,13 @@
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from partfusion import (
     FusionWeights,
@@ -202,7 +205,47 @@ class TestFusePredict:
             fuse_matrix(iter(()), fw)
 
 
+@st.composite
+def _table_parts(draw):
+    """(instance ids in any order, float64 or float32 distribution rows, activation flags)."""
+    n, n_y = draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    w = draw(hnp.arrays(np.float64, (n, n_y), elements=st.floats(0.0, 1.0)))
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    P = w / w.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        P = P.astype(np.float32)
+    return np.asarray(ids, dtype=np.int64), P, draw(hnp.arrays(bool, n))
+
+
 class TestProbabilityTable:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(parts=_table_parts())
+    def test_file_round_trip_is_bit_identical(self, parts):
+        ids, P, activated = parts
+        t = ProbabilityTable(5, ids, P, activated)
+        order = np.argsort(ids)
+        assert t.P.dtype == np.float32 and t.P.tobytes() == P.astype(np.float32)[order].tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "part_005.ppt"
+            write_prob_table(path, t)
+            back = read_prob_table(path)
+        assert back.part_id == 5
+        assert back.instance_ids.tobytes() == ids[order].tobytes()
+        assert back.activated.tobytes() == activated[order].tobytes()
+        assert back.P.dtype == np.float32 and back.P.tobytes() == t.P.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(parts=_table_parts(), data=st.data())
+    def test_a_file_cut_anywhere_names_its_path(self, parts, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "part_005.ppt"
+            write_prob_table(path, ProbabilityTable(5, *parts))
+            whole = path.read_bytes()
+            path.write_bytes(whole[: data.draw(st.integers(0, len(whole) - 1), label="cut")])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                read_prob_table(path)
+
     def test_row_sums_validated(self):
         with pytest.raises(ValueError):
             ProbabilityTable(
@@ -214,6 +257,8 @@ class TestProbabilityTable:
             ProbabilityTable(
                 0, np.array([1]), np.array([[1.5, -0.5]]), np.array([True])
             )
+        with pytest.raises(ValueError, match="outside"):
+            ProbabilityTable(0, np.array([1]), np.array([[np.nan, 1.0]]), np.array([True]))
 
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(24)
@@ -225,8 +270,9 @@ class TestProbabilityTable:
         assert back.part_id == 2
         np.testing.assert_array_equal(back.instance_ids, t.instance_ids)
         np.testing.assert_array_equal(back.activated, t.activated)
-        np.testing.assert_allclose(back.P, t.P, atol=1e-6)
-        np.testing.assert_allclose(back.P.sum(axis=1), 1.0, atol=1e-9)
+        # the float32 rows come back bit for bit; each is its float64 row rounded once
+        assert back.P.dtype == np.float32 and back.P.tobytes() == P.astype(np.float32).tobytes()
+        np.testing.assert_allclose(back.P.sum(axis=1, dtype=np.float64), 1.0, rtol=0.0, atol=2.0**-24)
 
     def test_truncated_header_names_path_and_lengths(self, tmp_path):
         path = tmp_path / "part_000.ppt"
@@ -272,7 +318,7 @@ class TestProbabilityTable:
         assert path.read_bytes() == b"PPT1" + np.array([4, 320, 6400], dtype="<u4").tobytes() + body.tobytes()
 
     def test_read_holds_the_file_and_one_table(self, tmp_path):
-        # The file's float32 records (about half a float64 table) and the returned P.
+        # The file's float32 records, about half a float64 table; the returned table's P is a view of them.
         rng = np.random.default_rng(26)
         P = rng.random((6400, 320))
         P /= P.sum(axis=1, keepdims=True)
@@ -284,10 +330,24 @@ class TestProbabilityTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * P.nbytes, f"peak {peak / P.nbytes:.2f} tables"
+        assert peak <= 0.53 * P.nbytes, f"peak {peak / P.nbytes:.2f} tables"
         rec = np.dtype([("id", "<u8"), ("act", "u1"), ("p", "<f4", (320,))])
-        stored = np.frombuffer(path.read_bytes(), dtype=rec, offset=16)["p"].astype(np.float64)
-        assert t.P.tobytes() == (stored / stored.sum(axis=1, keepdims=True)).tobytes()
+        assert t.P.dtype == np.float32
+        assert t.P.tobytes() == np.frombuffer(path.read_bytes(), dtype=rec, offset=16)["p"].tobytes()
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("id", 1, "duplicate instance ids in table for part 0"), ("p", 0.25, "rows must sum to 1 within 1e-3")],
+    )
+    def test_a_broken_table_rule_names_the_path(self, tmp_path, field, value, message):
+        path = tmp_path / "part_000.ppt"
+        write_prob_table(path, ProbabilityTable(0, np.array([1, 2]), np.full((2, 2), 0.5), np.array([True, True])))
+        whole = path.read_bytes()
+        body = np.frombuffer(whole, dtype=[("id", "<u8"), ("act", "u1"), ("p", "<f4", (2,))], offset=16).copy()
+        body[field][1] = value
+        path.write_bytes(whole[:16] + body.tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_prob_table(path)
 
 
 class TestWeightsFile:
@@ -334,12 +394,21 @@ def _tables_from_scores(scores, labels, n_y):
     return tables
 
 
+def _renormalized(P):
+    """A table's rows widened to float64 and divided by their sums."""
+    P = P.astype(np.float64)
+    return P / P.sum(axis=1, keepdims=True)
+
+
 def _pair_dataset(tables, labels_of):
-    """(pair features, +-1 labels, pair instance ids) in (instance, identity) order, by `np.stack`."""
+    """(pair features, +-1 labels, pair instance ids) in (instance, identity) order, by `np.stack`.
+
+    The features are the renormalized float64 rows.
+    """
     part_ids = sorted(tables)
     ids = tables[part_ids[0]].instance_ids
     n_y = tables[part_ids[0]].n_identities
-    X = np.stack([tables[pid].P for pid in part_ids], axis=2).reshape(-1, len(part_ids))
+    X = np.stack([_renormalized(tables[pid].P) for pid in part_ids], axis=2).reshape(-1, len(part_ids))
     truth = np.asarray([labels_of[i] for i in ids.tolist()], dtype=np.int64)
     y = np.where(np.arange(n_y)[None, :] == truth[:, None], 1, -1).reshape(-1)
     return X, y, np.repeat(ids, n_y)
@@ -396,19 +465,15 @@ class TestLearnWeights:
     def test_equals_the_fancy_index_oracle(self, seed, n, n_y, parts, clamp):
         # the largest case (27k pairs) spans several Newton row blocks
         tables, labels, halves = self._planted_setup(seed, n=n, n_y=n_y, parts=parts)
-        values = {pid: t.P.copy() for pid, t in tables.items()}
         grid = (0.0625, 1.0, 16.0)
         want_fw, want_info = _learn_weights_oracle(tables, labels, halves, grid, clamp)
-        fw, info = learn_weights(tables, labels, halves, C_grid=grid, clamp_nonnegative=clamp)
+        fw, info = learn_weights(dict(tables), labels, halves, C_grid=grid, clamp_nonnegative=clamp)
         assert np.array_equal(fw.w, want_fw.w) and fw.bias == want_fw.bias
         assert info == want_info
-        # the tables now point into the pair matrix, with the same values
-        for pid, t in tables.items():
-            assert np.array_equal(t.P, values[pid])
 
     def test_peak_memory_within_two_and_a_half_pair_matrices(self):
         # 80 identities, 20 instances each, 10 parts: a 9.8 MB pair matrix.
-        # The held tables count: they are one pair matrix's worth of bytes.
+        # The tables count until learn_weights drops them: half a pair matrix's worth of float32 bytes.
         learn_weights(*self._planted_setup(1, n=20, n_y=4), C_grid=(1.0,))  # loads numpy's lazy parts
         n_y, per, parts = 80, 20, 10
         tracemalloc.start()
@@ -423,6 +488,20 @@ class TestLearnWeights:
         assert info.n_pairs == n_y * per * n_y
         assert peak <= 2.5 * pair_bytes, f"peak {peak / pair_bytes:.2f} pair matrices"
 
+    def test_empties_the_dict_and_leaves_the_tables(self):
+        tables, labels, halves = self._planted_setup(30)
+        held = dict(tables)
+        stored = {pid: t.P.copy() for pid, t in tables.items()}
+        with pytest.raises(ValueError, match="both halves"):
+            learn_weights(tables, labels, dict.fromkeys(halves, 0))
+        assert tables == held  # a rejected call takes no table
+        learn_weights(tables, labels, halves)
+        assert tables == {}
+        for pid, t in held.items():
+            assert t.P.dtype == np.float32 and t.P.tobytes() == stored[pid].tobytes()
+        with pytest.raises(ValueError, match="no probability tables"):
+            learn_weights(tables, labels, halves)
+
     def test_planted_informative_part_wins(self):
         tables, labels, halves = self._planted_setup(31)
         fw, info = learn_weights(tables, labels, halves)
@@ -430,10 +509,10 @@ class TestLearnWeights:
         assert info.n_pairs == len(labels) * 6
 
     def test_deterministic_given_seed(self):
-        # the solver is exact and draws no random numbers: two runs agree bit for bit
+        # the solver is exact and draws no random numbers: two runs on the same tables agree bit for bit
         tables, labels, halves = self._planted_setup(32)
-        fw1, _ = learn_weights(tables, labels, halves)
-        fw2, _ = learn_weights(tables, labels, halves)
+        fw1, _ = learn_weights(dict(tables), labels, halves)
+        fw2, _ = learn_weights(dict(tables), labels, halves)
         np.testing.assert_array_equal(fw1.w, fw2.w)
         assert fw1.bias == fw2.bias
 
@@ -446,7 +525,7 @@ class TestLearnWeights:
         S[np.arange(n), truth] += 2.0
         tables = _tables_from_scores({0: S, 1: S.copy(), 2: S.copy()}, labels, n_y)
         halves = {i + 1: (i % 2) for i in range(n)}
-        fw, _ = learn_weights(tables, labels, halves)
+        fw, _ = learn_weights(dict(tables), labels, halves)
         # s = (sum of w) * P: same argmax as one part whenever the sum is positive
         assert fw.w.sum() > 0
         base = np.argmax(tables[0].P, axis=1)
@@ -467,7 +546,7 @@ class TestLearnWeights:
         # oracle: a cold single fit per C, scored by an objective written here
         tables, labels, halves = self._planted_setup(37, n=50)
         grid = (0.0625, 1.0, 16.0)
-        fw, info = learn_weights(tables, labels, halves, C_grid=grid)
+        fw, info = learn_weights(dict(tables), labels, halves, C_grid=grid)
 
         X, y, owner = _pair_dataset(tables, labels)
         half = np.asarray([halves[i] for i in owner.tolist()])

@@ -596,7 +596,9 @@ def test_half_split_training_artifacts(small):
     assert list(tables) == list(small.registry.part_ids)
     for pid, table in tables.items():
         assert set(table.instance_ids.tolist()) == kept
-        np.testing.assert_allclose(table.P.sum(axis=1), 1.0, atol=1e-9)
+        # float32 rows of distributions: rounding each entry moves a row's sum by at most 2^-24
+        assert table.P.dtype == np.float32
+        np.testing.assert_allclose(table.P.sum(axis=1, dtype=np.float64), 1.0, rtol=0.0, atol=1e-9 + 2.0**-24)
         assert table.P.shape == (len(kept), art.n_identities)
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from partfusion import FusionWeights, SynthConfig, generate
-from partfusion.data import GLOBAL_PART_ID, FeatureMatrix, dataset_from_records
+from partfusion.data import GLOBAL_PART_ID, FeatureMatrix, dataset_from_records, l2_normalize_rows
 from partfusion.geometry import BBox, body_from_head
 from partfusion.matching import Detection
 from partfusion import synth
@@ -152,13 +152,14 @@ def _scalar_generate(cfg: SynthConfig) -> SynthData:
                 if dets:
                     detections[photo_id] = dets
 
+    # rows normalized in float64, then stored as float32
     features = {
         p: FeatureMatrix(
             p,
             np.asarray(feat_ids[p], dtype=np.int64),
-            np.asarray(feat_rows[p], dtype=np.float64).reshape(len(feat_rows[p]), d),
-            normalized=False,
-        ).normalized_copy()
+            l2_normalize_rows(np.asarray(feat_rows[p], dtype=np.float64).reshape(len(feat_rows[p]), d)),
+            normalized=True,
+        )
         for p in range(n_parts)
     }
     dataset = dataset_from_records(records)
@@ -344,6 +345,7 @@ def test_generate_matches_the_scalar_generator(tmp_path, over):
     assert set(got.features) == set(want.features)
     for p, fm in want.features.items():
         assert got.features[p].instance_ids.tobytes() == fm.instance_ids.tobytes()
+        assert got.features[p].X.dtype == np.float32 and got.features[p].normalized
         assert got.features[p].X.tobytes() == fm.X.tobytes()
     files = write_synth(got, tmp_path / "got")
     oracle = write_synth(want, tmp_path / "want")

@@ -3,10 +3,14 @@
 In a temporary directory, runs ``partfusion`` synth, match, train-parts on
 the val and the test split, learn-weights --clamp, and eval with each of the
 six protocols (learned weights, apart from ablation, which fuses uniformly),
-every command with the same ``--seed``. Prints ``{relative path: sha256}``
-for every file written, as JSON. The package is imported from the ``src``
-directory beside this script, so a copy of the script in another checkout
-digests that checkout's code:
+every command with the same ``--seed``. Then the library path writes its
+twins of two of those files under ``library/``: the clamped weights of
+`learn_fusion_weights` and the recognition report of `eval_recognition`,
+both from `synth.generate`'s in-memory data. Each should equal its command
+twin byte for byte. Prints ``{relative path: sha256}`` for every file
+written, as JSON. The package is imported from the ``src`` directory beside
+this script, so a copy of the script in another checkout digests that
+checkout's code:
 
     python tools/output_digests.py --n-identities 60 --seed 1 > after.json
 """
@@ -23,6 +27,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from partfusion import SynthConfig, eval_recognition, generate, learn_fusion_weights  # noqa: E402
+from partfusion import write_report, write_weights  # noqa: E402
 from partfusion.cli import main as cli_main  # noqa: E402
 
 DATA = ["--dataset", "data/index.tsv", "--features", "data/features"]
@@ -38,10 +44,24 @@ COMMANDS = [
         for protocol in ("recognition", "recognition-no-fill", "ablation", "faces-split", "oneshot", "retrieval")
     ),
 ]
+# The command outputs the library path writes again under library/.
+LIBRARY_TWINS = ("weights/weights.tsv", "recognition/report.txt")
+
+
+def write_library_twins(n_identities: int, seed: int) -> None:
+    """Write `LIBRARY_TWINS` under ``library/`` in the working directory, from the library calls."""
+    data = generate(SynthConfig(n_identities=n_identities, seed=seed))
+    fw, _ = learn_fusion_weights(data.dataset, data.features, data.registry, "val", seed, clamp_nonnegative=True)
+    report = eval_recognition(data.dataset, data.features, data.registry, fw, "test", seed)
+    weights, recognition = (Path("library") / twin for twin in LIBRARY_TWINS)
+    for path in (weights, recognition):
+        path.parent.mkdir(parents=True)
+    write_weights(weights, fw)
+    write_report(report, recognition)
 
 
 def output_digests(n_identities: int, seed: int) -> dict[str, str]:
-    """Run the chain in a fresh directory; sha256 of each output, by path relative to it."""
+    """Run the chain and the library twins in a fresh directory; sha256 of each output, by path relative to it."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -51,6 +71,7 @@ def output_digests(n_identities: int, seed: int) -> dict[str, str]:
             for argv in COMMANDS:
                 if cli_main([*argv, "--seed", str(seed)]) != 0:
                     raise RuntimeError(f"partfusion {' '.join(argv)} failed")
+            write_library_twins(n_identities, seed)
         finally:
             os.chdir(cwd)
         return {
