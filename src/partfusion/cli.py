@@ -35,7 +35,7 @@ from .fusion import (
     write_prob_table,
     write_weights,
 )
-from .matching import LAMBDA_SCORE, activations_per_instance, load_detections, match_detections
+from .matching import LAMBDA_SCORE, TAU_IOU, activations_per_instance, load_detections, match_detections
 from .protocols import (
     DEFAULT_TRAIN_CFG,
     eval_ablation,
@@ -49,6 +49,10 @@ from .protocols import (
 from .synth import SynthConfig, config_from_json, generate, write_synth
 
 __all__ = ["main"]
+
+# eval scores the test split with every part fused; retrieval's reference
+# models train on val, and oneshot draws 10 repeats per shot count
+_EVAL_SPLIT, _REFERENCE_SPLIT, _ONESHOT_REPEATS = "test", "val", 10
 
 
 def _sha256(path: Path) -> str:
@@ -101,12 +105,12 @@ def _load_parts(directory: str | Path, pattern: str, read) -> tuple[dict, list[P
     return parts, files
 
 
-def _parse_list(flag: str, text: str, convert) -> tuple:
-    """A comma-separated flag value, each item read by ``convert`` (int or float)."""
+def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
+    """A comma-separated flag value of integers."""
     try:
-        return tuple(convert(item) for item in text.split(","))
+        return tuple(int(item) for item in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag} takes comma-separated {convert.__name__} values, got {text!r}") from None
+        raise ValueError(f"{flag} takes comma-separated int values, got {text!r}") from None
 
 
 def _registry_for(features: dict[int, FeatureMatrix], no_face: bool):
@@ -149,7 +153,7 @@ def cmd_match(args) -> int:
     for photo_id in sorted(by_photo_truths):
         truths = by_photo_truths[photo_id]
         dets = by_photo_dets.get(photo_id, [])
-        assignment = match_detections(truths, dets, args.tau_iou)
+        assignment = match_detections(truths, dets)
         table = activations_per_instance(assignment, truths, dets)
         for iid in sorted(table):
             for part_id, patch, act in table[iid]:
@@ -172,7 +176,7 @@ def cmd_match(args) -> int:
     config = {
         "dataset": args.dataset,
         "detections": args.detections,
-        "tau_iou": args.tau_iou,
+        "tau_iou": TAU_IOU,
         "lambda_score": LAMBDA_SCORE,
     }
     _write_manifest(
@@ -257,8 +261,7 @@ def cmd_learn_weights(args) -> int:
     tables, table_files = _load_parts(tables_dir / "tables", "part_*.ppt", read_prob_table)
     labels_of = _read_id_map(tables_dir / "labels.tsv", tables, "label", tables[0].n_identities)
     halves = _read_id_map(tables_dir / "halves.tsv", tables, "half", 2)
-    C_grid = _parse_list("--c-grid", args.c_grid, float) if args.c_grid else DEFAULT_C_GRID
-    fw, info = learn_weights(tables, labels_of, halves, C_grid=C_grid, clamp_nonnegative=args.clamp)
+    fw, info = learn_weights(tables, labels_of, halves, clamp_nonnegative=args.clamp)
 
     weights_path = out / "weights.tsv"
     write_weights(weights_path, fw)
@@ -271,7 +274,7 @@ def cmd_learn_weights(args) -> int:
 
     config = {
         "tables": args.tables,
-        "c_grid": [float(c) for c in C_grid],
+        "c_grid": [float(c) for c in DEFAULT_C_GRID],
         "clamp": args.clamp,
         "loss": "squared_hinge",
         "best_C": info.best_C,
@@ -285,12 +288,8 @@ def cmd_learn_weights(args) -> int:
 def cmd_eval(args) -> int:
     if args.protocol == "ablation" and args.weights:
         raise ValueError("--weights does not apply to --protocol ablation: ablation always fuses uniformly")
-    if args.protocol == "ablation" and args.mask and args.mask != "all":
-        raise ValueError("--mask does not apply to --protocol ablation: ablation scores every component mask")
     for flag, value, default, owner, reason in (
-        ("--val-split", args.val_split, "val", "retrieval", "only retrieval trains on a reference split"),
         ("--shots", args.shots, "1,2,3", "oneshot", "only oneshot trains on a few shots per identity"),
-        ("--repeats", args.repeats, 10, "oneshot", "only oneshot repeats its shot draws"),
         ("--k-list", args.k_list, "1,2,5,10,20", "retrieval", "only retrieval reports recall at K"),
     ):
         if args.protocol != owner and value != default:
@@ -300,28 +299,27 @@ def cmd_eval(args) -> int:
     features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
     registry = _registry_for(features, args.no_face)
     fw, weight_inputs = _weights_for(args, registry)
-    mask = args.mask if args.mask and args.mask != "all" else None
 
     outputs: list[Path] = []
     if args.protocol in ("recognition", "recognition-no-fill"):
         fill = args.protocol == "recognition"
-        report = eval_recognition(dataset, features, registry, fw, args.split, args.seed, mask, fill=fill)
+        report = eval_recognition(dataset, features, registry, fw, _EVAL_SPLIT, args.seed, fill=fill)
         write_report(report, out / "report.txt")
         outputs.append(out / "report.txt")
     elif args.protocol == "oneshot":
-        shots = _parse_list("--shots", args.shots, int)
-        report = eval_oneshot(dataset, features, registry, fw, args.split, shots, args.repeats, args.seed, mask)
+        shots = _parse_ints("--shots", args.shots)
+        report = eval_oneshot(dataset, features, registry, fw, _EVAL_SPLIT, shots, _ONESHOT_REPEATS, args.seed)
         write_report(report, out / "report.txt", out / "curve.csv")
         outputs += [out / "report.txt", out / "curve.csv"]
     elif args.protocol == "retrieval":
-        K_list = _parse_list("--k-list", args.k_list, int)
+        K_list = _parse_ints("--k-list", args.k_list)
         report = run_retrieval_protocol(
-            dataset, features, registry, fw, args.val_split, args.split, args.seed, K_list, mask
+            dataset, features, registry, fw, _REFERENCE_SPLIT, _EVAL_SPLIT, args.seed, K_list
         )
         write_report(report, out / "report.txt", out / "curve.csv")
         outputs += [out / "report.txt", out / "curve.csv"]
     elif args.protocol == "ablation":
-        reports = eval_ablation(dataset, features, registry, fw, args.split, args.seed)
+        reports = eval_ablation(dataset, features, registry, fw, _EVAL_SPLIT, args.seed)
         summary = []
         for mask_name, report in reports.items():
             p = out / f"report_{mask_name}.txt"
@@ -332,7 +330,7 @@ def cmd_eval(args) -> int:
         atomic_write_text(summary_path, "\n".join(summary) + "\n")
         outputs.append(summary_path)
     elif args.protocol == "faces-split":
-        face_report, nonface_report = eval_faces_split(dataset, features, registry, fw, args.split, args.seed, mask)
+        face_report, nonface_report = eval_faces_split(dataset, features, registry, fw, _EVAL_SPLIT, args.seed)
         write_report(face_report, out / "report_faces.txt")
         write_report(nonface_report, out / "report_nonfaces.txt")
         outputs += [out / "report_faces.txt", out / "report_nonfaces.txt"]
@@ -344,11 +342,11 @@ def cmd_eval(args) -> int:
         "dataset": args.dataset,
         "features": args.features,
         "weights": args.weights,
-        "split": args.split,
-        "val_split": args.val_split,
-        "mask": args.mask,
+        "split": _EVAL_SPLIT,
+        "val_split": _REFERENCE_SPLIT,
+        "mask": "all",
         "shots": args.shots,
-        "repeats": args.repeats,
+        "repeats": _ONESHOT_REPEATS,
         "k_list": args.k_list,
         "svm_c": DEFAULT_TRAIN_CFG.C,
         "epochs": DEFAULT_TRAIN_CFG.epochs,
@@ -376,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="assign detections to ground-truth instances")
     p.add_argument("--dataset", required=True)
     p.add_argument("--detections", required=True)
-    p.add_argument("--tau-iou", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_match)
@@ -392,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn-weights", help="learn fusion weights from tables")
     p.add_argument("--tables", required=True, help="train-parts output directory")
-    p.add_argument("--c-grid", default=None, help="comma-separated C values")
     p.add_argument("--clamp", action="store_true", help="clamp weights at zero")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -418,15 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="weights file; uniform when omitted; not taken by ablation, which always fuses uniformly",
     )
-    p.add_argument("--split", default="test")
-    p.add_argument("--val-split", default="val", help="reference split; taken by retrieval only")
-    p.add_argument(
-        "--mask",
-        default="all",
-        help="component mask, e.g. global,face; not taken by ablation, which scores every mask",
-    )
     p.add_argument("--shots", default="1,2,3", help="comma-separated shot counts; taken by oneshot only")
-    p.add_argument("--repeats", type=int, default=10, help="draws per shot count; taken by oneshot only")
     p.add_argument("--k-list", default="1,2,5,10,20", help="comma-separated K of recall@K; taken by retrieval only")
     p.add_argument("--no-face", action="store_true")
     p.add_argument("--seed", type=int, default=0)

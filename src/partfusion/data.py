@@ -221,9 +221,16 @@ def format_num(v: float) -> str:
 
 
 def write_index(path: str | Path, records: list[tuple[int, int, int, int, BBox, str, str]]) -> None:
-    """Write raw index records: (instance_id, photo_id, album_id, uploader_id, head, label, split)."""
+    """Write raw index records: (instance_id, photo_id, album_id, uploader_id, head, label, split).
+
+    A label holding a tab or a line break (any that `str.splitlines` splits
+    at, U+2028 included) is rejected, naming its record, since `load_index`
+    could not read the line back; nothing is written then.
+    """
     lines = []
-    for iid, pid, aid, uid, head, label, split in records:
+    for k, (iid, pid, aid, uid, head, label, split) in enumerate(records):
+        if "\t" in label or "".join(label.splitlines()) != label:
+            raise ValueError(f"{path}: record {k} (instance {iid}): label {label!r} holds a tab or a line break")
         fields = [
             str(iid),
             str(pid),

@@ -48,7 +48,7 @@ __all__ = [
     "write_weights",
 ]
 
-# The C values weight learning searches when none are given: 2^-8, 2^-6, ..., 2^8.
+# The C values weight learning searches: 2^-8, 2^-6, ..., 2^8.
 DEFAULT_C_GRID = tuple(2.0**k for k in range(-8, 9, 2))
 
 _TABLE_MAGIC = b"PPT1"
@@ -307,7 +307,6 @@ def learn_weights(
     tables: dict[int, ProbabilityTable],
     labels_of: dict[int, int],
     halves: dict[int, int],
-    C_grid: tuple[float, ...] = DEFAULT_C_GRID,
     clamp_nonnegative: bool = False,
 ) -> tuple[FusionWeights, WeightLearningInfo]:
     """Learn per-part mixing weights from filled validation tables.
@@ -319,11 +318,10 @@ def learn_weights(
     [P_0(y|X_j), ..., P_K(y|X_j)], label +1 iff y is j's identity, in
     (instance, identity) order. The pair classifier is `train_binary`'s
     inverse-frequency weighted L2-loss (squared hinge) linear SVM with a
-    fitted bias. One call fits the C grid on half-0 pairs, each C from the
-    previous optimum, and balanced accuracy on half-1 pairs scores each C. The
-    final weights come from a one-C call that refits all pairs at the best C
-    (ties: smaller C), starting from that C's half-0 model. An empty grid, or
-    a C that is not a positive finite number, is rejected.
+    fitted bias. One call fits `DEFAULT_C_GRID` on half-0 pairs, each C from
+    the previous optimum, and balanced accuracy on half-1 pairs scores each C.
+    The final weights come from a one-C call that refits all pairs at the best
+    C (ties: smaller C), starting from that C's half-0 model.
 
     The pairs live in one (n, |Y|, K+1) float64 array. Each table's float32
     rows are widened into its column and divided there by their sums. The
@@ -364,11 +362,11 @@ def learn_weights(
         y = np.where(np.arange(n_y)[None, :] == truth[rows][:, None], 1, -1)
         return stack[rows].reshape(-1, len(part_ids)), y.reshape(-1)
 
-    grid = train_binary(*pairs(fit_rows), C_grid)
+    grid = train_binary(*pairs(fit_rows), DEFAULT_C_GRID)
     X_held, y_held = pairs(held_rows)
     grid_scores: list[tuple[float, float]] = []
     best, best_score = 0, -1.0
-    for k, (C, model) in enumerate(zip(C_grid, grid.models)):
+    for k, (C, model) in enumerate(zip(DEFAULT_C_GRID, grid.models)):
         pred = np.where(model.scores(X_held)[:, 0] > 0.0, 1, -1)
         acc = _balanced_accuracy(y_held, pred)
         grid_scores.append((float(C), acc))
@@ -377,10 +375,10 @@ def learn_weights(
     del X_held, y_held
 
     X, y = pairs(slice(None))
-    final = train_binary(X, y, (C_grid[best],), init=grid.models[best]).models[0]
+    final = train_binary(X, y, (DEFAULT_C_GRID[best],), init=grid.models[best]).models[0]
     w = final.W[0].copy()
     if clamp_nonnegative:
         w = np.maximum(w, 0.0)
     fw = FusionWeights(w, float(final.b[0]))
     objectives = tuple(float(m.objective_history[-1][0]) for m in grid.models)
-    return fw, WeightLearningInfo(float(C_grid[best]), tuple(grid_scores), int(X.shape[0]), objectives)
+    return fw, WeightLearningInfo(float(DEFAULT_C_GRID[best]), tuple(grid_scores), int(X.shape[0]), objectives)

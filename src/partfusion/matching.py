@@ -47,7 +47,9 @@ __all__ = [
     "write_detections",
 ]
 
-# The weight of the normalized detection score in an edge weight; the IoU takes the rest.
+# The least IoU of an admissible edge, and the weight of the normalized
+# detection score in an edge weight; the IoU takes the rest.
+TAU_IOU = 0.3
 LAMBDA_SCORE = 0.5
 _WEIGHT_EPS = 1e-9
 
@@ -255,7 +257,7 @@ def _forced_pairs(adm: np.ndarray, W: np.ndarray) -> list[tuple[int, int]]:
 def match_detections(
     truths: list[Instance],
     detections: list[Detection],
-    tau_iou: float = 0.3,
+    tau_iou: float = TAU_IOU,
     lam: float = LAMBDA_SCORE,
 ) -> Assignment:
     """Optimal truth-to-detection assignment for one photo.
@@ -287,7 +289,7 @@ def match_detections(
 def match_bruteforce(
     truths: list[Instance],
     detections: list[Detection],
-    tau_iou: float = 0.3,
+    tau_iou: float = TAU_IOU,
     lam: float = LAMBDA_SCORE,
 ) -> Assignment:
     """Exhaustive-enumeration oracle with the same semantics as match_detections.
@@ -421,13 +423,25 @@ def _detection_field_spec(n_fields: int) -> list[tuple[str, type]]:
     return spec
 
 
+def _detection_value_error(where: str, fields: list[str]) -> ValueError:
+    """The error for the first box side that is not positive, or part id below 1, on a parsed line."""
+    for (name, _), text in zip(_detection_field_spec(len(fields)), fields):
+        if name.endswith((" w", " h")) and float(text) <= 0.0:
+            return ValueError(f"{where}: {name} must be positive, got {text!r}")
+        if name.endswith("part_id") and int(text) <= GLOBAL_PART_ID:
+            return ValueError(f"{where}: {name} must be at least 1 (part 0 is the global part), got {text!r}")
+    raise AssertionError("every box side is positive and every part id at least 1")
+
+
 def load_detections(path: str | Path) -> dict[int, list[Detection]]:
     """Read a detection file into per-photo lists sorted by detection id.
 
     A line with a bad field count, a field that is not a number or not
-    finite, a part listed twice, or a detection id already used in its photo
-    fails with ``path:line``; a field error also names the field and its
-    value.
+    finite, a person or patch box whose width or height is not positive, an
+    activation part id below 1 (the global part 0 is added to every instance
+    by `activations_per_instance`), a part listed twice, or a detection id
+    already used in its photo fails with ``path:line``; a field error also
+    names the field and its value.
     """
     by_photo: dict[int, list[Detection]] = {}
     seen: set[tuple[int, int]] = set()  # (photo id, detection id)
@@ -447,6 +461,8 @@ def load_detections(path: str | Path) -> dict[int, list[Detection]]:
             raise numeric_field_error(where, f, _detection_field_spec(len(f))) from None
         if not all(map(math.isfinite, chain(person, *groups))):
             raise numeric_field_error(where, f, _detection_field_spec(len(f)))
+        if min(chain(person[2:4], *(g[2:4] for g in groups))) <= 0.0 or min(part_ids, default=1) <= GLOBAL_PART_ID:
+            raise _detection_value_error(where, f)
         if (photo_id, det_id) in seen:
             raise ValueError(f"{where}: detection {det_id} is listed twice in photo {photo_id}")
         seen.add((photo_id, det_id))

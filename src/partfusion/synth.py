@@ -17,7 +17,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass, fields, replace
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,13 @@ __all__ = [
 _GLOBAL_SIGMA, _POSELET_SIGMA, _FACE_SIGMA = 1.3, 0.8, 0.5
 _POSELET_ACTIVATION = (0.05, 0.6)
 _FACE_ACTIVATION = 0.52
+
+
+def _is_numbers(value, depth: int) -> bool:
+    """Whether ``value`` is a number (not a boolean), or a list or tuple of them nested ``depth`` deep."""
+    if depth == 0:
+        return isinstance(value, Real) and not isinstance(value, bool)
+    return isinstance(value, (list, tuple)) and all(_is_numbers(v, depth - 1) for v in value)
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,8 @@ class SynthConfig:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "bool" and not isinstance(value, bool):
                 raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            if f.type == "float" and not _is_numbers(value, 0):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if (
             isinstance(self.splits, str)
             or not self.splits
@@ -124,8 +133,10 @@ class SynthConfig:
         return make_registry(self.n_poselets, self.include_face)
 
     def _per_part(self, value: float | tuple[float, ...], name: str) -> np.ndarray:
-        if isinstance(value, (int, float)):
+        if _is_numbers(value, 0):
             return np.full(self.n_parts, float(value))
+        if not _is_numbers(value, 1):
+            raise ValueError(f"{name} must be a number or a list of numbers, one per part, got {value!r}")
         arr = np.asarray(value, dtype=np.float64)
         if arr.shape != (self.n_parts,):
             raise ValueError(f"{name} must have one entry per part ({self.n_parts})")
@@ -152,13 +163,15 @@ class SynthConfig:
             A[1 : 1 + self.n_poselets] = rng.uniform(*_POSELET_ACTIVATION, (self.n_poselets, self.pose_states))
             if self.include_face:
                 A[-1] = _FACE_ACTIVATION
-        elif isinstance(self.activation_prob, (int, float)):
+        elif _is_numbers(self.activation_prob, 0):
             A[1:] = float(self.activation_prob)
+        elif not _is_numbers(self.activation_prob, 2):
+            raise ValueError(f"activation_prob must be a number or a matrix of numbers, got {self.activation_prob!r}")
         else:
-            M = np.asarray(self.activation_prob, dtype=np.float64)
-            if M.shape != (self.n_parts, self.pose_states):
+            rows = self.activation_prob
+            if len(rows) != self.n_parts or any(len(row) != self.pose_states for row in rows):
                 raise ValueError("activation_prob matrix must be (n_parts, pose_states)")
-            A = M.copy()
+            A = np.array(rows, dtype=np.float64)
             A[GLOBAL_PART_ID] = 1.0
         if not np.all((A >= 0.0) & (A <= 1.0)):
             raise ValueError("activation probabilities must lie in [0, 1]")

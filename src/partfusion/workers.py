@@ -8,6 +8,12 @@ affinity mask (``taskset -c 0`` makes it serial) and runs serially where
 ``os.fork`` or ``os.sched_getaffinity`` does not exist. When it forks, no job
 runs in the caller, so its heap keeps nothing of the jobs, whatever their order.
 
+Each worker pins itself to its own CPU of the caller's mask: left to the
+scheduler, two short-lived workers were often time-sliced on one CPU while
+the other idled, so two CPUs took as long as one. The caller's mask is left
+as it was. A worker whose CPU has left the mask since the caller read it
+runs unpinned.
+
 Forked, not spawned: a spawned worker would pay interpreter start-up and
 the package import, and need the features pickled, which costs more than
 the small fits it would run. Forking is safe here because the package
@@ -46,10 +52,14 @@ def _deal(costs: Sequence[float], workers: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _run_worker(fn: Callable[[J], R], jobs: Sequence[J], share: list[int], write_fd: int) -> None:
-    """Child side: pickle the share's results, or the exception, into the pipe; never return."""
+def _run_worker(fn: Callable[[J], R], jobs: Sequence[J], share: list[int], write_fd: int, cpu: int) -> None:
+    """Child side: pin to ``cpu``, pickle the share's results, or the exception, into the pipe; never return."""
     status = 0
     try:
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:  # the CPU left the mask since the caller read it
+            pass
         try:
             payload = pickle.dumps((True, [fn(jobs[i]) for i in share]), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:  # handed to the parent, which re-raises it
@@ -73,9 +83,10 @@ def _forked_map(fn: Callable[[J], R], jobs: Sequence[J], costs: Sequence[float])
     """``[fn(j) for j in jobs]``, with the jobs spread over forked workers.
 
     ``costs[i]`` estimates job i's run time; it only steers the placement
-    (see `_deal`). Each non-empty share runs in its own worker, so no job
-    runs in the caller. Each worker sends its pickled results through a pipe
-    and exits with ``os._exit``. The parent reads the pipes in share order
+    (see `_deal`). Each non-empty share k runs in its own worker, pinned to
+    the k-th CPU of the caller's sorted mask, so no job runs in the caller
+    and no two workers share a CPU. Each worker sends its pickled results
+    through a pipe and exits with ``os._exit``. The parent reads the pipes in share order
     and reaps every worker, killing the ones still running when it leaves
     early (an error, ``KeyboardInterrupt``). A worker's exception is raised
     again here unchanged; a worker that exits without a result raises
@@ -85,7 +96,8 @@ def _forked_map(fn: Callable[[J], R], jobs: Sequence[J], costs: Sequence[float])
     if len(costs) != len(jobs):
         raise ValueError(f"{len(jobs)} jobs but {len(costs)} costs")
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    workers = min(len(jobs), len(os.sched_getaffinity(0))) if can_fork else 1
+    cpus = sorted(os.sched_getaffinity(0)) if can_fork else []
+    workers = min(len(jobs), len(cpus))
     if workers <= 1:
         return [fn(job) for job in jobs]
 
@@ -93,12 +105,14 @@ def _forked_map(fn: Callable[[J], R], jobs: Sequence[J], costs: Sequence[float])
     share_of: dict[int, list[int]] = {}
     results: list = [None] * len(jobs)
     try:
-        for share in filter(None, _deal(costs, workers)):
+        for k, share in enumerate(_deal(costs, workers)):
+            if not share:
+                continue
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _run_worker(fn, jobs, share, write_fd)
+                _run_worker(fn, jobs, share, write_fd, cpus[k])
             os.close(write_fd)
             running[pid] = read_fd
             share_of[pid] = share

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from partfusion import FusionWeights, SynthConfig, generate
 from partfusion.protocols import learn_fusion_weights
@@ -20,6 +21,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _VERDICTS:
             terminalreporter.line(line)
+
+
+def finite_floats(min_value=None):
+    """Finite floats, above ``min_value`` if given.
+
+    Integral floats, which `data.format_num` prints without ``.0``, are drawn as often as the rest.
+    """
+    integral = st.integers(-(10**6), 10**6).map(float)
+    if min_value is not None:
+        integral = integral.filter(lambda v: v > min_value)
+    floats = st.floats(min_value=min_value, exclude_min=min_value is not None, allow_nan=False, allow_infinity=False)
+    return integral | floats
 
 
 @pytest.fixture(scope="session")

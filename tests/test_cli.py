@@ -16,7 +16,7 @@ import numpy as np
 
 from partfusion.cli import _build_parser, _load_parts, _registry_for, main
 from partfusion.data import FeatureMatrix, load_index, read_features, write_features
-from partfusion.fusion import FusionWeights, read_weights, write_prob_table, write_weights
+from partfusion.fusion import DEFAULT_C_GRID, FusionWeights, read_weights, write_prob_table, write_weights
 from partfusion.protocols import eval_recognition, half_split_training, report_text
 
 SMALL_CONFIG = {
@@ -107,7 +107,7 @@ def test_outputs_do_not_depend_on_the_cpu_count(data_dir, tmp_path, monkeypatch)
     data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
     commands = {
         "parts": ["train-parts", *data, "--split", "val"],
-        "oneshot": ["eval", "--protocol", "oneshot", *data, "--shots", "1,2", "--repeats", "3"],
+        "oneshot": ["eval", "--protocol", "oneshot", *data, "--shots", "1,2"],
         "ablation": ["eval", "--protocol", "ablation", *data],
         "retrieval": ["eval", "--protocol", "retrieval", *data, "--k-list", "1,3"],
     }
@@ -194,7 +194,6 @@ def test_learn_weights_outputs(trained_dir, tmp_path):
         [
             "learn-weights",
             "--tables", str(trained_dir),
-            "--c-grid", "0.25,4.0",
             "--out", str(out),
         ]
     )
@@ -203,13 +202,13 @@ def test_learn_weights_outputs(trained_dir, tmp_path):
     assert fw.w.shape == (5,)
     lines = (out / "gridsearch.csv").read_text().strip().split("\n")
     assert lines[0] == "C,balanced_accuracy,objective"
-    assert len(lines) == 3
     grid = [float(line.split(",")[0]) for line in lines[1:]]
-    assert grid == [0.25, 4.0]
-    # the regularizer weighs less at the larger C, so the optimum is lower
+    assert grid == list(DEFAULT_C_GRID)
+    # the regularizer weighs less at each larger C, so each optimum is lower
     objectives = [float(line.split(",")[2]) for line in lines[1:]]
-    assert 0.0 < objectives[1] < objectives[0]
+    assert all(a > b for a, b in zip(objectives, objectives[1:])) and objectives[-1] > 0.0
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["c_grid"] == grid
     assert manifest["config"]["best_C"] in grid
     assert manifest["config"]["loss"] == "squared_hinge"
 
@@ -297,7 +296,6 @@ def test_eval_oneshot_curve(data_dir, tmp_path):
             "--dataset", str(data_dir / "index.tsv"),
             "--features", str(data_dir / "features"),
             "--shots", "1,2",
-            "--repeats", "2",
             "--out", str(out),
         ]
     )
@@ -317,7 +315,6 @@ def test_eval_oneshot_rejects_shot_counts_below_one(data_dir, tmp_path, capsys, 
             "--dataset", str(data_dir / "index.tsv"),
             "--features", str(data_dir / "features"),
             "--shots", shots,
-            "--repeats", "2",
             "--out", str(out),
         ]
     )
@@ -373,28 +370,13 @@ def test_errors_exit_nonzero(data_dir, tmp_path, capsys):
         [
             "match",
             "--dataset", str(data_dir / "index.tsv"),
-            "--detections", str(data_dir / "detections.tsv"),
-            "--tau-iou", "1.5",
+            "--detections", str(tmp_path / "missing.tsv"),
             "--out", str(tmp_path / "m"),
         ]
     )
     assert rc == 1
-    assert "tau_iou" in capsys.readouterr().err
-
-    # masking the face part is an error once --no-face removed it
-    rc = main(
-        [
-            "eval",
-            "--protocol", "recognition",
-            "--dataset", str(data_dir / "index.tsv"),
-            "--features", str(data_dir / "features"),
-            "--no-face",
-            "--mask", "face",
-            "--out", str(tmp_path / "e"),
-        ]
-    )
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert "missing.tsv" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -410,9 +392,18 @@ def test_errors_exit_nonzero(data_dir, tmp_path, capsys):
         ('{"n_identities": 4', "Expecting ',' delimiter"),
         ('{"noise_sigma_global": -1}', "unknown config key 'noise_sigma_global'"),
         ('{"noise_sigma": Infinity}', "noise sigmas must be finite and non-negative"),
-        ('{"noise_sigma": "x"}', "could not convert string to float: 'x'"),
+        ('{"noise_sigma": "x"}', "noise_sigma must be a number or a list of numbers, one per part, got 'x'"),
         ('{"noise_sigma": [1, 2]}', "noise_sigma must have one entry per part (10)"),
-        ('{"informativeness": "abc"}', "could not convert string to float: 'abc'"),
+        ('{"informativeness": "abc"}', "informativeness must be a number or a list of numbers, one per part, got 'abc'"),
+        (
+            '{"informativeness": [[1, 2], [3]]}',
+            "informativeness must be a number or a list of numbers, one per part, got ((1, 2), (3,))",
+        ),
+        ('{"informativeness": true}', "informativeness must be a number or a list of numbers, one per part, got True"),
+        ('{"detection_miss": "x"}', "detection_miss must be a number, got 'x'"),
+        ('{"detection_miss": true}', "detection_miss must be a number, got True"),
+        ('{"activation_prob": "x"}', "activation_prob must be a number or a matrix of numbers, got 'x'"),
+        ('{"activation_prob": [[0.5, 0.5], [0.5]]}', "activation_prob matrix must be (n_parts, pose_states)"),
         ('{"informativeness": NaN}', "informativeness must be finite"),
         ('{"activation_prob": [[0.5]]}', "activation_prob matrix must be (n_parts, pose_states)"),
         ('{"activation_prob": 2}', "activation probabilities must lie in [0, 1]"),
@@ -451,7 +442,7 @@ def _command_argv(command, data_dir, trained_dir, tmp_path):
         "match": ["match", *data, "--detections", str(data_dir / "detections.tsv")],
         "train-parts": ["train-parts", *features],
         "learn-weights": ["learn-weights", "--tables", str(trained_dir), "--clamp"],
-        "oneshot": ["eval", "--protocol", "oneshot", *features, "--shots", "1,2", "--repeats", "2"],
+        "oneshot": ["eval", "--protocol", "oneshot", *features, "--shots", "1,2"],
         "retrieval": ["eval", "--protocol", "retrieval", *features, "--k-list", "1,3"],
     }.get(command, ["eval", "--protocol", command, *features])
 
@@ -503,6 +494,11 @@ def test_eval_ablation_rejects_weights(data_dir, tmp_path, capsys, n_weights):
     assert not out.exists()
 
 
+# settings fixed for every protocol (all parts fused, reference split val, 10
+# shot draws): eval has no flag for them, so argparse refuses each one
+_FIXED_EVAL_FLAGS = {"--mask", "--val-split", "--repeats"}
+
+
 @pytest.mark.parametrize(
     "protocol,flag,value,message",
     [
@@ -530,8 +526,15 @@ def test_eval_rejects_flags_its_protocol_never_reads(data_dir, tmp_path, capsys,
     # the manifest would record a setting the reports do not reflect
     out = tmp_path / "e"
     data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
-    assert main(["eval", "--protocol", protocol, *data, flag, value, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {flag} does not apply to --protocol {protocol}: {message}\n"
+    argv = ["eval", "--protocol", protocol, *data, flag, value, "--out", str(out)]
+    if flag in _FIXED_EVAL_FLAGS:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"partfusion: error: unrecognized arguments: {flag} {value}\n")
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag} does not apply to --protocol {protocol}: {message}\n"
     assert not out.exists()
 
 
@@ -573,6 +576,20 @@ def test_match_bad_detection_field_names_the_line(data_dir, tmp_path, capsys):
     assert f"error: {detections}:2: photo_id must be an integer, got 'x'" in err
 
 
+def test_match_degenerate_person_box_names_the_line(data_dir, tmp_path, capsys):
+    detections = tmp_path / "detections.tsv"
+    lines = (data_dir / "detections.tsv").read_text().splitlines()
+    fields = lines[2].split("\t")
+    fields[4] = "-10"
+    lines[2] = "\t".join(fields)
+    detections.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--detections", str(detections)]
+    assert main(["match", *data, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {detections}:3: person w must be positive, got '-10'\n"
+    assert not (out / "activations.tsv").exists()
+
+
 @pytest.mark.parametrize(
     "name,edit,message",
     [
@@ -595,7 +612,7 @@ def test_learn_weights_input_errors_name_the_file(trained_dir, tmp_path, capsys,
     shutil.copytree(trained_dir, tables)
     lines = (tables / name).read_text().splitlines()
     (tables / name).write_text("\n".join(edit(lines)) + "\n")
-    rc = main(["learn-weights", "--tables", str(tables), "--c-grid", "1.0", "--out", str(tmp_path / "w")])
+    rc = main(["learn-weights", "--tables", str(tables), "--out", str(tmp_path / "w")])
     assert rc == 1
     err = capsys.readouterr().err
     assert str(tables / name) in err
@@ -621,7 +638,7 @@ def test_learn_weights_checks_the_table_set(trained_dir, tmp_path, capsys, edit,
     shutil.copytree(trained_dir, tables)
     edit(tables / "tables")
     out = tmp_path / "w"
-    rc = main(["learn-weights", "--tables", str(tables), "--c-grid", "1.0", "--out", str(out)])
+    rc = main(["learn-weights", "--tables", str(tables), "--out", str(out)])
     assert rc == 1
     assert f"error: {message.format(d=tables / 'tables')}" in capsys.readouterr().err
     assert not (out / "weights.tsv").exists()
@@ -654,7 +671,7 @@ def test_learn_weights_checks_label_and_half_values(trained_dir, tmp_path, capsy
     lines = (tables / name).read_text().splitlines()
     (tables / name).write_text("\n".join(edit(lines)) + "\n")
     out = tmp_path / "w"
-    rc = main(["learn-weights", "--tables", str(tables), "--c-grid", "1.0", "--out", str(out)])
+    rc = main(["learn-weights", "--tables", str(tables), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert str(tables / name) in err
@@ -674,7 +691,7 @@ def test_truncated_binary_body_names_the_file(data_dir, trained_dir, tmp_path, c
     path.write_bytes(path.read_bytes()[:-cut])
     out = tmp_path / "out"
     if command == "learn-weights":
-        argv = ["learn-weights", "--tables", str(copy), "--c-grid", "1.0"]
+        argv = ["learn-weights", "--tables", str(copy)]
     else:
         argv = ["eval", "--protocol", "recognition", "--dataset", str(copy / "index.tsv")]
         argv += ["--features", str(copy / "features")]
@@ -683,16 +700,6 @@ def test_truncated_binary_body_names_the_file(data_dir, trained_dir, tmp_path, c
     message = rf"error: {re.escape(str(path))}: truncated body: \d+ bytes is not a whole number of {record}-byte"
     assert re.search(message, err), err
     assert not any(out.glob("*"))
-
-
-@pytest.mark.parametrize("grid", ["nan", "inf", "0.25,nan", "1e-320"])
-def test_learn_weights_rejects_non_finite_c(trained_dir, tmp_path, capsys, grid):
-    out = tmp_path / "w"
-    rc = main(["learn-weights", "--tables", str(trained_dir), "--c-grid", grid, "--out", str(out)])
-    assert rc == 1
-    assert "C must be a positive finite number, got" in capsys.readouterr().err
-    assert not (out / "weights.tsv").exists()
-    assert not (out / "manifest.json").exists()
 
 
 def test_train_parts_tables_equal_the_library_tables(data_dir, trained_dir, tmp_path):
@@ -737,18 +744,43 @@ def test_raw_features_score_as_their_float32_normalized_rows(data_dir, tmp_path)
         assert (raw / rel).read_bytes() == (unit / rel).read_bytes(), rel
 
 
-@pytest.mark.parametrize("flag,value", [("--c-grid", "1,,2"), ("--shots", "1,,2"), ("--k-list", "a")])
-def test_list_flags_name_the_flag_and_the_value(data_dir, trained_dir, tmp_path, capsys, flag, value):
-    if flag == "--c-grid":
-        argv, kind = ["learn-weights", "--tables", str(trained_dir)], "float"
-    else:
-        protocol = "oneshot" if flag == "--shots" else "retrieval"
-        data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
-        argv, kind = ["eval", "--protocol", protocol, *data], "int"
+@pytest.mark.parametrize("flag,value", [("--shots", "1,,2"), ("--k-list", "a")])
+def test_list_flags_name_the_flag_and_the_value(data_dir, tmp_path, capsys, flag, value):
+    protocol = "oneshot" if flag == "--shots" else "retrieval"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
     out = tmp_path / "o"
-    assert main([*argv, flag, value, "--out", str(out)]) == 1
-    assert f"error: {flag} takes comma-separated {kind} values, got {value!r}\n" in capsys.readouterr().err
+    assert main(["eval", "--protocol", protocol, *data, flag, value, "--out", str(out)]) == 1
+    assert f"error: {flag} takes comma-separated int values, got {value!r}\n" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("match", "--tau-iou", "0.5"),
+        ("learn-weights", "--c-grid", "1.0"),
+        ("eval", "--split", "val"),
+        ("eval", "--val-split", "test"),
+        ("eval", "--mask", "face"),
+        ("eval", "--repeats", "3"),
+    ],
+)
+def test_fixed_settings_take_no_flag(data_dir, trained_dir, tmp_path, capsys, command, flag, value):
+    # tau_iou, the C grid, the splits, the component mask and the repeat count are constants
+    data = ["--dataset", str(data_dir / "index.tsv")]
+    argv = {
+        "match": ["match", *data, "--detections", str(data_dir / "detections.tsv")],
+        "learn-weights": ["learn-weights", "--tables", str(trained_dir)],
+        "eval": ["eval", "--protocol", "oneshot", *data, "--features", str(data_dir / "features")],
+    }[command]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, flag, value, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: partfusion ")
+    assert err.endswith(f"partfusion: error: unrecognized arguments: {flag} {value}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

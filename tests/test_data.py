@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import finite_floats
 from partfusion import (
     BBox,
     FeatureMatrix,
@@ -20,7 +21,7 @@ from partfusion import (
     write_features,
     write_index,
 )
-from partfusion.data import PartInfo, PartRegistry, atomic_write_bytes, dataset_from_records
+from partfusion.data import SPLITS, PartInfo, PartRegistry, atomic_write_bytes, dataset_from_records
 from partfusion.protocols import _train_part_model
 
 
@@ -36,7 +37,44 @@ def _records():
     ]
 
 
+_LABELS = st.text(st.characters(blacklist_characters="\t"), max_size=6).filter(
+    lambda label: "".join(label.splitlines()) == label
+)
+
+
+@st.composite
+def _index_records(draw):
+    """Records `load_index` accepts: unique ids, one photo per instance, one split per label and per uploader."""
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=5, unique=True))
+    split_of = {label: draw(st.sampled_from(SPLITS)) for label in labels}
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=10, unique=True))
+    records = []
+    for iid in ids:
+        label = draw(st.sampled_from(labels))
+        head = BBox(draw(finite_floats()), draw(finite_floats()), draw(finite_floats(0.0)), draw(finite_floats(0.0)))
+        album = draw(st.integers(-(2**63), 2**63 - 1))
+        records.append((iid, iid, album, SPLITS.index(split_of[label]), head, label, split_of[label]))
+    return records
+
+
 class TestIndexFile:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(records=_index_records())
+    def test_load_returns_what_write_wrote(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.tsv"
+            write_index(path, records)
+            assert load_index(path) == dataset_from_records(records)
+
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\r", "a\u2028b", "\x85"])
+    def test_label_that_would_split_the_line_rejected(self, tmp_path, label):
+        recs = _records()
+        recs[3] = (*recs[3][:5], label, recs[3][6])
+        path = tmp_path / "index.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: record 3 (instance 4): label {label!r} holds a tab")):
+            write_index(path, recs)
+        assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "index.tsv"
         write_index(path, _records())
@@ -144,6 +182,8 @@ class TestRegistry:
         reg = make_registry(2, include_face=False)
         assert reg.part_ids == (0, 1, 2)
         assert reg.ids_of_kind("face") == ()
+        with pytest.raises(ValueError, match="component mask selects no parts"):
+            reg.resolve_mask("face")
 
     def test_resolve_mask(self):
         reg = make_registry(2, include_face=True)

@@ -21,7 +21,7 @@ from partfusion import (
     write_prob_table,
     write_weights,
 )
-from partfusion.fusion import WeightLearningInfo, _balanced_accuracy
+from partfusion.fusion import DEFAULT_C_GRID, WeightLearningInfo, _balanced_accuracy
 from partfusion.svm import train_binary
 
 
@@ -414,23 +414,23 @@ def _pair_dataset(tables, labels_of):
     return X, y, np.repeat(ids, n_y)
 
 
-def _learn_weights_oracle(tables, labels_of, halves, C_grid, clamp_nonnegative=False):
+def _learn_weights_oracle(tables, labels_of, halves, clamp_nonnegative=False):
     """Weight learning on one stacked pair matrix and fancy-indexed half copies of it."""
     X, y, owner = _pair_dataset(tables, labels_of)
     half = np.asarray([halves[i] for i in owner.tolist()], dtype=np.int64)
     fit_idx, held_idx = np.flatnonzero(half == 0), np.flatnonzero(half == 1)
-    grid = train_binary(X[fit_idx], y[fit_idx], C_grid)
+    grid = train_binary(X[fit_idx], y[fit_idx], DEFAULT_C_GRID)
     X_held = X[held_idx]
     grid_scores, best, best_score = [], 0, -1.0
-    for k, (C, model) in enumerate(zip(C_grid, grid.models)):
+    for k, (C, model) in enumerate(zip(DEFAULT_C_GRID, grid.models)):
         acc = _balanced_accuracy(y[held_idx], np.where(model.scores(X_held)[:, 0] > 0.0, 1, -1))
         grid_scores.append((float(C), acc))
         if acc > best_score + 1e-12:
             best, best_score = k, acc
-    final = train_binary(X, y, (C_grid[best],), init=grid.models[best]).models[0]
+    final = train_binary(X, y, (DEFAULT_C_GRID[best],), init=grid.models[best]).models[0]
     w = np.maximum(final.W[0], 0.0) if clamp_nonnegative else final.W[0].copy()
     objectives = tuple(float(m.objective_history[-1][0]) for m in grid.models)
-    info = WeightLearningInfo(float(C_grid[best]), tuple(grid_scores), int(X.shape[0]), objectives)
+    info = WeightLearningInfo(float(DEFAULT_C_GRID[best]), tuple(grid_scores), int(X.shape[0]), objectives)
     return FusionWeights(w, float(final.b[0])), info
 
 
@@ -465,16 +465,15 @@ class TestLearnWeights:
     def test_equals_the_fancy_index_oracle(self, seed, n, n_y, parts, clamp):
         # the largest case (27k pairs) spans several Newton row blocks
         tables, labels, halves = self._planted_setup(seed, n=n, n_y=n_y, parts=parts)
-        grid = (0.0625, 1.0, 16.0)
-        want_fw, want_info = _learn_weights_oracle(tables, labels, halves, grid, clamp)
-        fw, info = learn_weights(dict(tables), labels, halves, C_grid=grid, clamp_nonnegative=clamp)
+        want_fw, want_info = _learn_weights_oracle(tables, labels, halves, clamp)
+        fw, info = learn_weights(dict(tables), labels, halves, clamp_nonnegative=clamp)
         assert np.array_equal(fw.w, want_fw.w) and fw.bias == want_fw.bias
         assert info == want_info
 
     def test_peak_memory_within_two_and_a_half_pair_matrices(self):
         # 80 identities, 20 instances each, 10 parts: a 9.8 MB pair matrix.
         # The tables count until learn_weights drops them: half a pair matrix's worth of float32 bytes.
-        learn_weights(*self._planted_setup(1, n=20, n_y=4), C_grid=(1.0,))  # loads numpy's lazy parts
+        learn_weights(*self._planted_setup(1, n=20, n_y=4))  # loads numpy's lazy parts
         n_y, per, parts = 80, 20, 10
         tracemalloc.start()
         try:
@@ -537,16 +536,11 @@ class TestLearnWeights:
         fw, _ = learn_weights(tables, labels, halves, clamp_nonnegative=True)
         assert (fw.w >= 0).all()
 
-    def test_empty_grid_rejected(self):
-        tables, labels, halves = self._planted_setup(35)
-        with pytest.raises(ValueError, match="empty C grid"):
-            learn_weights(tables, labels, halves, C_grid=())
-
     def test_grid_matches_one_fit_per_c(self):
         # oracle: a cold single fit per C, scored by an objective written here
         tables, labels, halves = self._planted_setup(37, n=50)
-        grid = (0.0625, 1.0, 16.0)
-        fw, info = learn_weights(dict(tables), labels, halves, C_grid=grid)
+        grid = DEFAULT_C_GRID
+        fw, info = learn_weights(dict(tables), labels, halves)
 
         X, y, owner = _pair_dataset(tables, labels)
         half = np.asarray([halves[i] for i in owner.tolist()])
@@ -576,8 +570,7 @@ class TestLearnWeights:
         S[np.arange(n), truth] = 9.0
         tables = _tables_from_scores({0: S}, labels, n_y)
         halves = {i + 1: (i % 2) for i in range(n)}
-        grid = (0.25, 1.0, 4.0)
-        _, info = learn_weights(tables, labels, halves, C_grid=grid)
+        _, info = learn_weights(tables, labels, halves)
         scores = dict(info.grid_scores)
         top = max(scores.values())
         assert info.best_C == min(c for c, s in scores.items() if s >= top - 1e-12)

@@ -1,11 +1,14 @@
 import re
+import tempfile
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_floats
 from partfusion import matching
 from partfusion import (
     Assignment,
@@ -301,7 +304,33 @@ class TestActivationsPerInstance:
         assert assignment.unmatched_detections == (3,)
 
 
+_BOXES = st.builds(BBox, finite_floats(), finite_floats(), finite_floats(0.0), finite_floats(0.0))
+
+
+@st.composite
+def _detections_by_photo(draw):
+    """Detection lists `load_detections` accepts: ids unique per photo, part ids from 1, each once per detection."""
+    by_photo = {}
+    for photo_id in draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4, unique=True)):
+        dets = []
+        for det_id in draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=3, unique=True)):
+            part_ids = draw(st.lists(st.integers(1, 2**63 - 1), max_size=3, unique=True))
+            acts = tuple((p, draw(_BOXES), draw(finite_floats())) for p in part_ids)
+            dets.append(Detection(det_id, draw(_BOXES), draw(finite_floats()), acts))
+        by_photo[photo_id] = dets
+    return by_photo
+
+
 class TestDetectionFile:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(by_photo=_detections_by_photo())
+    def test_load_returns_what_write_wrote(self, by_photo):
+        expected = {photo_id: sorted(dets, key=lambda d: d.detection_id) for photo_id, dets in by_photo.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "detections.tsv"
+            write_detections(path, by_photo)
+            assert load_detections(path) == expected
+
     def test_round_trip(self, tmp_path):
         d1 = Detection(1, BBox(0, 0, 30, 60), 0.75, ((2, BBox(1, 2, 3, 4), 0.5),))
         d2 = Detection(2, BBox(50, 0, 30, 60), 0.25, ())
@@ -330,6 +359,31 @@ class TestDetectionFile:
         ],
     )
     def test_bad_field_names_location(self, tmp_path, column, value, message):
+        d1 = Detection(1, BBox(0, 0, 30, 60), 0.75, ())
+        d2 = Detection(2, BBox(5, 0, 30, 60), 0.25, ((2, BBox(1, 2, 3, 4), 0.5), (5, BBox(1, 2, 3, 4), 0.1)))
+        path = tmp_path / "detections.tsv"
+        write_detections(path, {7: [d1, d2]})
+        lines = path.read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[column] = value
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            load_detections(path)
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            (4, "-10", "person w must be positive, got '-10'"),
+            (5, "0", "person h must be positive, got '0'"),
+            (10, "-5", "activation 1 patch w must be positive, got '-5'"),
+            (17, "0.0", "activation 2 patch h must be positive, got '0.0'"),
+            (7, "0", "activation 1 part_id must be at least 1 (part 0 is the global part), got '0'"),
+            (13, "-2", "activation 2 part_id must be at least 1 (part 0 is the global part), got '-2'"),
+        ],
+    )
+    def test_bad_box_or_part_names_location(self, tmp_path, column, value, message):
+        # match would otherwise fail on the box without a location, or write the row as read
         d1 = Detection(1, BBox(0, 0, 30, 60), 0.75, ())
         d2 = Detection(2, BBox(5, 0, 30, 60), 0.25, ((2, BBox(1, 2, 3, 4), 0.5), (5, BBox(1, 2, 3, 4), 0.1)))
         path = tmp_path / "detections.tsv"

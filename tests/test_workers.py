@@ -75,7 +75,40 @@ def test_serial_map_when_affinity_has_one_cpu(monkeypatch):
         raise AssertionError("os.fork called with one CPU")
 
     monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pytest.fail("the caller was pinned"))
     assert _forked_map(lambda j: j + 1, [3, 1, 2], [1, 1, 1]) == [4, 2, 3]
+
+
+_REAL_AFFINITY = os.sched_getaffinity if hasattr(os, "sched_getaffinity") else None
+
+
+def _pid_and_cpus(j):
+    return os.getpid(), frozenset(_REAL_AFFINITY(0))
+
+
+@pytest.mark.skipif(
+    _REAL_AFFINITY is None or len(_REAL_AFFINITY(0)) < 2, reason="pins workers to two or more CPUs"
+)
+def test_each_worker_runs_on_its_own_cpu(open_fds):
+    mask = _REAL_AFFINITY(0)
+    out = _forked_map(_pid_and_cpus, list(range(8)), [1] * 8)
+    cpus_of = dict(out)
+    assert len(cpus_of) == min(8, len(mask))
+    assert all(len(cpus) == 1 and cpus <= mask for cpus in cpus_of.values())
+    assert len(set(cpus_of.values())) == len(cpus_of)  # no two workers share a CPU
+    assert _REAL_AFFINITY(0) == mask  # the caller keeps its mask
+    _nothing_left(open_fds)
+
+
+def test_a_worker_that_cannot_be_pinned_runs_unpinned(three_cpus, monkeypatch, open_fds):
+    def lost_cpu(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", lost_cpu)
+    out = _forked_map(_square_with_pid, list(range(6)), [1] * 6)
+    assert [r for r, _ in out] == [j * j for j in range(6)]
+    assert len({pid for _, pid in out}) == 3
+    _nothing_left(open_fds)
 
 
 def test_serial_map_without_sched_getaffinity(monkeypatch):
