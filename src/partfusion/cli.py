@@ -19,11 +19,13 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    Dataset,
     FeatureMatrix,
+    PartRegistry,
     atomic_write_text,
     load_index,
-    make_registry,
     read_features,
+    read_registry,
     read_tsv_rows,
 )
 from .fusion import (
@@ -87,7 +89,7 @@ def _out_dir(args) -> Path:
 
 
 def _load_parts(directory: str | Path, pattern: str, read) -> tuple[dict, list[Path]]:
-    """Read a directory's ``pattern`` files into {header part id: part}, and return the files too.
+    """Read a directory's ``pattern`` files into {header part id: part}, and return the files too, by part id.
 
     Rejects a part id read twice, naming both files, and ids other than 0, 1, ..., n - 1.
     """
@@ -102,7 +104,27 @@ def _load_parts(directory: str | Path, pattern: str, read) -> tuple[dict, list[P
         parts[part.part_id], source[part.part_id] = part, f
     if sorted(parts) != list(range(len(parts))):
         raise ValueError(f"{directory}: {pattern} files must cover contiguous part ids from 0, got {sorted(parts)}")
-    return parts, files
+    return parts, [source[pid] for pid in range(len(parts))]
+
+
+def _load_features(directory: str, dataset: Dataset) -> tuple[dict[int, FeatureMatrix], PartRegistry, list[Path]]:
+    """A feature directory's part_*.pfv files, the registry its parts.tsv declares, and the files read.
+
+    Fails when the two disagree on the part ids, or when a feature row's instance is not in ``dataset``.
+    """
+    features, files = _load_parts(directory, "part_*.pfv", read_features)
+    registry_path = Path(directory) / "parts.tsv"
+    registry = read_registry(registry_path)
+    if len(registry.parts) != len(features):
+        raise ValueError(
+            f"{registry_path} declares {len(registry.parts)} parts, but {directory} holds {len(features)} part_*.pfv files"
+        )
+    known = {inst.instance_id for inst in dataset.instances}
+    for pid, path in enumerate(files):
+        unknown = set(features[pid].instance_ids.tolist()) - known
+        if unknown:
+            raise ValueError(f"{path}: instance {min(unknown)} is not in the index")
+    return features, registry, [*files, registry_path]
 
 
 def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
@@ -111,12 +133,6 @@ def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
         return tuple(int(item) for item in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} takes comma-separated int values, got {text!r}") from None
-
-
-def _registry_for(features: dict[int, FeatureMatrix], no_face: bool):
-    n_parts = len(features)
-    include_face = not no_face and n_parts >= 2
-    return make_registry(n_parts - 1 - (1 if include_face else 0), include_face)
 
 
 def _weights_for(args, registry) -> tuple[FusionWeights, list[Path]]:
@@ -188,8 +204,7 @@ def cmd_match(args) -> int:
 def cmd_train_parts(args) -> int:
     out = _out_dir(args)
     dataset = load_index(args.dataset)
-    features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
-    registry = _registry_for(features, args.no_face)
+    features, registry, feature_files = _load_features(args.features, dataset)
     trained = half_split_training(dataset, features, registry.part_ids, args.split, args.seed)
 
     outputs: list[Path] = []
@@ -221,7 +236,6 @@ def cmd_train_parts(args) -> int:
         "split": args.split,
         "svm_c": DEFAULT_TRAIN_CFG.C,
         "epochs": DEFAULT_TRAIN_CFG.epochs,
-        "no_face": args.no_face,
         "n_identities": trained.n_identities,
         "excluded_identities": trained.excluded_identities,
         "excluded_instances": trained.excluded_instances,
@@ -296,8 +310,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{flag} does not apply to --protocol {args.protocol}: {reason}")
     out = _out_dir(args)
     dataset = load_index(args.dataset)
-    features, feature_files = _load_parts(args.features, "part_*.pfv", read_features)
-    registry = _registry_for(features, args.no_face)
+    features, registry, feature_files = _load_features(args.features, dataset)
     fw, weight_inputs = _weights_for(args, registry)
 
     outputs: list[Path] = []
@@ -350,7 +363,6 @@ def cmd_eval(args) -> int:
         "k_list": args.k_list,
         "svm_c": DEFAULT_TRAIN_CFG.C,
         "epochs": DEFAULT_TRAIN_CFG.epochs,
-        "no_face": args.no_face,
     }
     inputs = [Path(args.dataset)] + feature_files + weight_inputs
     _write_manifest(out, "eval", config, inputs, outputs, args.seed)
@@ -380,9 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-parts", help="train per-part SVMs on half splits")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--features", required=True, help="directory of part_*.pfv files")
+    p.add_argument("--features", required=True, help="directory of part_*.pfv files and their parts.tsv")
     p.add_argument("--split", default="val")
-    p.add_argument("--no-face", action="store_true", help="treat the last part as a poselet")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_parts)
@@ -416,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--shots", default="1,2,3", help="comma-separated shot counts; taken by oneshot only")
     p.add_argument("--k-list", default="1,2,5,10,20", help="comma-separated K of recall@K; taken by retrieval only")
-    p.add_argument("--no-face", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

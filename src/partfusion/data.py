@@ -8,6 +8,9 @@ File formats owned here:
 * feature file (binary): magic ``PFV1``, part_id (u32 LE), d (u32 LE),
   n (u32 LE), normalization flag (u8), then n records of
   (instance_id u64 LE, d little-endian IEEE-754 float32).
+* parts file (``parts.tsv``, beside a directory's feature files): one part
+  per line, in part order, tab-separated, no header, UTF-8; fields:
+  part_id, name, kind (``global`` for part 0, then ``poselet`` or ``face``).
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ __all__ = [
     "load_index",
     "make_registry",
     "read_features",
+    "read_registry",
     "write_features",
     "write_index",
+    "write_registry",
 ]
 
 
@@ -140,6 +145,8 @@ class PartRegistry:
         for i, p in enumerate(self.parts):
             if p.part_id != i:
                 raise ValueError("part ids must be contiguous from 0")
+            if "\t" in p.name or "".join(p.name.splitlines()) != p.name:
+                raise ValueError(f"part {i}: name {p.name!r} holds a tab or a line break")
         if self.parts[0].kind != "global":
             raise ValueError("part 0 must be the global part")
         for p in self.parts[1:]:
@@ -183,6 +190,25 @@ def make_registry(n_poselets: int, include_face: bool = True) -> PartRegistry:
     if include_face:
         parts.append(PartInfo(n_poselets + 1, "face", "face"))
     return PartRegistry(tuple(parts))
+
+
+def write_registry(path: str | Path, registry: PartRegistry) -> None:
+    """Write the parts file: one ``part_id<TAB>name<TAB>kind`` line per part, in part order."""
+    atomic_write_text(path, "".join(f"{p.part_id}\t{p.name}\t{p.kind}\n" for p in registry.parts))
+
+
+def read_registry(path: str | Path) -> PartRegistry:
+    """Read a parts file; a malformed line fails with ``path:line``, a registry `PartRegistry` rejects with ``path``."""
+    parts = []
+    for where, (part_id, name, kind) in read_tsv_rows(path, 3):
+        try:
+            parts.append(PartInfo(int(part_id), name, kind))
+        except ValueError:
+            raise ValueError(f"{where}: part_id must be an integer, got {part_id!r}") from None
+    try:
+        return PartRegistry(tuple(parts))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

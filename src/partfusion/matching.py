@@ -56,7 +56,13 @@ _WEIGHT_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Detection:
-    """One detector proposal: a person box with part activations."""
+    """One detector proposal: a person box with part activations.
+
+    Every box side is positive, every activation part id at least 1
+    (`activations_per_instance` adds the global part 0 itself), and no part
+    is listed twice, so `load_detections` reads back what `write_detections`
+    writes.
+    """
 
     detection_id: int
     person_box: BBox
@@ -66,9 +72,32 @@ class Detection:
     def __post_init__(self) -> None:
         if not math.isfinite(self.score):
             raise ValueError("detection score must be finite")
+        # every box side is positive, and every activation part id at least 1: part 0 is the global part
+        values = [self.person_box.w, self.person_box.h]
+        for part_id, patch, _ in self.activations:
+            values += (part_id, patch.w, patch.h)
+        k = next((k for k, v in enumerate(values) if not v > 0), None)
+        if k is not None:
+            raise _FieldRuleError(k, values[k])
         part_ids = [a[0] for a in self.activations]
         if len(part_ids) != len(set(part_ids)):
             raise ValueError("a part may appear at most once per detection")
+
+
+class _FieldRuleError(ValueError):
+    """The ``k``-th value `Detection` rules (person w and h, then each activation's part_id, patch w and h) is not above 0.
+
+    Carries the field's ``name`` as `load_detections` names it, and its ``rule``.
+    """
+
+    def __init__(self, k: int, value: float) -> None:
+        if k < 2:
+            self.name = ("person w", "person h")[k]
+        else:
+            self.name = f"activation {(k + 1) // 3} {('part_id', 'patch w', 'patch h')[(k - 2) % 3]}"
+        part_id = self.name.endswith("part_id")
+        self.rule = "must be at least 1 (part 0 is the global part)" if part_id else "must be positive"
+        super().__init__(f"{self.name} {self.rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -423,16 +452,6 @@ def _detection_field_spec(n_fields: int) -> list[tuple[str, type]]:
     return spec
 
 
-def _detection_value_error(where: str, fields: list[str]) -> ValueError:
-    """The error for the first box side that is not positive, or part id below 1, on a parsed line."""
-    for (name, _), text in zip(_detection_field_spec(len(fields)), fields):
-        if name.endswith((" w", " h")) and float(text) <= 0.0:
-            return ValueError(f"{where}: {name} must be positive, got {text!r}")
-        if name.endswith("part_id") and int(text) <= GLOBAL_PART_ID:
-            return ValueError(f"{where}: {name} must be at least 1 (part 0 is the global part), got {text!r}")
-    raise AssertionError("every box side is positive and every part id at least 1")
-
-
 def load_detections(path: str | Path) -> dict[int, list[Detection]]:
     """Read a detection file into per-photo lists sorted by detection id.
 
@@ -461,16 +480,17 @@ def load_detections(path: str | Path) -> dict[int, list[Detection]]:
             raise numeric_field_error(where, f, _detection_field_spec(len(f))) from None
         if not all(map(math.isfinite, chain(person, *groups))):
             raise numeric_field_error(where, f, _detection_field_spec(len(f)))
-        if min(chain(person[2:4], *(g[2:4] for g in groups))) <= 0.0 or min(part_ids, default=1) <= GLOBAL_PART_ID:
-            raise _detection_value_error(where, f)
-        if (photo_id, det_id) in seen:
-            raise ValueError(f"{where}: detection {det_id} is listed twice in photo {photo_id}")
-        seen.add((photo_id, det_id))
         acts = tuple((part_id, BBox(*g[:4]), g[4]) for part_id, g in zip(part_ids, groups))
         try:
             det = Detection(det_id, BBox(*person[:4]), person[4], acts)
+        except _FieldRuleError as exc:  # named with the field's text, as the file holds it
+            text = f[[name for name, _ in _detection_field_spec(len(f))].index(exc.name)]
+            raise ValueError(f"{where}: {exc.name} {exc.rule}, got {text!r}") from None
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        if (photo_id, det_id) in seen:
+            raise ValueError(f"{where}: detection {det_id} is listed twice in photo {photo_id}")
+        seen.add((photo_id, det_id))
         by_photo.setdefault(photo_id, []).append(det)
     for dets in by_photo.values():
         dets.sort(key=lambda d: d.detection_id)

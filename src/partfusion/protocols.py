@@ -178,11 +178,12 @@ def _train_part_model(
 
     A part whose training activations cover fewer than 2 identities gets no
     model (treated downstream as never activating). The global part must
-    cover every training instance by construction.
+    cover every training instance; the error names the first it lacks.
     """
-    ids = train_ids[fm.contains(train_ids)]
-    if pid == GLOBAL_PART_ID and ids.size != train_ids.size:
-        raise ValueError("global part must carry a feature row for every instance")
+    has_row = fm.contains(train_ids)
+    if pid == GLOBAL_PART_ID and not has_row.all():
+        raise ValueError(f"global part {pid} has no feature row for training instance {train_ids[~has_row][0]}")
+    ids = train_ids[has_row]
     labels = np.asarray([label_of[i] for i in ids.tolist()], dtype=np.int64)
     if labels.size == 0 or np.all(labels == labels[0]):  # fewer than 2 identities
         return None

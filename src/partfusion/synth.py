@@ -33,6 +33,7 @@ from .data import (
     make_registry,
     write_features,
     write_index,
+    write_registry,
 )
 from .geometry import BBox, body_from_head
 from .matching import Detection, write_detections
@@ -397,8 +398,9 @@ def _draw(cfg: SynthConfig) -> SynthData:
 def write_synth(data: SynthData, out_dir: str | Path) -> list[Path]:
     """Write the benchmark to disk in the library's file formats.
 
-    Emits index.tsv, detections.tsv, and one feature file per part under
-    features/. Returns the written paths (sorted).
+    Emits index.tsv, detections.tsv, and under features/ one feature file
+    per part and the parts file that declares their kinds. Returns the
+    written paths (sorted).
     """
     out = Path(out_dir)
     (out / "features").mkdir(parents=True, exist_ok=True)
@@ -416,6 +418,10 @@ def write_synth(data: SynthData, out_dir: str | Path) -> list[Path]:
         p = out / "features" / f"part_{pid:03d}.pfv"
         write_features(p, data.features[pid])
         paths.append(p)
+
+    registry_path = out / "features" / "parts.tsv"
+    write_registry(registry_path, data.registry)
+    paths.append(registry_path)
 
     return sorted(paths)
 

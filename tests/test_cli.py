@@ -14,8 +14,16 @@ import pytest
 
 import numpy as np
 
-from partfusion.cli import _build_parser, _load_parts, _registry_for, main
-from partfusion.data import FeatureMatrix, load_index, read_features, write_features
+from partfusion.cli import _build_parser, _load_parts, main
+from partfusion.data import (
+    FeatureMatrix,
+    load_index,
+    make_registry,
+    read_features,
+    read_registry,
+    write_features,
+    write_registry,
+)
 from partfusion.fusion import DEFAULT_C_GRID, FusionWeights, read_weights, write_prob_table, write_weights
 from partfusion.protocols import eval_recognition, half_split_training, report_text
 
@@ -61,6 +69,16 @@ def clean_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def wide_dir(tmp_path_factory):
+    """A run like ``data_dir``'s with more identities: its instance ids run past the smaller index's."""
+    root = tmp_path_factory.mktemp("cli_wide")
+    cfg = _write_config(root, dict(SMALL_CONFIG, n_identities=12))
+    out = root / "synth"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory, data_dir):
     out = tmp_path_factory.mktemp("cli_train") / "parts"
     rc = main(
@@ -82,6 +100,7 @@ def test_synth_writes_declared_outputs(data_dir):
     assert not (data_dir / "coverage.json").exists()
     parts = sorted(p.name for p in (data_dir / "features").glob("part_*.pfv"))
     assert parts == [f"part_{k:03d}.pfv" for k in range(5)]
+    assert read_registry(data_dir / "features" / "parts.tsv") == make_registry(3)
 
     manifest = json.loads((data_dir / "manifest.json").read_text())
     assert manifest["command"] == "synth"
@@ -265,10 +284,13 @@ def test_eval_ablation_summary(data_dir, tmp_path):
 
 
 def test_eval_ablation_without_a_face_part(data_dir, tmp_path):
-    # with --no-face there is no face part, so there is no face mask to score
+    # a parts.tsv that declares the last part a poselet leaves no face mask to score
+    features = tmp_path / "features"
+    shutil.copytree(data_dir / "features", features)
+    write_registry(features / "parts.tsv", make_registry(4, include_face=False))
     out = tmp_path / "ablation"
-    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
-    assert main(["eval", "--protocol", "ablation", *data, "--no-face", "--out", str(out)]) == 0
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(features)]
+    assert main(["eval", "--protocol", "ablation", *data, "--out", str(out)]) == 0
     assert sorted(p.name for p in out.glob("report_*.txt")) == [
         "report_all.txt", "report_global.txt", "report_no-fill.txt", "report_poselets.txt"
     ]
@@ -276,8 +298,8 @@ def test_eval_ablation_without_a_face_part(data_dir, tmp_path):
     assert summary == ["all", "global", "poselets", "no-fill"]
 
     dataset = load_index(data_dir / "index.tsv")
-    features, _ = _load_parts(data_dir / "features", "part_*.pfv", read_features)
-    registry = _registry_for(features, True)
+    features, _ = _load_parts(features, "part_*.pfv", read_features)
+    registry = read_registry(tmp_path / "features" / "parts.tsv")
     assert not registry.ids_of_kind("face")
     uniform = FusionWeights(np.ones(len(registry.parts)))
     for mask, component_mask, fill in [
@@ -538,6 +560,74 @@ def test_eval_rejects_flags_its_protocol_never_reads(data_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+def _feature_commands(index, features):
+    data = ["--dataset", str(index), "--features", str(features)]
+    return [["train-parts", *data], ["eval", "--protocol", "recognition", *data]]
+
+
+def test_feature_directory_without_a_parts_file_fails_naming_it(data_dir, tmp_path, capsys):
+    # the part kinds come only from parts.tsv: no guess from the file count
+    features = tmp_path / "features"
+    shutil.copytree(data_dir / "features", features)
+    (features / "parts.tsv").unlink()
+    for argv in _feature_commands(data_dir / "index.tsv", features):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(features / "parts.tsv") in err and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+
+def test_parts_file_disagreeing_with_the_feature_files_names_both(data_dir, tmp_path, capsys):
+    features = tmp_path / "features"
+    shutil.copytree(data_dir / "features", features)
+    write_registry(features / "parts.tsv", make_registry(2))
+    for argv in _feature_commands(data_dir / "index.tsv", features):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {features / 'parts.tsv'} declares 4 parts, but {features} holds 5 part_*.pfv files\n"
+        )
+
+
+def _first_id_missing_from(ids, instances):
+    missing = sorted(set(ids) - {inst.instance_id for inst in instances})
+    assert missing, "the two runs share every instance id"
+    return missing[0]
+
+
+def test_train_parts_rejects_feature_rows_the_index_lacks(data_dir, wide_dir, tmp_path, capsys):
+    # another run's features: the wider run's instance ids go past this index's
+    argv = _feature_commands(data_dir / "index.tsv", wide_dir / "features")[0]
+    assert main([*argv, "--out", str(tmp_path / "p")]) == 1
+    part = wide_dir / "features" / "part_000.pfv"
+    iid = _first_id_missing_from(read_features(part).instance_ids.tolist(), load_index(data_dir / "index.tsv").instances)
+    assert capsys.readouterr().err == f"error: {part}: instance {iid} is not in the index\n"
+    assert not (tmp_path / "p" / "manifest.json").exists()
+
+
+def test_eval_rejects_one_feature_file_from_another_run(data_dir, wide_dir, tmp_path, capsys):
+    features = tmp_path / "features"
+    shutil.copytree(data_dir / "features", features)
+    shutil.copy(wide_dir / "features" / "part_004.pfv", features / "part_004.pfv")
+    argv = _feature_commands(data_dir / "index.tsv", features)[1]
+    assert main([*argv, "--out", str(tmp_path / "e")]) == 1
+    part = features / "part_004.pfv"
+    iid = _first_id_missing_from(read_features(part).instance_ids.tolist(), load_index(data_dir / "index.tsv").instances)
+    assert capsys.readouterr().err == f"error: {part}: instance {iid} is not in the index\n"
+
+
+def test_global_part_missing_rows_name_the_instance(data_dir, wide_dir, tmp_path, capsys):
+    # the smaller run's instance ids all lie in the wider index, but its global part lacks the wider test split
+    argv = _feature_commands(wide_dir / "index.tsv", data_dir / "features")[0]
+    assert main([*argv, "--split", "test", "--out", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err
+    match = re.fullmatch(r"error: global part 0 has no feature row for training instance (\d+)\n", err)
+    assert match, err
+    iid = int(match.group(1))
+    test_ids = {inst.instance_id for inst in load_index(wide_dir / "index.tsv").split_instances("test")}
+    assert iid in test_ids and iid not in read_features(data_dir / "features" / "part_000.pfv").instance_ids
+
+
 def test_eval_truncated_feature_header_names_the_file(data_dir, tmp_path, capsys):
     features = tmp_path / "features"
     shutil.copytree(data_dir / "features", features)
@@ -706,7 +796,7 @@ def test_train_parts_tables_equal_the_library_tables(data_dir, trained_dir, tmp_
     # the command writes each table as it is built; here the library's tables are all held at once
     dataset = load_index(data_dir / "index.tsv")
     features, _ = _load_parts(data_dir / "features", "part_*.pfv", read_features)
-    registry = _registry_for(features, False)
+    registry = read_registry(data_dir / "features" / "parts.tsv")
     trained = half_split_training(dataset, features, registry.part_ids, "val", 0)
     tables = {table.part_id: table for table in trained.filled_tables()}
     written = sorted((trained_dir / "tables").glob("part_*.ppt"))
@@ -725,6 +815,7 @@ def test_raw_features_score_as_their_float32_normalized_rows(data_dir, tmp_path)
     for root in (raw, unit):
         (root / "features").mkdir(parents=True)
         shutil.copy(data_dir / "index.tsv", root / "index.tsv")
+        shutil.copy(data_dir / "features" / "parts.tsv", root / "features" / "parts.tsv")
     parts = sorted((data_dir / "features").glob("part_*.pfv"))
     for path in parts:
         fm = read_features(path)

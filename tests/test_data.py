@@ -18,8 +18,10 @@ from partfusion import (
     load_index,
     make_registry,
     read_features,
+    read_registry,
     write_features,
     write_index,
+    write_registry,
 )
 from partfusion.data import SPLITS, PartInfo, PartRegistry, atomic_write_bytes, dataset_from_records
 from partfusion.protocols import _train_part_model
@@ -201,6 +203,36 @@ class TestRegistry:
     def test_ids_must_be_contiguous(self):
         with pytest.raises(ValueError):
             PartRegistry((PartInfo(0, "global", "global"), PartInfo(2, "p", "poselet")))
+
+    @pytest.mark.parametrize("include_face", [True, False])
+    def test_parts_file_round_trip(self, tmp_path, include_face):
+        reg = make_registry(3, include_face)
+        path = tmp_path / "parts.tsv"
+        write_registry(path, reg)
+        assert path.read_text().splitlines()[:2] == ["0\tglobal\tglobal", "1\tposelet_000\tposelet"]
+        assert read_registry(path) == reg
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0\tglobal\tglobal\n1\tposelet\n", r"parts.tsv:2: expected 3 tab-separated fields, got 2"),
+            ("0\tglobal\tglobal\nx\tp\tposelet\n", r"parts.tsv:2: part_id must be an integer, got 'x'"),
+            ("0\tglobal\tglobal\n2\tp\tposelet\n", r"parts.tsv: part ids must be contiguous from 0"),
+            ("0\tglobal\tglobal\n1\tp\thand\n", r"parts.tsv: unknown part kind: hand"),
+            ("0\tp\tposelet\n", r"parts.tsv: part 0 must be the global part"),
+            ("", r"parts.tsv: registry needs at least the global part"),
+        ],
+    )
+    def test_bad_parts_file_names_the_path(self, tmp_path, text, message):
+        path = tmp_path / "parts.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path)) + "/" + message):
+            read_registry(path)
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\u2028b"])
+    def test_name_the_parts_file_cannot_hold_is_rejected(self, name):
+        with pytest.raises(ValueError, match="part 1: name .* holds a tab or a line break"):
+            PartRegistry((PartInfo(0, "global", "global"), PartInfo(1, name, "poselet")))
 
 
 _F32_MAX = float(np.finfo(np.float32).max)

@@ -102,6 +102,11 @@ class TestFillSparsity:
         p_active=st.sampled_from([0.0, 0.5, 1.0]),
     )
     def test_vectorized_rows_match_scalar(self, seed, n_y, rows, coverage, p_active):
+        # Each Dirichlet row of P0 and P_hat sums to 1 within n_y eps (one rounding per normalized entry, and
+        # the normalizing sum's). The blend mass * P_hat + (1 - mass) * P0 adds 4 roundings per entry, about
+        # 4 eps over a row of mass 1, and an error in mass only scales the difference of two sums near 1;
+        # summing the n_y entries adds up to n_y eps. So a filled row sums to 1 within (2 n_y + 4) eps.
+        mass_tol = (2 * n_y + 4) * np.finfo(np.float64).eps
         rng = np.random.default_rng(seed)
         P0 = rng.dirichlet(np.ones(n_y), size=rows)
         F = np.flatnonzero(rng.random(n_y) < coverage)  # may be empty
@@ -116,6 +121,8 @@ class TestFillSparsity:
         in_place = np.where(activated[:, None], P_hat, P0)
         fill_sparsity_rows(in_place, P0, F, activated, out=in_place)
         assert kept.tobytes() == in_place.tobytes() == block.tobytes()
+        # filling preserves probability mass on the row path
+        assert np.all(np.abs(block.sum(axis=1) - 1.0) <= mass_tol), block.sum(axis=1) - 1.0
         for r in range(rows):
             act = bool(activated[r])
             expect = _scalar_fill(P_hat[r], P0[r], F, act)

@@ -396,6 +396,31 @@ class TestDetectionFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             load_detections(path)
 
+    @pytest.mark.parametrize(
+        "person,activations,message",
+        [
+            (BBox(0, 0, -10, 60), (), "person w must be positive, got -10"),
+            (BBox(0, 0, 30, 0.0), (), "person h must be positive, got 0.0"),
+            (BBox(0, 0, 30, float("nan")), (), "person h must be positive, got nan"),
+            (BBox(0, 0, 30, 60), ((2, BBox(1, 2, -5, 4), 0.5),), "activation 1 patch w must be positive, got -5"),
+            (
+                BBox(0, 0, 30, 60),
+                ((2, BBox(1, 2, 3, 4), 0.5), (5, BBox(1, 2, 3, 0), 0.1)),
+                "activation 2 patch h must be positive, got 0",
+            ),
+            (BBox(0, 0, 30, 60), ((0, BBox(1, 2, 3, 4), 0.5),), "activation 1 part_id must be at least 1"),
+            (
+                BBox(0, 0, 30, 60),
+                ((2, BBox(1, 2, 3, 4), 0.5), (-2, BBox(1, 2, 3, 4), 0.1)),
+                "activation 2 part_id must be at least 1 (part 0 is the global part), got -2",
+            ),
+        ],
+    )
+    def test_detection_holds_the_box_and_part_rules(self, tmp_path, person, activations, message):
+        # so write_detections can never write a line that load_detections rejects
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Detection(1, person, 0.5, activations)
+
     def test_repeated_detection_id_names_location(self, tmp_path):
         d1 = Detection(1, BBox(0, 0, 30, 60), 0.75, ())
         d2 = Detection(2, BBox(50, 0, 30, 60), 0.25, ())

@@ -24,4 +24,6 @@ def test_digests_cover_every_command(capsys):
             assert digests[f"library/{twin}"] == digests[twin], twin
         assert {f"{d}/manifest.json" for d in out_dirs} <= set(digests)
         assert {"parts-val/tables/part_000.ppt", "weights/weights.tsv", "retrieval/curve.csv"} <= set(digests)
+        # the registry train-parts and eval read the part kinds from
+        assert "data/features/parts.tsv" in digests
         assert all(re.fullmatch("[0-9a-f]{64}", value) for value in digests.values())
