@@ -7,7 +7,7 @@ rest. Identities with too few instances sit out and are reported.
 import numpy as np
 
 from partfusion import FusionWeights, SynthConfig, generate
-from partfusion.protocols import eval_oneshot
+from partfusion.protocols import ONESHOT_REPEATS, eval_oneshot
 
 data = generate(SynthConfig())
 fw = FusionWeights(np.ones(len(data.registry.parts)))
@@ -17,12 +17,10 @@ report = eval_oneshot(
     data.features,
     data.registry,
     fw,
-    split="test",
     shots=(1, 2, 3),
-    repeats=10,
 )
 
-print(f"{report.n_identities} identities, 10 repeats per shot count")
+print(f"{report.n_identities} identities, {ONESHOT_REPEATS} repeats per shot count")
 print("shots  mean accuracy  sigma")
 for shots, mean, sigma in report.curve:
     print(f"{int(shots):>5}  {mean:>13.4f}  {sigma:.4f}")

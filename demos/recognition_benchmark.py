@@ -19,20 +19,19 @@ print(
 )
 
 fw, info = learn_fusion_weights(
-    data.dataset, data.features, data.registry, split="val", clamp_nonnegative=True
+    data.dataset, data.features, data.registry, clamp_nonnegative=True
 )
 print("learned weights (C =", info.best_C, ")")
 for part, w in zip(data.registry.parts, fw.w):
     print(f"  {part.name:<12} {w:.4f}")
 
-full = eval_recognition(data.dataset, data.features, data.registry, fw, split="test")
-nofill = eval_recognition(data.dataset, data.features, data.registry, fw, split="test", fill=False)
+full = eval_recognition(data.dataset, data.features, data.registry, fw)
+nofill = eval_recognition(data.dataset, data.features, data.registry, fw, fill=False)
 globl = eval_recognition(
     data.dataset,
     data.features,
     data.registry,
     FusionWeights(np.ones(len(data.registry.parts))),
-    split="test",
     component_mask="global",
 )
 
@@ -42,7 +41,7 @@ print(f"global part alone       {globl.accuracy:.4f}")
 
 # component ablation under uniform weights
 uniform = FusionWeights(np.ones(len(data.registry.parts)))
-reports = eval_ablation(data.dataset, data.features, data.registry, uniform, split="test")
+reports = eval_ablation(data.dataset, data.features, data.registry, uniform)
 print("uniform-weight ablation:")
 for mask in ("all", "global", "poselets", "face", "no-fill"):
     print(f"  {mask:<10} {reports[mask].accuracy:.4f}")

@@ -8,7 +8,7 @@ in training, so nearest-neighbor search retrieves them.
 
 import numpy as np
 
-from partfusion import FusionWeights, SynthConfig, generate
+from partfusion import SynthConfig, generate
 from partfusion.protocols import (
     build_identity_embeddings,
     learn_fusion_weights,
@@ -18,11 +18,11 @@ from partfusion.protocols import (
 
 data = generate(SynthConfig())
 fw, _ = learn_fusion_weights(
-    data.dataset, data.features, data.registry, split="val", clamp_nonnegative=True
+    data.dataset, data.features, data.registry, clamp_nonnegative=True
 )
 
 # same-identity embeddings sit closer together than cross-identity ones
-ref = train_reference_models(data.dataset, data.features, data.registry, split="val")
+ref = train_reference_models(data.dataset, data.features, data.registry)
 insts = sorted(data.dataset.split_instances("test"), key=lambda i: i.instance_id)[:100]
 ids = np.asarray([i.instance_id for i in insts], dtype=np.int64)
 embs = dict(zip(ids.tolist(), build_identity_embeddings(ids, data.features, ref, fw, data.registry.part_ids)))

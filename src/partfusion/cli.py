@@ -21,6 +21,7 @@ from . import __version__
 from .data import (
     Dataset,
     FeatureMatrix,
+    GLOBAL_PART_ID,
     PartRegistry,
     atomic_write_text,
     load_index,
@@ -39,7 +40,12 @@ from .fusion import (
 )
 from .matching import LAMBDA_SCORE, TAU_IOU, activations_per_instance, load_detections, match_detections
 from .protocols import (
+    DEFAULT_K_LIST,
+    DEFAULT_SHOTS,
     DEFAULT_TRAIN_CFG,
+    EVAL_SPLIT,
+    ONESHOT_REPEATS,
+    REFERENCE_SPLIT,
     eval_ablation,
     eval_faces_split,
     eval_oneshot,
@@ -51,10 +57,6 @@ from .protocols import (
 from .synth import SynthConfig, config_from_json, generate, write_synth
 
 __all__ = ["main"]
-
-# eval scores the test split with every part fused; retrieval's reference
-# models train on val, and oneshot draws 10 repeats per shot count
-_EVAL_SPLIT, _REFERENCE_SPLIT, _ONESHOT_REPEATS = "test", "val", 10
 
 
 def _sha256(path: Path) -> str:
@@ -110,7 +112,8 @@ def _load_parts(directory: str | Path, pattern: str, read) -> tuple[dict, list[P
 def _load_features(directory: str, dataset: Dataset) -> tuple[dict[int, FeatureMatrix], PartRegistry, list[Path]]:
     """A feature directory's part_*.pfv files, the registry its parts.tsv declares, and the files read.
 
-    Fails when the two disagree on the part ids, or when a feature row's instance is not in ``dataset``.
+    Fails when the two disagree on the part ids, when a feature row's instance is not in ``dataset``, or
+    when the global part lacks a row for one of its instances.
     """
     features, files = _load_parts(directory, "part_*.pfv", read_features)
     registry_path = Path(directory) / "parts.tsv"
@@ -124,7 +127,15 @@ def _load_features(directory: str, dataset: Dataset) -> tuple[dict[int, FeatureM
         unknown = set(features[pid].instance_ids.tolist()) - known
         if unknown:
             raise ValueError(f"{path}: instance {min(unknown)} is not in the index")
+    missing = known - set(features[GLOBAL_PART_ID].instance_ids.tolist())
+    if missing:
+        raise ValueError(f"{files[GLOBAL_PART_ID]}: the global part has no row for index instance {min(missing)}")
     return features, registry, [*files, registry_path]
+
+
+def _ints_text(values: tuple[int, ...]) -> str:
+    """The comma-separated flag value of ``values``."""
+    return ",".join(map(str, values))
 
 
 def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
@@ -164,6 +175,11 @@ def cmd_match(args) -> int:
     by_photo_truths: dict[int, list] = {}
     for inst in dataset.instances:
         by_photo_truths.setdefault(inst.photo_id, []).append(inst)
+    unknown = sorted(set(by_photo_dets) - set(by_photo_truths))
+    if unknown:
+        photo_id = unknown[0]
+        det_id = by_photo_dets[photo_id][0].detection_id
+        raise ValueError(f"{args.detections}: detection {det_id} is of photo {photo_id}, which the index lacks")
 
     lines = []
     for photo_id in sorted(by_photo_truths):
@@ -303,10 +319,10 @@ def cmd_eval(args) -> int:
     if args.protocol == "ablation" and args.weights:
         raise ValueError("--weights does not apply to --protocol ablation: ablation always fuses uniformly")
     for flag, value, default, owner, reason in (
-        ("--shots", args.shots, "1,2,3", "oneshot", "only oneshot trains on a few shots per identity"),
-        ("--k-list", args.k_list, "1,2,5,10,20", "retrieval", "only retrieval reports recall at K"),
+        ("--shots", args.shots, DEFAULT_SHOTS, "oneshot", "only oneshot trains on a few shots per identity"),
+        ("--k-list", args.k_list, DEFAULT_K_LIST, "retrieval", "only retrieval reports recall at K"),
     ):
-        if args.protocol != owner and value != default:
+        if args.protocol != owner and value != _ints_text(default):
             raise ValueError(f"{flag} does not apply to --protocol {args.protocol}: {reason}")
     out = _out_dir(args)
     dataset = load_index(args.dataset)
@@ -316,23 +332,21 @@ def cmd_eval(args) -> int:
     outputs: list[Path] = []
     if args.protocol in ("recognition", "recognition-no-fill"):
         fill = args.protocol == "recognition"
-        report = eval_recognition(dataset, features, registry, fw, _EVAL_SPLIT, args.seed, fill=fill)
+        report = eval_recognition(dataset, features, registry, fw, args.seed, fill=fill)
         write_report(report, out / "report.txt")
         outputs.append(out / "report.txt")
     elif args.protocol == "oneshot":
         shots = _parse_ints("--shots", args.shots)
-        report = eval_oneshot(dataset, features, registry, fw, _EVAL_SPLIT, shots, _ONESHOT_REPEATS, args.seed)
+        report = eval_oneshot(dataset, features, registry, fw, shots, args.seed)
         write_report(report, out / "report.txt", out / "curve.csv")
         outputs += [out / "report.txt", out / "curve.csv"]
     elif args.protocol == "retrieval":
         K_list = _parse_ints("--k-list", args.k_list)
-        report = run_retrieval_protocol(
-            dataset, features, registry, fw, _REFERENCE_SPLIT, _EVAL_SPLIT, args.seed, K_list
-        )
+        report = run_retrieval_protocol(dataset, features, registry, fw, args.seed, K_list)
         write_report(report, out / "report.txt", out / "curve.csv")
         outputs += [out / "report.txt", out / "curve.csv"]
     elif args.protocol == "ablation":
-        reports = eval_ablation(dataset, features, registry, fw, _EVAL_SPLIT, args.seed)
+        reports = eval_ablation(dataset, features, registry, fw, args.seed)
         summary = []
         for mask_name, report in reports.items():
             p = out / f"report_{mask_name}.txt"
@@ -343,7 +357,7 @@ def cmd_eval(args) -> int:
         atomic_write_text(summary_path, "\n".join(summary) + "\n")
         outputs.append(summary_path)
     elif args.protocol == "faces-split":
-        face_report, nonface_report = eval_faces_split(dataset, features, registry, fw, _EVAL_SPLIT, args.seed)
+        face_report, nonface_report = eval_faces_split(dataset, features, registry, fw, args.seed)
         write_report(face_report, out / "report_faces.txt")
         write_report(nonface_report, out / "report_nonfaces.txt")
         outputs += [out / "report_faces.txt", out / "report_nonfaces.txt"]
@@ -355,11 +369,11 @@ def cmd_eval(args) -> int:
         "dataset": args.dataset,
         "features": args.features,
         "weights": args.weights,
-        "split": _EVAL_SPLIT,
-        "val_split": _REFERENCE_SPLIT,
+        "split": EVAL_SPLIT,
+        "val_split": REFERENCE_SPLIT,
         "mask": "all",
         "shots": args.shots,
-        "repeats": _ONESHOT_REPEATS,
+        "repeats": ONESHOT_REPEATS,
         "k_list": args.k_list,
         "svm_c": DEFAULT_TRAIN_CFG.C,
         "epochs": DEFAULT_TRAIN_CFG.epochs,
@@ -393,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-parts", help="train per-part SVMs on half splits")
     p.add_argument("--dataset", required=True)
     p.add_argument("--features", required=True, help="directory of part_*.pfv files and their parts.tsv")
-    p.add_argument("--split", default="val")
+    p.add_argument("--split", default=REFERENCE_SPLIT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_parts)
@@ -425,8 +439,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="weights file; uniform when omitted; not taken by ablation, which always fuses uniformly",
     )
-    p.add_argument("--shots", default="1,2,3", help="comma-separated shot counts; taken by oneshot only")
-    p.add_argument("--k-list", default="1,2,5,10,20", help="comma-separated K of recall@K; taken by retrieval only")
+    p.add_argument(
+        "--shots", default=_ints_text(DEFAULT_SHOTS), help="comma-separated shot counts; taken by oneshot only"
+    )
+    p.add_argument(
+        "--k-list", default=_ints_text(DEFAULT_K_LIST), help="comma-separated K of recall@K; taken by retrieval only"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

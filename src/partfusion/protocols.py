@@ -61,6 +61,15 @@ __all__ = [
     "write_report",
 ]
 
+# The evaluation settings of the paper, fixed here alone: every protocol
+# scores the test split, and the fusion weights and retrieval's reference
+# models train on val. One-shot draws 10 repeats per shot count; its shot
+# counts and retrieval's K are the CLI's --shots and --k-list defaults.
+EVAL_SPLIT = "test"
+REFERENCE_SPLIT = "val"
+ONESHOT_REPEATS = 10
+DEFAULT_SHOTS = (1, 2, 3)
+DEFAULT_K_LIST = (1, 2, 5, 10, 20)
 # The one part-SVM setting. `train-parts` and every protocol train with it, so
 # the weights learned on the training tables fit the models each protocol fuses.
 DEFAULT_TRAIN_CFG = TrainConfig(C=10.0, epochs=30)
@@ -257,26 +266,25 @@ def _part_probabilities(
     n_y: int,
     mask_ids: tuple[int, ...],
     fill: bool,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """Per-part dense probability matrices over the evaluation rows, one part at a time.
 
-    Yields (part id, matrix, feature-level activation mask) in ascending
-    part order. The global matrix is computed once, before the first part,
-    and is yielded as the global part's matrix itself: callers must not
-    modify it. Every other part is built in one (n_eval, n_y) buffer that
-    the next part overwrites, so a caller uses each part's matrix before
-    asking for the next. With ``fill`` the matrices follow the
-    sparsity-filling rule against the global row (uniform when the global
-    part is masked out); without it, non-activated rows are all-zero and
-    activated rows carry the raw part distribution embedded over the full
-    identity set.
+    Yields (part id, matrix) in ascending part order. The global matrix is
+    computed once, before the first part, and is yielded as the global
+    part's matrix itself: callers must not modify it. Every other part is
+    built in one (n_eval, n_y) buffer that the next part overwrites, so a
+    caller uses each part's matrix before asking for the next. With
+    ``fill`` the matrices follow the sparsity-filling rule against the
+    global row (uniform when the global part is masked out); without it,
+    non-activated rows are all-zero and activated rows carry the raw part
+    distribution embedded over the full identity set.
     """
     P0 = np.empty((eval_ids.size, n_y))
     _write_global(models, features, eval_ids, P0)
     part: np.ndarray | None = None
     for pid in sorted(mask_ids):
         if pid == GLOBAL_PART_ID:
-            yield pid, P0, np.ones(eval_ids.size, dtype=bool)
+            yield pid, P0
             continue
         if part is None:
             part = np.empty_like(P0)
@@ -284,7 +292,8 @@ def _part_probabilities(
             np.copyto(part, P0)
         else:
             part.fill(0.0)
-        yield pid, part, _part_matrix(models.get(pid), features[pid], eval_ids, P0, fill, part)
+        _part_matrix(models.get(pid), features[pid], eval_ids, P0, fill, part)
+        yield pid, part
 
 
 def _part_matrix(
@@ -386,7 +395,7 @@ def half_split_training(
     dataset: Dataset,
     features: dict[int, FeatureMatrix],
     part_ids: tuple[int, ...],
-    split: str = "val",
+    split: str = REFERENCE_SPLIT,
     seed: int = 0,
 ) -> HalfModels:
     """Train the given parts' SVMs on each half, seeded per (seed, eval half, part).
@@ -410,41 +419,31 @@ def _score_fold(
     mask_ids: tuple[int, ...],
     fill: bool,
     fw: FusionWeights,
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+) -> np.ndarray:
     """Fill (or not) and fuse the masked parts; is each row's argmax its identity?
 
-    Returns (per-row correctness, the parts' activation masks). Each part is
-    fused as it is computed.
+    Each part is fused as it is computed.
     """
-    activations: dict[int, np.ndarray] = {}
-
-    def matrices() -> Iterator[tuple[int, np.ndarray]]:
-        for pid, P, act in _part_probabilities(models, features, eval_ids, n_y, mask_ids, fill):
-            activations[pid] = act
-            yield pid, P
-
-    s = fuse_matrix(matrices(), fw)
+    s = fuse_matrix(_part_probabilities(models, features, eval_ids, n_y, mask_ids, fill), fw)
     truth = np.asarray([label_of[i] for i in eval_ids.tolist()], dtype=np.int64)
-    return np.argmax(s, axis=1) == truth, activations
+    return np.argmax(s, axis=1) == truth
 
 
 def _score_halves(
     trained: HalfModels, mask_ids: tuple[int, ...], fill: bool, fw: FusionWeights
-) -> list[tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Score each half with the opposite half's models for the masked parts.
 
-    Returns (eval ids, correctness, activations) per half. Only the masked
-    parts' models reach ``_part_probabilities``, so a mask without the
-    global part fills from the uniform row.
+    Returns (eval ids, correctness) per half. Only the masked parts' models
+    reach ``_part_probabilities``, so a mask without the global part fills
+    from the uniform row.
     """
     folds = []
     for eval_half in (0, 1):
         ids = trained.eval_ids(eval_half)
         models = {pid: trained.models[1 - eval_half][pid] for pid in mask_ids}
-        correct, activations = _score_fold(
-            models, trained.features, ids, trained.label_of, trained.n_identities, mask_ids, fill, fw
-        )
-        folds.append((ids, correct, activations))
+        correct = _score_fold(models, trained.features, ids, trained.label_of, trained.n_identities, mask_ids, fill, fw)
+        folds.append((ids, correct))
     return folds
 
 
@@ -468,7 +467,7 @@ def _recognition(
     trained: HalfModels, registry: PartRegistry, fw: FusionWeights, component_mask: str | None, seed: int, fill: bool
 ) -> EvalReport:
     folds = _score_halves(trained, registry.resolve_mask(component_mask), fill, fw)
-    accs = [float(np.mean(correct)) for _, correct, _ in folds]
+    accs = [float(np.mean(correct)) for _, correct in folds]
     protocol = "recognition" if fill else "recognition-no-fill"
     return _report(
         trained, protocol, component_mask, seed, len(trained.label_of),
@@ -481,12 +480,11 @@ def eval_recognition(
     features: dict[int, FeatureMatrix],
     registry: PartRegistry,
     fw: FusionWeights,
-    split: str = "test",
     seed: int = 0,
     component_mask: str | None = None,
     fill: bool = True,
 ) -> EvalReport:
-    """Half-split recognition accuracy with sparsity filling and fusion.
+    """Half-split recognition accuracy on `EVAL_SPLIT` with sparsity filling and fusion.
 
     ``component_mask`` (e.g. ``"global"`` or ``"global,face"``) restricts the
     fused parts; a masked-out global part is replaced by the uniform
@@ -494,7 +492,7 @@ def eval_recognition(
     contribute zeros and the report's protocol is ``recognition-no-fill``.
     """
     mask_ids = registry.resolve_mask(component_mask)
-    trained = half_split_training(dataset, features, mask_ids, split, seed)
+    trained = half_split_training(dataset, features, mask_ids, EVAL_SPLIT, seed)
     return _recognition(trained, registry, fw, component_mask, seed, fill)
 
 
@@ -503,34 +501,26 @@ def eval_faces_split(
     features: dict[int, FeatureMatrix],
     registry: PartRegistry,
     fw: FusionWeights,
-    split: str = "test",
     seed: int = 0,
-    component_mask: str | None = None,
 ) -> tuple[EvalReport, EvalReport]:
-    """Recognition accuracy restricted to face-activated instances and the rest.
+    """Recognition accuracy on `EVAL_SPLIT`, every part fused, restricted to face-activated instances and the rest.
 
-    An instance is face-activated when a masked-in face part carries a
-    feature row for it. An empty subset's report has no accuracy and the
-    flag ``empty_subset``.
+    An instance is face-activated when a face part carries a feature row
+    for it. An empty subset's report has no accuracy and the flag
+    ``empty_subset``.
     """
-    mask_ids = registry.resolve_mask(component_mask)
-    trained = half_split_training(dataset, features, mask_ids, split, seed)
-    folds = _score_halves(trained, mask_ids, True, fw)
-    face_parts = [p for p in registry.ids_of_kind("face") if p in mask_ids]
-
-    def is_face(ids: np.ndarray, activations: dict[int, np.ndarray]) -> np.ndarray:
-        face = np.zeros(ids.shape[0], dtype=bool)
-        for p in face_parts:
-            face |= activations[p]
-        return face
-
-    correct = np.concatenate([c for _, c, _ in folds])
-    face = np.concatenate([is_face(ids, activations) for ids, _, activations in folds])
+    trained = half_split_training(dataset, features, registry.part_ids, EVAL_SPLIT, seed)
+    folds = _score_halves(trained, registry.part_ids, True, fw)
+    ids = np.concatenate([ids for ids, _ in folds])
+    correct = np.concatenate([c for _, c in folds])
+    face = np.zeros(ids.size, dtype=bool)
+    for pid in registry.ids_of_kind("face"):
+        face |= trained.features[pid].contains(ids)
 
     def subset_report(name: str, rows: np.ndarray) -> EvalReport:
         if not rows.any():
-            return _report(trained, name, component_mask, seed, 0, flags={"empty_subset": "true"})
-        return _report(trained, name, component_mask, seed, int(rows.sum()), accuracy=float(np.mean(correct[rows])))
+            return _report(trained, name, None, seed, 0, flags={"empty_subset": "true"})
+        return _report(trained, name, None, seed, int(rows.sum()), accuracy=float(np.mean(correct[rows])))
 
     return subset_report("recognition-faces", face), subset_report("recognition-nonfaces", ~face)
 
@@ -540,17 +530,16 @@ def eval_ablation(
     features: dict[int, FeatureMatrix],
     registry: PartRegistry,
     fw: FusionWeights,
-    split: str = "test",
     seed: int = 0,
 ) -> dict[str, EvalReport]:
-    """Recognition accuracy per component mask: all, global, poselets and face, then no-fill.
+    """Recognition accuracy on `EVAL_SPLIT` per component mask: all, global, poselets and face, then no-fill.
 
     A mask whose part kind the registry lacks is left out (no face part, no
     ``face`` report). Every part is trained once per half; each mask and the
     no-fill variant score those same models, so each report equals its own
     recognition run.
     """
-    trained = half_split_training(dataset, features, registry.part_ids, split, seed)
+    trained = half_split_training(dataset, features, registry.part_ids, EVAL_SPLIT, seed)
     out = {
         mask: _recognition(trained, registry, fw, None if kind is None else mask, seed, True)
         for mask, kind in _ABLATION_MASKS.items()
@@ -565,27 +554,23 @@ def eval_oneshot(
     features: dict[int, FeatureMatrix],
     registry: PartRegistry,
     fw: FusionWeights,
-    split: str = "test",
-    shots: tuple[int, ...] = (1, 2, 3),
-    repeats: int = 10,
+    shots: tuple[int, ...] = DEFAULT_SHOTS,
     seed: int = 0,
-    component_mask: str | None = None,
 ) -> EvalReport:
-    """Few-shot recognition: sample `shots` training instances per identity.
+    """Few-shot recognition on `EVAL_SPLIT`: sample `shots` training instances per identity.
 
-    Per repeat, identities with at least shots+1 instances contribute; the
-    sampled instances train the part SVMs and the rest are scored. The curve
-    holds (shots, mean accuracy, sample sigma) per shot count. Every shot
-    count must be at least 1. The (shot count, repeat) runs are independent
-    and spread over workers (see `_forked_map`).
+    Per repeat (`ONESHOT_REPEATS` per shot count), identities with at least
+    shots+1 instances contribute; the sampled instances train every part's
+    SVM and the rest are scored. The curve holds (shots, mean accuracy,
+    sample sigma) per shot count. Every shot count must be at least 1. The
+    (shot count, repeat) runs are independent and spread over workers (see
+    `_forked_map`).
     """
-    if repeats < 2:
-        raise ValueError("need repeats >= 2 to report a sigma")
     if not shots or min(shots) < 1:
         raise ValueError(f"one-shot needs shot counts >= 1, got {list(shots)}")
-    mask_ids = registry.resolve_mask(component_mask)
+    part_ids = registry.part_ids
     features = _normalized(features)
-    instances = dataset.split_instances(split)
+    instances = dataset.split_instances(EVAL_SPLIT)
 
     flags: dict[str, str] = {}
     max_kept = 0
@@ -609,20 +594,19 @@ def eval_oneshot(
         rng = np.random.default_rng(np.random.SeedSequence([seed, s, r]))
         train_ids = np.sort(np.concatenate([rng.choice(pool, size=s, replace=False) for pool in pools]))
         eval_ids = np.setdiff1d(all_ids, train_ids, assume_unique=True)
-        models = {pid: _train_part_model(pid, features[pid], train_ids, label_of, (seed, s, r)) for pid in mask_ids}
-        correct, _ = _score_fold(models, features, eval_ids, label_of, len(pools), mask_ids, True, fw)
-        return float(np.mean(correct))
+        models = {pid: _train_part_model(pid, features[pid], train_ids, label_of, (seed, s, r)) for pid in part_ids}
+        return float(np.mean(_score_fold(models, features, eval_ids, label_of, len(pools), part_ids, True, fw)))
 
-    runs = [(s, r) for s in shots for r in range(repeats)]
+    runs = [(s, r) for s in shots for r in range(ONESHOT_REPEATS)]
     accs = _forked_map(accuracy, runs, [s for s, _ in runs])
     curve = []
     for k, s in enumerate(shots):
-        shot_accs = accs[k * repeats : (k + 1) * repeats]
+        shot_accs = accs[k * ONESHOT_REPEATS : (k + 1) * ONESHOT_REPEATS]
         curve.append((float(s), float(np.mean(shot_accs)), float(np.std(shot_accs, ddof=1))))
 
     return EvalReport(
         protocol="oneshot",
-        component_mask=component_mask or "all",
+        component_mask="all",
         seed=seed,
         n_train=int(max(shots)) * max_n_y,
         n_test=max_kept,
@@ -634,7 +618,7 @@ def eval_oneshot(
 
 @dataclass
 class ReferenceModels:
-    """Part SVMs trained on half 0 of a reference split, for embeddings."""
+    """Part SVMs trained on half 0 of `REFERENCE_SPLIT`, for embeddings."""
 
     models: dict[int, LinearModel | None]
     n_identities: int
@@ -644,11 +628,10 @@ def train_reference_models(
     dataset: Dataset,
     features: dict[int, FeatureMatrix],
     registry: PartRegistry,
-    split: str = "val",
     seed: int = 0,
 ) -> ReferenceModels:
-    """Train all part SVMs on half 0 of the given split's stratified halves."""
-    split_set = _split_halves(dataset, features, split, seed)
+    """Train all part SVMs on half 0 of `REFERENCE_SPLIT`'s stratified halves."""
+    split_set = _split_halves(dataset, features, REFERENCE_SPLIT, seed)
     fold = (split_set.eval_ids(0), (seed, 7))
     (models,) = _train_folds(registry.part_ids, split_set.features, split_set.label_of, [fold])
     return ReferenceModels(models, split_set.n_identities)
@@ -669,7 +652,7 @@ def build_identity_embeddings(
     if ref.models.get(GLOBAL_PART_ID) is None:
         raise ValueError("reference models must include a trained global model")
     parts = _part_probabilities(ref.models, _normalized(features), ids, ref.n_identities, mask_ids, fill=True)
-    return fuse_matrix(((pid, P) for pid, P, _ in parts), fw)
+    return fuse_matrix(parts, fw)
 
 
 def _neighbor_identity_flags(
@@ -739,7 +722,7 @@ def eval_retrieval(
     embeddings: np.ndarray,
     labels: np.ndarray,
     instance_ids: np.ndarray,
-    K_list: tuple[int, ...] = (1, 2, 5, 10, 20),
+    K_list: tuple[int, ...] = DEFAULT_K_LIST,
     seed: int = 0,
     component_mask: str = "all",
 ) -> EvalReport:
@@ -800,25 +783,23 @@ def run_retrieval_protocol(
     features: dict[int, FeatureMatrix],
     registry: PartRegistry,
     fw: FusionWeights,
-    val_split: str = "val",
-    test_split: str = "test",
     seed: int = 0,
-    K_list: tuple[int, ...] = (1, 2, 5, 10, 20),
+    K_list: tuple[int, ...] = DEFAULT_K_LIST,
     component_mask: str | None = None,
 ) -> EvalReport:
-    """End-to-end retrieval: reference models on val, embeddings and recall on test.
+    """End-to-end retrieval: reference models on `REFERENCE_SPLIT`, embeddings and recall on `EVAL_SPLIT`.
 
     Raw features are L2-normalized once, here, for both stages.
     """
     features = _normalized(features)
-    ref = train_reference_models(dataset, features, registry, val_split, seed)
+    ref = train_reference_models(dataset, features, registry, seed)
     mask_ids = registry.resolve_mask(component_mask)
-    insts = sorted(dataset.split_instances(test_split), key=lambda i: i.instance_id)
+    insts = sorted(dataset.split_instances(EVAL_SPLIT), key=lambda i: i.instance_id)
     ids = np.asarray([i.instance_id for i in insts], dtype=np.int64)
     labels = np.asarray([i.identity for i in insts], dtype=np.int64)
     emb = build_identity_embeddings(ids, features, ref, fw, mask_ids)
     report = eval_retrieval(emb, labels, ids, K_list, seed, component_mask or "all")
-    report.n_train = len(dataset.split_instances(val_split))
+    report.n_train = len(dataset.split_instances(REFERENCE_SPLIT))
     report.flags["embedding_dim"] = str(ref.n_identities)
     return report
 
@@ -827,11 +808,10 @@ def learn_fusion_weights(
     dataset: Dataset,
     features: dict[int, FeatureMatrix],
     registry: PartRegistry,
-    split: str = "val",
     seed: int = 0,
     clamp_nonnegative: bool = False,
 ) -> tuple[FusionWeights, WeightLearningInfo]:
-    """Full weight-learning pipeline on a validation split, over `fusion.DEFAULT_C_GRID`."""
-    trained = half_split_training(dataset, features, registry.part_ids, split, seed)
+    """Full weight-learning pipeline on `REFERENCE_SPLIT`, over `fusion.DEFAULT_C_GRID`."""
+    trained = half_split_training(dataset, features, registry.part_ids, REFERENCE_SPLIT, seed)
     tables = {table.part_id: table for table in trained.filled_tables()}
     return learn_weights(tables, trained.label_of, trained.halves, clamp_nonnegative=clamp_nonnegative)

@@ -61,7 +61,6 @@ def learned_weights(bench):
         bench.dataset,
         bench.features,
         bench.registry,
-        split="val",
         seed=0,
         clamp_nonnegative=True,
     )

@@ -125,14 +125,14 @@ def test_criterion_04_svm_training_properties():
 def test_criterion_05_filling_and_fusion_beat_the_baselines(bench, uniform_weights, learned_weights):
     t0 = time.monotonic()
     full = eval_recognition(
-        bench.dataset, bench.features, bench.registry, learned_weights, split="test", seed=0
+        bench.dataset, bench.features, bench.registry, learned_weights, seed=0
     ).accuracy
     nofill = eval_recognition(
-        bench.dataset, bench.features, bench.registry, learned_weights, split="test", seed=0, fill=False
+        bench.dataset, bench.features, bench.registry, learned_weights, seed=0, fill=False
     ).accuracy
     glob = eval_recognition(
         bench.dataset, bench.features, bench.registry, uniform_weights,
-        split="test", seed=0, component_mask="global",
+        seed=0, component_mask="global",
     ).accuracy
     elapsed = time.monotonic() - t0
     ok = full >= nofill + 0.02 and nofill >= glob + 0.02 and elapsed < 300.0
@@ -149,7 +149,7 @@ def test_criterion_06_fusion_never_trails_single_components(bench):
         for mask in (None, "global", "poselets", "face"):
             accs[mask or "all"] = eval_recognition(
                 data.dataset, data.features, data.registry, fw,
-                split="test", seed=0, component_mask=mask,
+                seed=0, component_mask=mask,
             ).accuracy
         best_single = max(accs["global"], accs["poselets"], accs["face"])
         worst_margin = min(worst_margin, accs["all"] - best_single)
@@ -161,7 +161,7 @@ def test_criterion_06_fusion_never_trails_single_components(bench):
 def test_criterion_07_oneshot_improves_with_shots(bench, uniform_weights):
     rep = eval_oneshot(
         bench.dataset, bench.features, bench.registry, uniform_weights,
-        split="test", shots=(1, 2, 3), repeats=10, seed=0,
+        shots=(1, 2, 3), seed=0,
     )
     means = [pt[1] for pt in rep.curve]
     ok = all(b > a for a, b in zip(means, means[1:]))
@@ -236,7 +236,7 @@ def test_criterion_10_weight_learning_recovers_planted_part():
     for seed in range(10):
         data = generate(planted_config(planted, seed=seed))
         fw, _ = learn_fusion_weights(
-            data.dataset, data.features, data.registry, split="val", seed=0
+            data.dataset, data.features, data.registry, seed=0
         )
         if int(np.argmax(np.abs(fw.w))) == planted:
             hits += 1

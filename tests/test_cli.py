@@ -305,7 +305,7 @@ def test_eval_ablation_without_a_face_part(data_dir, tmp_path):
     for mask, component_mask, fill in [
         ("all", None, True), ("global", "global", True), ("poselets", "poselets", True), ("no-fill", None, False)
     ]:
-        expected = eval_recognition(dataset, features, registry, uniform, "test", 0, component_mask, fill=fill)
+        expected = eval_recognition(dataset, features, registry, uniform, 0, component_mask, fill=fill)
         assert (out / f"report_{mask}.txt").read_text() == report_text(expected), mask
 
 
@@ -617,15 +617,16 @@ def test_eval_rejects_one_feature_file_from_another_run(data_dir, wide_dir, tmp_
 
 
 def test_global_part_missing_rows_name_the_instance(data_dir, wide_dir, tmp_path, capsys):
-    # the smaller run's instance ids all lie in the wider index, but its global part lacks the wider test split
-    argv = _feature_commands(wide_dir / "index.tsv", data_dir / "features")[0]
-    assert main([*argv, "--split", "test", "--out", str(tmp_path / "p")]) == 1
-    err = capsys.readouterr().err
-    match = re.fullmatch(r"error: global part 0 has no feature row for training instance (\d+)\n", err)
-    assert match, err
-    iid = int(match.group(1))
-    test_ids = {inst.instance_id for inst in load_index(wide_dir / "index.tsv").split_instances("test")}
-    assert iid in test_ids and iid not in read_features(data_dir / "features" / "part_000.pfv").instance_ids
+    # the smaller run's instance ids all lie in the wider index, but its global part lacks the wider run's rest:
+    # the load fails naming the file before any training starts
+    part = data_dir / "features" / "part_000.pfv"
+    index_ids = {inst.instance_id for inst in load_index(wide_dir / "index.tsv").instances}
+    iid = min(index_ids - set(read_features(part).instance_ids.tolist()))
+    for argv in _feature_commands(wide_dir / "index.tsv", data_dir / "features"):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {part}: the global part has no row for index instance {iid}\n"
+        assert not (out / "manifest.json").exists()
 
 
 def test_eval_truncated_feature_header_names_the_file(data_dir, tmp_path, capsys):
@@ -664,6 +665,23 @@ def test_match_bad_detection_field_names_the_line(data_dir, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"error: {detections}:2: photo_id must be an integer, got 'x'" in err
+
+
+def test_match_rejects_detections_of_photos_the_index_lacks(data_dir, tmp_path, capsys):
+    # a copy of the last detection under a photo id past every indexed photo
+    detections = tmp_path / "detections.tsv"
+    lines = (data_dir / "detections.tsv").read_text().splitlines()
+    photo_id = max(inst.photo_id for inst in load_index(data_dir / "index.tsv").instances) + 1
+    fields = lines[-1].split("\t")
+    lines.append("\t".join([str(photo_id), *fields[1:]]))
+    detections.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--detections", str(detections)]
+    assert main(["match", *data, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {detections}: detection {fields[1]} is of photo {photo_id}, which the index lacks\n"
+    )
+    assert not (out / "activations.tsv").exists()
 
 
 def test_match_degenerate_person_box_names_the_line(data_dir, tmp_path, capsys):

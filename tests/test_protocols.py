@@ -83,7 +83,7 @@ def test_masked_global_equals_plain_multiclass_baseline(small, small_fw):
     seed = 5
     rep = eval_recognition(
         small.dataset, small.features, small.registry, small_fw,
-        split="test", seed=seed, component_mask="global",
+        seed=seed, component_mask="global",
     )
 
     insts = small.dataset.split_instances("test")
@@ -118,8 +118,8 @@ def test_masked_global_equals_plain_multiclass_baseline(small, small_fw):
 
 def test_full_part_coverage_makes_no_fill_exact(small_fw):
     data = generate(replace(SMALL, activation_prob=1.0, seed=12))
-    filled = eval_recognition(data.dataset, data.features, data.registry, small_fw, split="test")
-    sparse = eval_recognition(data.dataset, data.features, data.registry, small_fw, split="test", fill=False)
+    filled = eval_recognition(data.dataset, data.features, data.registry, small_fw)
+    sparse = eval_recognition(data.dataset, data.features, data.registry, small_fw, fill=False)
     assert filled.half_accuracies == sparse.half_accuracies
     assert filled.accuracy == sparse.accuracy
 
@@ -127,17 +127,17 @@ def test_full_part_coverage_makes_no_fill_exact(small_fw):
 def test_never_active_parts_collapse_to_global(small_fw):
     data = generate(replace(SMALL, activation_prob=0.0, n_identities=6, seed=3))
     fw = FusionWeights(np.ones(len(data.registry.parts)))
-    filled = eval_recognition(data.dataset, data.features, data.registry, fw, split="test")
-    sparse = eval_recognition(data.dataset, data.features, data.registry, fw, split="test", fill=False)
+    filled = eval_recognition(data.dataset, data.features, data.registry, fw)
+    sparse = eval_recognition(data.dataset, data.features, data.registry, fw, fill=False)
     only_global = eval_recognition(
-        data.dataset, data.features, data.registry, fw, split="test", component_mask="global"
+        data.dataset, data.features, data.registry, fw, component_mask="global"
     )
     assert filled.half_accuracies == sparse.half_accuracies == only_global.half_accuracies
 
 
 def test_zero_noise_recognition_is_perfect(small_fw):
     data = generate(replace(SMALL, noise_sigma=0.0, activation_prob=1.0, seed=14))
-    rep = eval_recognition(data.dataset, data.features, data.registry, small_fw, split="test")
+    rep = eval_recognition(data.dataset, data.features, data.registry, small_fw)
     assert rep.accuracy == 1.0
 
 
@@ -153,7 +153,7 @@ def test_constant_features_score_at_chance(small_fw):
             seed=18,
         )
     )
-    rep = eval_recognition(data.dataset, data.features, data.registry, small_fw, split="test")
+    rep = eval_recognition(data.dataset, data.features, data.registry, small_fw)
     assert rep.accuracy == 1.0 / rep.n_identities
 
 
@@ -165,8 +165,8 @@ def test_recognition_normalizes_raw_features(small, small_fw):
         for pid, fm in small.features.items()
     }
     normalized = {pid: fm.normalized_copy() for pid, fm in raw.items()}
-    got = eval_recognition(small.dataset, raw, small.registry, small_fw, split="test", seed=2)
-    want = eval_recognition(small.dataset, normalized, small.registry, small_fw, split="test", seed=2)
+    got = eval_recognition(small.dataset, raw, small.registry, small_fw, seed=2)
+    want = eval_recognition(small.dataset, normalized, small.registry, small_fw, seed=2)
     assert report_text(got) == report_text(want)
 
 
@@ -177,7 +177,7 @@ def test_recognition_needs_two_usable_identities():
     fw = FusionWeights(np.ones(1))
     registry_data = generate(replace(SMALL, n_identities=2, instances_min=2, instances_max=2, seed=1))
     with pytest.raises(ValueError, match="usable identities"):
-        eval_recognition(dataset, {0: fm}, registry_data.registry, fw, split="test")
+        eval_recognition(dataset, {0: fm}, registry_data.registry, fw)
 
 
 def _with_face_activation(cfg: SynthConfig, rate: float) -> SynthConfig:
@@ -190,34 +190,24 @@ def _with_face_activation(cfg: SynthConfig, rate: float) -> SynthConfig:
 def test_faces_split_separates_face_activated_instances():
     data = generate(_with_face_activation(replace(SMALL, seed=13, noise_sigma=(2.5, 2.5, 2.5, 2.5, 0.1)), 0.5))
     fw = FusionWeights(np.ones(len(data.registry.parts)))
-    faces, nonfaces = eval_faces_split(data.dataset, data.features, data.registry, fw, split="test")
+    faces, nonfaces = eval_faces_split(data.dataset, data.features, data.registry, fw)
     assert faces.protocol == "recognition-faces"
     assert nonfaces.protocol == "recognition-nonfaces"
     assert faces.n_test + nonfaces.n_test == faces.n_train
+    # the face subset is the kept test instances with a row in the face part's features
+    face_fm = data.features[data.registry.ids_of_kind("face")[0]]
+    kept = np.asarray([inst.instance_id for inst in data.dataset.split_instances("test")], dtype=np.int64)
+    assert faces.excluded_instances == 0
+    assert 0 < faces.n_test == int(np.count_nonzero(face_fm.contains(kept))) < kept.size
     # the face part carries far less noise, so face-activated instances win big
     assert faces.accuracy > nonfaces.accuracy + 0.2
-
-
-def test_faces_split_mask_override(small, small_fw):
-    # a component mask without the face part leaves no instance face-activated
-    mask = "global,poselets"
-    faces, nonfaces = eval_faces_split(
-        small.dataset, small.features, small.registry, small_fw, split="test", component_mask=mask
-    )
-    overall = eval_recognition(
-        small.dataset, small.features, small.registry, small_fw, split="test", component_mask=mask
-    )
-    assert faces.accuracy is None
-    assert faces.flags["empty_subset"] == "true"
-    assert nonfaces.accuracy == overall.accuracy
-    assert nonfaces.n_test == overall.n_test
 
 
 def test_faces_split_flags_an_empty_face_subset(small_fw):
     data = generate(_with_face_activation(replace(SMALL, seed=20), 0.0))
     assert len(data.features[data.registry.ids_of_kind("face")[0]]) == 0
-    faces, nonfaces = eval_faces_split(data.dataset, data.features, data.registry, small_fw, split="test")
-    overall = eval_recognition(data.dataset, data.features, data.registry, small_fw, split="test")
+    faces, nonfaces = eval_faces_split(data.dataset, data.features, data.registry, small_fw)
+    overall = eval_recognition(data.dataset, data.features, data.registry, small_fw)
     assert faces.accuracy is None
     assert faces.flags["empty_subset"] == "true"
     assert faces.n_test == 0
@@ -226,16 +216,16 @@ def test_faces_split_flags_an_empty_face_subset(small_fw):
 
 
 def test_ablation_reports_equal_separate_recognition_runs(small, small_fw):
-    reports = eval_ablation(small.dataset, small.features, small.registry, small_fw, split="test", seed=3)
+    reports = eval_ablation(small.dataset, small.features, small.registry, small_fw, seed=3)
     assert list(reports) == ["all", "global", "poselets", "face", "no-fill"]
     for mask in ("all", "global", "poselets", "face"):
         alone = eval_recognition(
             small.dataset, small.features, small.registry, small_fw,
-            split="test", seed=3, component_mask=None if mask == "all" else mask,
+            seed=3, component_mask=None if mask == "all" else mask,
         )
         assert report_text(reports[mask]) == report_text(alone), mask
     no_fill = eval_recognition(
-        small.dataset, small.features, small.registry, small_fw, split="test", seed=3, fill=False
+        small.dataset, small.features, small.registry, small_fw, seed=3, fill=False
     )
     assert report_text(reports["no-fill"]) == report_text(no_fill)
 
@@ -250,7 +240,7 @@ def test_ablation_trains_each_half_and_part_once(small, small_fw, monkeypatch, t
         return train_multiclass(X, y, cfg)
 
     monkeypatch.setattr(protocols, "train_multiclass", counting)
-    eval_ablation(small.dataset, small.features, small.registry, small_fw, split="test")
+    eval_ablation(small.dataset, small.features, small.registry, small_fw)
     fits = log.read_text().split()
     assert len(fits) == 2 * len(small.registry.parts)
     assert len(set(fits)) == len(fits)
@@ -260,7 +250,7 @@ def test_oneshot_zero_noise_is_perfect(small_fw):
     data = generate(replace(SMALL, noise_sigma=0.0, activation_prob=1.0, seed=14))
     rep = eval_oneshot(
         data.dataset, data.features, data.registry, small_fw,
-        split="test", shots=(1,), repeats=2,
+        shots=(1,),
     )
     assert rep.curve == ((1.0, 1.0, 0.0),)
 
@@ -275,28 +265,26 @@ def test_oneshot_excludes_identities_without_enough_instances(small_fw):
     assert manual > 0
     rep = eval_oneshot(
         data.dataset, data.features, data.registry, small_fw,
-        split="test", shots=(shot,), repeats=2,
+        shots=(shot,),
     )
     assert rep.flags[f"excluded_identities_shot_{shot}"] == str(manual)
 
 
 def test_oneshot_rejects_degenerate_settings(small, small_fw):
-    with pytest.raises(ValueError, match="repeats"):
-        eval_oneshot(small.dataset, small.features, small.registry, small_fw, repeats=1, split="test")
     for shots in ((), (0,), (2, -1)):
         with pytest.raises(ValueError, match="shot counts >= 1"):
-            eval_oneshot(small.dataset, small.features, small.registry, small_fw, split="test", shots=shots)
+            eval_oneshot(small.dataset, small.features, small.registry, small_fw, shots=shots)
     with pytest.raises(ValueError, match="usable identities"):
         eval_oneshot(
             small.dataset, small.features, small.registry, small_fw,
-            split="test", shots=(50,), repeats=2,
+            shots=(50,),
         )
 
 
 def test_oneshot_n_train_counts_the_largest_shot(small, small_fw):
     # every identity has 6 instances, so each shot count keeps all of them
     rep = eval_oneshot(
-        small.dataset, small.features, small.registry, small_fw, split="test", shots=(3, 1), repeats=2
+        small.dataset, small.features, small.registry, small_fw, shots=(3, 1)
     )
     assert [pt[0] for pt in rep.curve] == [3.0, 1.0]
     assert rep.n_train == 3 * rep.n_identities == 3 * SMALL.n_identities
@@ -525,7 +513,7 @@ def test_retrieval_protocol_zero_noise_recalls_everything(small_fw):
 
 def test_embeddings_cluster_by_identity(small_fw):
     data = generate(replace(SMALL, seed=17, noise_sigma=0.3, splits=("val", "test")))
-    ref = train_reference_models(data.dataset, data.features, data.registry, split="val")
+    ref = train_reference_models(data.dataset, data.features, data.registry)
     insts = sorted(data.dataset.split_instances("test"), key=lambda i: i.instance_id)[:30]
     ids = np.asarray([inst.instance_id for inst in insts], dtype=np.int64)
     rows = build_identity_embeddings(ids, data.features, ref, small_fw, data.registry.part_ids)
@@ -553,7 +541,7 @@ def test_embedding_normalizes_raw_features(small_fw):
     normalized = protocols._normalized(raw)
     assert all(normalized[pid] is fm for pid, fm in protocols._normalized(normalized).items())
 
-    ref = train_reference_models(data.dataset, data.features, data.registry, split="val")
+    ref = train_reference_models(data.dataset, data.features, data.registry)
     mask = tuple(sorted(ref.models))
     got = build_identity_embeddings(test_ids, raw, ref, small_fw, mask)
     want = build_identity_embeddings(test_ids, normalized, ref, small_fw, mask)
@@ -578,12 +566,13 @@ def test_retrieval_protocol_normalizes_raw_features_once(small_fw, monkeypatch):
     assert report_text(got) == report_text(want)
 
 
-def test_embedding_requires_global_model(small, small_fw):
-    trained = train_reference_models(small.dataset, small.features, small.registry, split="test")
+def test_embedding_requires_global_model(small_fw):
+    data = generate(replace(SMALL, splits=("val",)))  # the reference models train on val
+    trained = train_reference_models(data.dataset, data.features, data.registry)
     without_part_0 = {pid: model for pid, model in trained.models.items() if pid != 0}
     for models in ({0: None}, without_part_0):
         with pytest.raises(ValueError, match="global model"):
-            build_identity_embeddings(np.asarray([1]), small.features, ReferenceModels(models, 10), small_fw, (0, 1))
+            build_identity_embeddings(np.asarray([1]), data.features, ReferenceModels(models, 10), small_fw, (0, 1))
 
 
 def test_half_split_training_artifacts(small):
@@ -605,7 +594,7 @@ def test_half_split_training_artifacts(small):
 def test_learn_fusion_weights_recovers_planted_part():
     cfg = planted_config(2, seed=0, n_identities=10, instances_min=8, instances_max=8)
     data = generate(cfg)
-    fw, info = learn_fusion_weights(data.dataset, data.features, data.registry, split="val")
+    fw, info = learn_fusion_weights(data.dataset, data.features, data.registry)
     assert int(np.argmax(np.abs(fw.w))) == 2
     assert info.best_C in dict(info.grid_scores)
     n_kept = len(data.dataset.split_instances("val"))
