@@ -156,11 +156,11 @@ def _weights_for(args, registry) -> tuple[FusionWeights, list[Path]]:
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     cfg = config_from_json(args.config) if args.config else SynthConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     data = generate(cfg)
+    out = _out_dir(args)
     outputs = write_synth(data, out)
     config = dataclasses.asdict(cfg)
     inputs = [Path(args.config)] if args.config else []
@@ -169,7 +169,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_match(args) -> int:
-    out = _out_dir(args)
     dataset = load_index(args.dataset)
     by_photo_dets = load_detections(args.detections)
     by_photo_truths: dict[int, list] = {}
@@ -179,7 +178,11 @@ def cmd_match(args) -> int:
     if unknown:
         photo_id = unknown[0]
         det_id = by_photo_dets[photo_id][0].detection_id
-        raise ValueError(f"{args.detections}: detection {det_id} is of photo {photo_id}, which the index lacks")
+        # the line is looked up here, on the error path, so loading keeps no line numbers
+        text = Path(args.detections).read_text(encoding="utf-8").splitlines()
+        key = (photo_id, det_id)
+        lineno = next(k for k, line in enumerate(text, 1) if line and tuple(map(int, line.split("\t", 2)[:2])) == key)
+        raise ValueError(f"{args.detections}:{lineno}: detection {det_id} is of photo {photo_id}, which the index lacks")
 
     lines = []
     for photo_id in sorted(by_photo_truths):
@@ -202,6 +205,7 @@ def cmd_match(args) -> int:
                         ]
                     )
                 )
+    out = _out_dir(args)
     act_path = out / "activations.tsv"
     atomic_write_text(act_path, "\n".join(lines) + ("\n" if lines else ""))
 
@@ -218,10 +222,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_train_parts(args) -> int:
-    out = _out_dir(args)
     dataset = load_index(args.dataset)
     features, registry, feature_files = _load_features(args.features, dataset)
     trained = half_split_training(dataset, features, registry.part_ids, args.split, args.seed)
+    out = _out_dir(args)
 
     outputs: list[Path] = []
     tables_dir = out / "tables"
@@ -286,12 +290,12 @@ def _read_id_map(path: Path, tables: dict, name: str, n_values: int) -> dict[int
 
 
 def cmd_learn_weights(args) -> int:
-    out = _out_dir(args)
     tables_dir = Path(args.tables)
     tables, table_files = _load_parts(tables_dir / "tables", "part_*.ppt", read_prob_table)
     labels_of = _read_id_map(tables_dir / "labels.tsv", tables, "label", tables[0].n_identities)
     halves = _read_id_map(tables_dir / "halves.tsv", tables, "half", 2)
     fw, info = learn_weights(tables, labels_of, halves, clamp_nonnegative=args.clamp)
+    out = _out_dir(args)
 
     weights_path = out / "weights.tsv"
     write_weights(weights_path, fw)
@@ -324,10 +328,10 @@ def cmd_eval(args) -> int:
     ):
         if args.protocol != owner and value != _ints_text(default):
             raise ValueError(f"{flag} does not apply to --protocol {args.protocol}: {reason}")
-    out = _out_dir(args)
     dataset = load_index(args.dataset)
     features, registry, feature_files = _load_features(args.features, dataset)
     fw, weight_inputs = _weights_for(args, registry)
+    out = _out_dir(args)
 
     outputs: list[Path] = []
     if args.protocol in ("recognition", "recognition-no-fill"):

@@ -5,11 +5,10 @@ subgradient descent on the hinge loss, vectorized over classes: every class
 row shares one schedule of `_BATCH_SIZE`-row mini-batches, so a K-class model
 costs one pass over the data per epoch regardless of K. The learning-rate
 schedule is eta_t = g_c / (lambda * t) with lambda = 1 / (C * n) and a gain
-g_c per class that starts at 1. The loop gathers the rows of 128 mini-batches
-with one ``np.take`` and computes their step sizes in one division, so each
-step works on slice views of that block; the batches, their order and every
-update stay those of a gather per step. Each step is `hinge_subgradient`'s
-update on its batch, taken inline in work arrays allocated once per fit.
+g_c per class that starts at 1. Each epoch computes its step sizes in one
+division, and each step gathers its batch's rows with one ``np.take`` and
+takes `hinge_subgradient`'s update on them, inline in work arrays allocated
+once per fit.
 
 The recorded objective history is non-increasing per class by construction:
 at each epoch boundary the full-data objective is evaluated, and any class
@@ -60,9 +59,6 @@ __all__ = [
 
 # Rows per SGD mini-batch; the epoch's last batch may be shorter.
 _BATCH_SIZE = 32
-# Mini-batches gathered by one ``np.take`` in `_run_sgd`; a block spans whole
-# batches, so no batch straddles two blocks.
-_GATHER_BLOCK_BATCHES = 128
 # A row block's product with a weight matrix does about this many
 # multiply-adds and spans at most `_MAX_BLOCK_ROWS` rows. The block boundaries
 # set the order of the Newton sums and, above about 130 classes, the rounding
@@ -299,13 +295,11 @@ def _run_sgd(
 
     Returns W (K, d), b (K,) and the per-epoch objectives, each (K,).
 
-    Each epoch walks its permutation in blocks of `_GATHER_BLOCK_BATCHES`
-    batches: one ``np.take`` each for X and S, and one division for the
-    block's step sizes gain / (lambda * t), with t as float64. The
-    block is a whole number of batches, so each step takes a slice of it
-    holding exactly the rows a per-step gather would; only the epoch's last
-    batch may be short. Each step takes `hinge_subgradient`'s update on its
-    batch, in work arrays allocated once per fit.
+    Each epoch draws its permutation and computes the step sizes
+    gain / (lambda * t) of all its batches in one division, with t as
+    float64; only its last batch may be short. Each step gathers its batch's
+    rows of X and S with one ``np.take`` and takes `hinge_subgradient`'s
+    update on them, in work arrays allocated once per fit.
     """
     X = np.asarray(X, dtype=np.float64)
     y_pos = np.asarray(y_pos, dtype=np.int64)
@@ -326,43 +320,38 @@ def _run_sgd(
     history = [_signed_hinge_objective(W, b, X, S, lam, scores)]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n, d, n_classes]))
     B = _BATCH_SIZE
-    block = _GATHER_BLOCK_BATCHES * B
     margins = np.empty((min(B, n), n_classes))  # a step's margins, then its coef
     inside = np.empty(margins.shape, dtype=bool)
     coef_X, gW, gb = np.empty((n_classes, d)), np.empty((n_classes, d)), np.empty(n_classes)
-    index_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    steps = -(-n // B)  # the epoch's last batch may be short
     t = 0
     for _epoch in range(cfg.epochs):
         np.copyto(prev_W, W)
         np.copyto(prev_b, b)
         prev_obj = history[-1]
-        perm = rng.permutation(n).astype(index_type)
-        for start in range(0, n, block):
-            idx = perm[start : start + block]
-            Xs, Ss = X.take(idx, axis=0), S.take(idx, axis=0)
-            steps = -(-idx.shape[0] // B)  # the epoch's last batch may be short
-            ts = np.arange(t + 1, t + steps + 1, dtype=np.float64)
-            etas = gain / (lam * ts[:, None])
-            t += steps
-            for j in range(steps):
-                Xb, Sb = Xs[j * B : (j + 1) * B], Ss[j * B : (j + 1) * B]
-                m, eta = Xb.shape[0], etas[j]
-                coef, on = margins[:m], inside[:m]
-                np.matmul(Xb, W.T, out=coef)
-                coef += b
-                coef *= Sb
-                np.less(coef, 1.0, out=on)
-                np.multiply(on, Sb, out=coef)
-                np.matmul(coef.T, Xb, out=coef_X)
-                coef_X /= m
-                np.multiply(lam, W, out=gW)
-                gW -= coef_X
-                gW *= eta[:, None]
-                W -= gW
-                np.add.reduce(coef, axis=0, out=gb)
-                gb /= m
-                gb *= eta
-                b += gb
+        perm = rng.permutation(n)
+        etas = gain / (lam * np.arange(t + 1, t + steps + 1, dtype=np.float64)[:, None])
+        t += steps
+        for start, eta in zip(range(0, n, B), etas):
+            idx = perm[start : start + B]
+            Xb, Sb = X.take(idx, axis=0), S.take(idx, axis=0)
+            m = Xb.shape[0]
+            coef, on = margins[:m], inside[:m]
+            np.matmul(Xb, W.T, out=coef)
+            coef += b
+            coef *= Sb
+            np.less(coef, 1.0, out=on)
+            np.multiply(on, Sb, out=coef)
+            np.matmul(coef.T, Xb, out=coef_X)
+            coef_X /= m
+            np.multiply(lam, W, out=gW)
+            gW -= coef_X
+            gW *= eta[:, None]
+            W -= gW
+            np.add.reduce(coef, axis=0, out=gb)
+            gb /= m
+            gb *= eta
+            b += gb
         obj = _signed_hinge_objective(W, b, X, S, lam, scores)
         worse = obj > prev_obj
         if worse.any():

@@ -668,20 +668,41 @@ def test_match_bad_detection_field_names_the_line(data_dir, tmp_path, capsys):
 
 
 def test_match_rejects_detections_of_photos_the_index_lacks(data_dir, tmp_path, capsys):
-    # a copy of the last detection under a photo id past every indexed photo
+    # a copy of the first detection under a photo id past every indexed photo, on line 3
     detections = tmp_path / "detections.tsv"
     lines = (data_dir / "detections.tsv").read_text().splitlines()
     photo_id = max(inst.photo_id for inst in load_index(data_dir / "index.tsv").instances) + 1
-    fields = lines[-1].split("\t")
-    lines.append("\t".join([str(photo_id), *fields[1:]]))
+    fields = lines[0].split("\t")
+    lines.insert(2, "\t".join([str(photo_id), *fields[1:]]))
     detections.write_text("\n".join(lines) + "\n")
     out = tmp_path / "m"
     data = ["--dataset", str(data_dir / "index.tsv"), "--detections", str(detections)]
     assert main(["match", *data, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {detections}: detection {fields[1]} is of photo {photo_id}, which the index lacks\n"
+        f"error: {detections}:3: detection {fields[1]} is of photo {photo_id}, which the index lacks\n"
     )
-    assert not (out / "activations.tsv").exists()
+    assert not out.exists()
+
+
+def _failing_argv(command, data_dir, tmp_path):
+    """``command``'s flags with one input that fails its check: a missing directory, or weights for two parts."""
+    if command == "train-parts":
+        return ["train-parts", "--dataset", str(data_dir / "index.tsv"), "--features", str(tmp_path / "missing")]
+    if command == "learn-weights":
+        return ["learn-weights", "--tables", str(tmp_path / "missing")]
+    weights = tmp_path / "weights.tsv"
+    weights.write_text("0\t1.0\n1\t1.0\nbias\t0.0\n")
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    return ["eval", "--protocol", "recognition", *data, "--weights", str(weights)]
+
+
+# match's case is test_match_rejects_detections_of_photos_the_index_lacks
+@pytest.mark.parametrize("command", ["train-parts", "learn-weights", "eval"])
+def test_failed_command_leaves_no_out_directory(data_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*_failing_argv(command, data_dir, tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_match_degenerate_person_box_names_the_line(data_dir, tmp_path, capsys):

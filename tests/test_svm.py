@@ -20,7 +20,6 @@ from partfusion import (
 from partfusion import svm
 from partfusion.svm import (
     _BLOCK_MULTIPLY_ADDS,
-    _GATHER_BLOCK_BATCHES,
     _MAX_BLOCK_ROWS,
     _NEWTON_MAX_STEPS,
     _row_blocked_scores,
@@ -521,7 +520,11 @@ def _per_step_run_sgd(X, y_pos, n_classes, cfg, batch_size):
 
 
 class TestBlockedLoop:
-    """The block-gathered loop equals the per-step loop bit for bit."""
+    """The trainer's loop equals the per-step oracle bit for bit.
+
+    The sizes span up to two blocks of 128 batches, the gather blocks an
+    earlier loop split each epoch into, plus a tail.
+    """
 
     def _case(self, seed, n, d, K, cfg, batch_size):
         rng = np.random.default_rng(seed)
@@ -553,7 +556,7 @@ class TestBlockedLoop:
         row_seed=st.integers(0, 999),
     )
     def test_equals_per_step_loop(self, seed, K, d, batch_size, blocks, extra, epochs, log_c, row_seed):
-        n = blocks * _GATHER_BLOCK_BATCHES * batch_size + extra
+        n = blocks * 128 * batch_size + extra
         cfg = TrainConfig(C=2.0**log_c, epochs=epochs, seed=row_seed)
         self._case(seed, n, d, K, cfg, batch_size)
 
@@ -565,11 +568,26 @@ class TestBlockedLoop:
 
     @pytest.mark.parametrize("K,short", [(1, True), (3, False)])
     def test_rolls_back_across_blocks(self, K, short):
-        # batches of 8 over two gather blocks: short, the second block holds 17 rows and ends in a 1-row
-        # batch; otherwise both blocks are whole
-        n = _GATHER_BLOCK_BATCHES * 8 + 17 if short else 2 * _GATHER_BLOCK_BATCHES * 8
+        # batches of 8 over two 128-batch spans: short, the second holds 17 rows and ends in a 1-row batch;
+        # otherwise both are whole
+        n = 128 * 8 + 17 if short else 2 * 128 * 8
         history = self._case(5, n, 4, K, TrainConfig(C=100.0, epochs=8, seed=2), 8)
         assert sum(int(np.sum(b == a)) for a, b in zip(history, history[1:])) > 0
+
+
+def test_sgd_memory_holds_the_signs_the_scores_and_one_batch():
+    # a fit holds the sign matrix S and the objective's score buffer, both (n, K), and one batch's rows
+    rng = np.random.default_rng(31)
+    n, K, d = 3000, 300, 32
+    X = rng.normal(size=(n, d))
+    y_pos = rng.integers(0, K, n)
+    tracemalloc.start()
+    try:
+        _run_sgd(X, y_pos, K, TrainConfig(C=10.0, epochs=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * K * 8
 
 
 class TestBlockedObjective:
