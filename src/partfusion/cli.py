@@ -46,13 +46,14 @@ from .protocols import (
     EVAL_SPLIT,
     ONESHOT_REPEATS,
     REFERENCE_SPLIT,
+    curve_csv,
     eval_ablation,
     eval_faces_split,
     eval_oneshot,
     eval_recognition,
     half_split_training,
+    report_text,
     run_retrieval_protocol,
-    write_report,
 )
 from .synth import SynthConfig, config_from_json, generate, write_synth
 
@@ -319,6 +320,30 @@ def cmd_learn_weights(args) -> int:
     return 0
 
 
+def _protocol_texts(args, dataset, features, registry, fw) -> dict[str, str]:
+    """Run the ``--protocol`` of ``args``; {output file name: its text}."""
+    if args.protocol in ("recognition", "recognition-no-fill"):
+        fill = args.protocol == "recognition"
+        return {"report.txt": report_text(eval_recognition(dataset, features, registry, fw, args.seed, fill=fill))}
+    if args.protocol == "oneshot":
+        shots = _parse_ints("--shots", args.shots)
+        report = eval_oneshot(dataset, features, registry, fw, shots, args.seed)
+        return {"report.txt": report_text(report), "curve.csv": curve_csv(report)}
+    if args.protocol == "retrieval":
+        K_list = _parse_ints("--k-list", args.k_list)
+        report = run_retrieval_protocol(dataset, features, registry, fw, args.seed, K_list)
+        return {"report.txt": report_text(report), "curve.csv": curve_csv(report)}
+    if args.protocol == "ablation":
+        reports = eval_ablation(dataset, features, registry, fw, args.seed)
+        texts = {f"report_{mask}.txt": report_text(report) for mask, report in reports.items()}
+        texts["summary.tsv"] = "".join(f"{mask}\t{report.accuracy!r}\n" for mask, report in reports.items())
+        return texts
+    if args.protocol == "faces-split":
+        faces, nonfaces = eval_faces_split(dataset, features, registry, fw, args.seed)
+        return {"report_faces.txt": report_text(faces), "report_nonfaces.txt": report_text(nonfaces)}
+    raise ValueError(f"unknown protocol {args.protocol!r}")
+
+
 def cmd_eval(args) -> int:
     if args.protocol == "ablation" and args.weights:
         raise ValueError("--weights does not apply to --protocol ablation: ablation always fuses uniformly")
@@ -331,42 +356,10 @@ def cmd_eval(args) -> int:
     dataset = load_index(args.dataset)
     features, registry, feature_files = _load_features(args.features, dataset)
     fw, weight_inputs = _weights_for(args, registry)
+    texts = _protocol_texts(args, dataset, features, registry, fw)
     out = _out_dir(args)
-
-    outputs: list[Path] = []
-    if args.protocol in ("recognition", "recognition-no-fill"):
-        fill = args.protocol == "recognition"
-        report = eval_recognition(dataset, features, registry, fw, args.seed, fill=fill)
-        write_report(report, out / "report.txt")
-        outputs.append(out / "report.txt")
-    elif args.protocol == "oneshot":
-        shots = _parse_ints("--shots", args.shots)
-        report = eval_oneshot(dataset, features, registry, fw, shots, args.seed)
-        write_report(report, out / "report.txt", out / "curve.csv")
-        outputs += [out / "report.txt", out / "curve.csv"]
-    elif args.protocol == "retrieval":
-        K_list = _parse_ints("--k-list", args.k_list)
-        report = run_retrieval_protocol(dataset, features, registry, fw, args.seed, K_list)
-        write_report(report, out / "report.txt", out / "curve.csv")
-        outputs += [out / "report.txt", out / "curve.csv"]
-    elif args.protocol == "ablation":
-        reports = eval_ablation(dataset, features, registry, fw, args.seed)
-        summary = []
-        for mask_name, report in reports.items():
-            p = out / f"report_{mask_name}.txt"
-            write_report(report, p)
-            outputs.append(p)
-            summary.append(f"{mask_name}\t{report.accuracy!r}")
-        summary_path = out / "summary.tsv"
-        atomic_write_text(summary_path, "\n".join(summary) + "\n")
-        outputs.append(summary_path)
-    elif args.protocol == "faces-split":
-        face_report, nonface_report = eval_faces_split(dataset, features, registry, fw, args.seed)
-        write_report(face_report, out / "report_faces.txt")
-        write_report(nonface_report, out / "report_nonfaces.txt")
-        outputs += [out / "report_faces.txt", out / "report_nonfaces.txt"]
-    else:
-        raise ValueError(f"unknown protocol {args.protocol!r}")
+    for name, text in texts.items():
+        atomic_write_text(out / name, text)
 
     config = {
         "protocol": args.protocol,
@@ -383,7 +376,7 @@ def cmd_eval(args) -> int:
         "epochs": DEFAULT_TRAIN_CFG.epochs,
     }
     inputs = [Path(args.dataset)] + feature_files + weight_inputs
-    _write_manifest(out, "eval", config, inputs, outputs, args.seed)
+    _write_manifest(out, "eval", config, inputs, [out / name for name in texts], args.seed)
     return 0
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .data import (
     GLOBAL_PART_ID,
     Instance,
     PartRegistry,
-    atomic_write_text,
+    SPLITS,
 )
 from .fusion import (
     FusionWeights,
@@ -58,7 +57,6 @@ __all__ = [
     "run_retrieval_protocol",
     "stratified_half_split",
     "train_reference_models",
-    "write_report",
 ]
 
 # The evaluation settings of the paper, fixed here alone: every protocol
@@ -148,12 +146,6 @@ def curve_csv(report: EvalReport) -> str:
     for x, mean, sigma in report.curve:
         lines.append(f"{x!r},{mean!r},{sigma!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_report(report: EvalReport, text_path: str | Path, csv_path: str | Path | None = None) -> None:
-    atomic_write_text(text_path, report_text(report))
-    if csv_path is not None and report.curve is not None:
-        atomic_write_text(csv_path, curve_csv(report))
 
 
 def _kept_instances(
@@ -383,6 +375,8 @@ def _split_halves(
     seed: int,
 ) -> HalfModels:
     """Normalized features, kept identities and stratified halves of a split; no models yet."""
+    if split not in SPLITS:
+        raise ValueError(f"unknown split {split!r}; the splits are {', '.join(SPLITS)}")
     kept, local_of, excl_ids, excl_insts = _kept_instances(dataset.split_instances(split), 2)
     if len(local_of) < 2:
         raise ValueError(f"split {split!r} has fewer than 2 usable identities")
@@ -718,6 +712,11 @@ def _neighbor_identity_flags(
     return flags
 
 
+def _check_K_list(K_list: tuple[int, ...]) -> None:
+    if any(int(K) < 1 for K in K_list):
+        raise ValueError(f"recall@K needs every K >= 1, got {list(K_list)}")
+
+
 def eval_retrieval(
     embeddings: np.ndarray,
     labels: np.ndarray,
@@ -749,8 +748,7 @@ def eval_retrieval(
     if not query_idx:
         raise ValueError("no identity has 2 or more instances")
 
-    if any(int(K) < 1 for K in K_list):
-        raise ValueError(f"recall@K needs every K >= 1, got {list(K_list)}")
+    _check_K_list(K_list)
     max_k = n - 1
     depth = min(max((int(K) for K in K_list), default=0), max_k)
     same_identity = _neighbor_identity_flags(embeddings, labels, instance_ids, query_idx, depth)
@@ -789,8 +787,10 @@ def run_retrieval_protocol(
 ) -> EvalReport:
     """End-to-end retrieval: reference models on `REFERENCE_SPLIT`, embeddings and recall on `EVAL_SPLIT`.
 
-    Raw features are L2-normalized once, here, for both stages.
+    Raw features are L2-normalized once, here, for both stages. Every K must
+    be at least 1; that is checked before any model is trained.
     """
+    _check_K_list(K_list)
     features = _normalized(features)
     ref = train_reference_models(dataset, features, registry, seed)
     mask_ids = registry.resolve_mask(component_mask)

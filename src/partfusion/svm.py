@@ -285,15 +285,16 @@ def hinge_subgradient(
     return lam * W - (coef.T @ X) / n, -coef.sum(axis=0) / n
 
 
-def _run_sgd(
+def train_multiclass(
     X: np.ndarray,
-    y_pos: np.ndarray,
-    n_classes: int,
-    cfg: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Fit ``n_classes`` rows sharing one mini-batch schedule.
+    labels: np.ndarray,
+    cfg: TrainConfig = TrainConfig(),
+) -> LinearModel:
+    """One-vs-rest multiclass linear SVM; its class rows share one mini-batch schedule.
 
-    Returns W (K, d), b (K,) and the per-epoch objectives, each (K,).
+    ``class_index`` of the result is the distinct labels present, ascending;
+    its objective history holds the per-epoch objectives, each
+    (n_classes,). The mini-batch schedule follows the row order given.
 
     Each epoch draws its permutation and computes the step sizes
     gain / (lambda * t) of all its batches in one division, with t as
@@ -301,19 +302,23 @@ def _run_sgd(
     rows of X and S with one ``np.take`` and takes `hinge_subgradient`'s
     update on them, in work arrays allocated once per fit.
     """
+    labels = np.asarray(labels, dtype=np.int64)
+    class_index = _distinct(labels)
+    if class_index.size < 2:
+        raise ValueError("degenerate problem: need at least 2 distinct labels")
     X = np.asarray(X, dtype=np.float64)
-    y_pos = np.asarray(y_pos, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y_pos.shape[0]:
+    if X.ndim != 2 or X.shape[0] != labels.shape[0]:
         raise ValueError("features and labels disagree on row count")
     n, d = X.shape
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
 
+    n_classes = class_index.size
     lam = 1.0 / (cfg.C * n)
     W = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
     gain = np.ones(n_classes)
-    S = _signs(y_pos, n_classes)
+    S = _signs(np.searchsorted(class_index, labels), n_classes)
     scores = np.empty((n, n_classes))
     prev_W, prev_b = np.empty_like(W), np.empty_like(b)
 
@@ -362,25 +367,6 @@ def _run_sgd(
             obj = np.where(worse, prev_obj, obj)
         history.append(obj)
 
-    return W, b, history
-
-
-def train_multiclass(
-    X: np.ndarray,
-    labels: np.ndarray,
-    cfg: TrainConfig = TrainConfig(),
-) -> LinearModel:
-    """One-vs-rest multiclass linear SVM.
-
-    ``class_index`` of the result is the distinct labels present, ascending.
-    The mini-batch schedule follows the row order given.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    class_index = _distinct(labels)
-    if class_index.size < 2:
-        raise ValueError("degenerate problem: need at least 2 distinct labels")
-    y_pos = np.searchsorted(class_index, labels)
-    W, b, history = _run_sgd(X, y_pos, class_index.size, cfg)
     return LinearModel(W, b, class_index, objective_history=history)
 
 

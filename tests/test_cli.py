@@ -684,24 +684,47 @@ def test_match_rejects_detections_of_photos_the_index_lacks(data_dir, tmp_path, 
     assert not out.exists()
 
 
-def _failing_argv(command, data_dir, tmp_path):
-    """``command``'s flags with one input that fails its check: a missing directory, or weights for two parts."""
-    if command == "train-parts":
+# eval flag values that its protocol rejects: a shot count below 1, a shot count not an int, more shots
+# than any identity has instances beside the scored one, and a K below 1
+_FAILING_EVAL_FLAGS = {
+    "eval-shots-0": ("oneshot", "--shots", "0"),
+    "eval-shots-1,x": ("oneshot", "--shots", "1,x"),
+    "eval-shots-50": ("oneshot", "--shots", "50"),
+    "eval-k-list-0": ("retrieval", "--k-list", "0"),
+}
+
+
+def _failing_argv(case, data_dir, tmp_path):
+    """``case``'s command with one input that fails its check: a missing directory, weights for two parts,
+    or a flag of `_FAILING_EVAL_FLAGS`."""
+    if case == "train-parts":
         return ["train-parts", "--dataset", str(data_dir / "index.tsv"), "--features", str(tmp_path / "missing")]
-    if command == "learn-weights":
+    if case == "learn-weights":
         return ["learn-weights", "--tables", str(tmp_path / "missing")]
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    if case in _FAILING_EVAL_FLAGS:
+        protocol, flag, value = _FAILING_EVAL_FLAGS[case]
+        return ["eval", "--protocol", protocol, *data, flag, value]
     weights = tmp_path / "weights.tsv"
     weights.write_text("0\t1.0\n1\t1.0\nbias\t0.0\n")
-    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
     return ["eval", "--protocol", "recognition", *data, "--weights", str(weights)]
 
 
 # match's case is test_match_rejects_detections_of_photos_the_index_lacks
-@pytest.mark.parametrize("command", ["train-parts", "learn-weights", "eval"])
-def test_failed_command_leaves_no_out_directory(data_dir, tmp_path, capsys, command):
+@pytest.mark.parametrize("case", ["train-parts", "learn-weights", "eval", *_FAILING_EVAL_FLAGS])
+def test_failed_command_leaves_no_out_directory(data_dir, tmp_path, capsys, case):
     out = tmp_path / "out"
-    assert main([*_failing_argv(command, data_dir, tmp_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main([*_failing_argv(case, data_dir, tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_parts_rejects_an_unknown_split(data_dir, tmp_path, capsys):
+    out = tmp_path / "parts"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    assert main(["train-parts", *data, "--split", "nosuch", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown split 'nosuch'; the splits are train, val, test, leftover\n"
     assert not out.exists()
 
 

@@ -29,7 +29,6 @@ from partfusion.protocols import (
     run_retrieval_protocol,
     stratified_half_split,
     train_reference_models,
-    write_report,
 )
 from partfusion.svm import mix_seed, train_multiclass
 from partfusion.synth import SynthConfig, generate, planted_config
@@ -511,6 +510,17 @@ def test_retrieval_protocol_zero_noise_recalls_everything(small_fw):
     assert rep.n_train == len(data.dataset.split_instances("val"))
 
 
+def test_retrieval_protocol_checks_K_before_training(small_fw, monkeypatch):
+    data = generate(replace(SMALL, splits=("val", "test")))  # the reference models would train on val
+
+    def train_folds(*args):
+        raise AssertionError("a reference model was trained")
+
+    monkeypatch.setattr(protocols, "_train_folds", train_folds)
+    with pytest.raises(ValueError, match=r"^recall@K needs every K >= 1, got \[2, 0\]$"):
+        run_retrieval_protocol(data.dataset, data.features, data.registry, small_fw, K_list=(2, 0))
+
+
 def test_embeddings_cluster_by_identity(small_fw):
     data = generate(replace(SMALL, seed=17, noise_sigma=0.3, splits=("val", "test")))
     ref = train_reference_models(data.dataset, data.features, data.registry)
@@ -591,6 +601,11 @@ def test_half_split_training_artifacts(small):
         assert table.P.shape == (len(kept), art.n_identities)
 
 
+def test_half_split_training_rejects_an_unknown_split(small):
+    with pytest.raises(ValueError, match=r"^unknown split 'nosuch'; the splits are train, val, test, leftover$"):
+        half_split_training(small.dataset, small.features, small.registry.part_ids, split="nosuch")
+
+
 def test_learn_fusion_weights_recovers_planted_part():
     cfg = planted_config(2, seed=0, n_identities=10, instances_min=8, instances_max=8)
     data = generate(cfg)
@@ -626,25 +641,6 @@ def test_report_text_round_trip():
         EvalReport("r", "all", 0, 1, 1, 2, accuracy=1.5)
     with pytest.raises(ValueError, match="curve"):
         curve_csv(rep)
-
-
-def test_write_report_emits_curve_csv(tmp_path):
-    rep = EvalReport(
-        protocol="oneshot",
-        component_mask="all",
-        seed=0,
-        n_train=4,
-        n_test=8,
-        n_identities=4,
-        curve=((1.0, 0.5, 0.1), (2.0, 0.75, 0.05)),
-    )
-    text_path = tmp_path / "report.txt"
-    csv_path = tmp_path / "curve.csv"
-    write_report(rep, text_path, csv_path)
-    assert text_path.read_text().startswith("protocol\toneshot\n")
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "x,mean,sigma"
-    assert [float(v) for v in lines[1].split(",")] == [1.0, 0.5, 0.1]
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from partfusion import (
@@ -24,7 +24,6 @@ from partfusion.svm import (
     _NEWTON_MAX_STEPS,
     _row_blocked_scores,
     _row_blocks,
-    _run_sgd,
     _signs,
 )
 
@@ -482,8 +481,11 @@ def _stacked_sgd_step(W, b, Xb, Sb, lam, eta):
     b -= eta * (-coef.sum(axis=1) / n)
 
 
-def _per_step_run_sgd(X, y_pos, n_classes, cfg, batch_size):
-    """The trainer's loop on a one-problem stack, with one gather and one step size per mini-batch."""
+def _per_step_sgd(X, y_pos, n_classes, cfg, batch_size):
+    """`train_multiclass`'s loop on a one-problem stack, with one gather and one step size per mini-batch.
+
+    ``y_pos`` holds each row's class row in [0, ``n_classes``); returns W, b and the objective history.
+    """
     n, d = X.shape
     lam = np.asarray([1.0 / (cfg.C * n)])
     W = np.zeros((1, n_classes, d))
@@ -520,7 +522,7 @@ def _per_step_run_sgd(X, y_pos, n_classes, cfg, batch_size):
 
 
 class TestBlockedLoop:
-    """The trainer's loop equals the per-step oracle bit for bit.
+    """`train_multiclass` equals the per-step oracle bit for bit.
 
     The sizes span up to two blocks of 128 batches, the gather blocks an
     earlier loop split each epoch into, plus a tail.
@@ -529,24 +531,23 @@ class TestBlockedLoop:
     def _case(self, seed, n, d, K, cfg, batch_size):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d))
-        if K > 1:
-            y_pos = np.argmax(X @ rng.normal(size=(d, K)) + rng.normal(0, 0.5, (n, K)), axis=1)
-        else:  # one class row: y_pos 0 marks its positives
-            y_pos = (X[:, 0] + rng.normal(0, 0.5, n) < 0.3).astype(np.int64)
+        labels = np.argmax(X @ rng.normal(size=(d, K)) + rng.normal(0, 0.5, (n, K)), axis=1)
+        labels[rng.choice(n, K, replace=False)] = np.arange(K)  # every one of the K classes has a row
         with mock.patch.object(svm, "_BATCH_SIZE", batch_size):
-            got = _run_sgd(X, y_pos, K, cfg)
-        ref = _per_step_run_sgd(X, y_pos, K, cfg, batch_size)
-        assert np.array_equal(got[0], ref[0])
-        assert np.array_equal(got[1], ref[1])
-        assert len(got[2]) == len(ref[2])
-        for h_got, h_ref in zip(got[2], ref[2]):
+            got = train_multiclass(X, labels, cfg)
+        W, b, history = _per_step_sgd(X, labels, K, cfg, batch_size)
+        assert np.array_equal(got.class_index, np.arange(K))
+        assert np.array_equal(got.W, W)
+        assert np.array_equal(got.b, b)
+        assert len(got.objective_history) == len(history)
+        for h_got, h_ref in zip(got.objective_history, history):
             assert np.array_equal(h_got, h_ref)
-        return ref[2]
+        return history
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
         seed=st.integers(0, 2**16),
-        K=st.integers(1, 3),
+        K=st.integers(2, 3),
         d=st.integers(1, 6),
         batch_size=st.sampled_from([1, 3, 8]),
         blocks=st.integers(0, 2),
@@ -557,6 +558,7 @@ class TestBlockedLoop:
     )
     def test_equals_per_step_loop(self, seed, K, d, batch_size, blocks, extra, epochs, log_c, row_seed):
         n = blocks * 128 * batch_size + extra
+        assume(n >= K)
         cfg = TrainConfig(C=2.0**log_c, epochs=epochs, seed=row_seed)
         self._case(seed, n, d, K, cfg, batch_size)
 
@@ -566,7 +568,7 @@ class TestBlockedLoop:
     def test_production_batches(self, n, K):
         self._case(7, n, 32, K, TrainConfig(C=10.0, epochs=30, seed=4), svm._BATCH_SIZE)
 
-    @pytest.mark.parametrize("K,short", [(1, True), (3, False)])
+    @pytest.mark.parametrize("K,short", [(2, True), (3, False)])
     def test_rolls_back_across_blocks(self, K, short):
         # batches of 8 over two 128-batch spans: short, the second holds 17 rows and ends in a 1-row batch;
         # otherwise both are whole
@@ -580,10 +582,10 @@ def test_sgd_memory_holds_the_signs_the_scores_and_one_batch():
     rng = np.random.default_rng(31)
     n, K, d = 3000, 300, 32
     X = rng.normal(size=(n, d))
-    y_pos = rng.integers(0, K, n)
+    labels = rng.permutation(np.arange(n) % K)  # every one of the K classes has a row
     tracemalloc.start()
     try:
-        _run_sgd(X, y_pos, K, TrainConfig(C=10.0, epochs=1, seed=0))
+        train_multiclass(X, labels, TrainConfig(C=10.0, epochs=1, seed=0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
