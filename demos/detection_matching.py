@@ -43,7 +43,8 @@ for d in detections:
     overlaps = [round(iou(body_from_head(t.head), d.person_box), 3) for t in truths]
     print(f"detection {d.detection_id}: IoU vs truths {overlaps}")
 
-assignment = match_detections(truths, detections, tau_iou=0.3, lam=0.5)
+# a pair needs IoU >= matching.TAU_IOU; matching.LAMBDA_SCORE mixes score and IoU in its weight
+assignment = match_detections(truths, detections)
 print("matched pairs           ", assignment.pairs)
 print("unmatched truths        ", assignment.unmatched_truths)
 print("unmatched detections    ", assignment.unmatched_detections)

@@ -147,6 +147,16 @@ def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} takes comma-separated int values, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative integer, as every seeded generator needs."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _weights_for(args, registry) -> tuple[FusionWeights, list[Path]]:
     if args.weights:
         fw = read_weights(args.weights)
@@ -390,14 +400,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark")
     p.add_argument("--config", default=None, help="JSON config; defaults when omitted")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("match", help="assign detections to ground-truth instances")
     p.add_argument("--dataset", required=True)
     p.add_argument("--detections", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_match)
 
@@ -405,14 +415,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--features", required=True, help="directory of part_*.pfv files and their parts.tsv")
     p.add_argument("--split", default=REFERENCE_SPLIT)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_parts)
 
     p = sub.add_parser("learn-weights", help="learn fusion weights from tables")
     p.add_argument("--tables", required=True, help="train-parts output directory")
     p.add_argument("--clamp", action="store_true", help="clamp weights at zero")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_learn_weights)
 
@@ -442,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k-list", default=_ints_text(DEFAULT_K_LIST), help="comma-separated K of recall@K; taken by retrieval only"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -84,6 +84,9 @@ def read_tsv_rows(path: str | Path, n_fields: int) -> Iterator[tuple[str, list[s
 
 SPLITS = ("train", "val", "test", "leftover")
 GLOBAL_PART_ID = 0
+# Each component a mask may name and the part kind it selects, in the order
+# the ablation reports them; a mask is "all" or a comma list of these.
+COMPONENT_KINDS = {"global": "global", "poselets": "poselet", "face": "face"}
 
 _FEATURE_MAGIC = b"PFV1"
 _FEATURE_HEADER_BYTES = 17  # magic, part_id, d, n, normalization flag
@@ -163,22 +166,16 @@ class PartRegistry:
     def resolve_mask(self, mask: str | None) -> tuple[int, ...]:
         """Turn a component mask like ``"global,poselets"`` into part ids.
 
-        Components are kind names (``global``, ``poselets``, ``face``) or
+        Components are the names of `COMPONENT_KINDS`, or the whole mask is
         ``all``/``None`` for every part.
         """
         if mask is None or mask == "all":
             return self.part_ids
         ids: list[int] = []
-        for name in mask.split(","):
-            name = name.strip()
-            if name == "global":
-                ids.extend(self.ids_of_kind("global"))
-            elif name == "poselets":
-                ids.extend(self.ids_of_kind("poselet"))
-            elif name == "face":
-                ids.extend(self.ids_of_kind("face"))
-            else:
+        for name in (component.strip() for component in mask.split(",")):
+            if name not in COMPONENT_KINDS:
                 raise ValueError(f"unknown mask component: {name!r}")
+            ids.extend(self.ids_of_kind(COMPONENT_KINDS[name]))
         if not ids:
             raise ValueError("component mask selects no parts")
         return tuple(sorted(set(ids)))
@@ -216,7 +213,6 @@ class Dataset:
     """Loaded dataset index with per-split dense identity ids."""
 
     instances: list[Instance]
-    identity_labels: dict[str, tuple[str, ...]]  # split -> label per dense id
 
     def split_instances(self, split: str) -> list[Instance]:
         return [inst for inst in self.instances if inst.split == split]
@@ -226,19 +222,18 @@ def dataset_from_records(records: list[tuple[int, int, int, int, BBox, str, str]
     """The Dataset of raw index records (see `write_index`), sorted by instance id.
 
     Identity ids are re-indexed densely per split, in sorted label order;
-    the original string labels are kept on each instance and in a side map.
+    the original string label is kept on each instance.
     """
     labels_of: dict[str, set[str]] = {}
     for record in records:
         labels_of.setdefault(record[6], set()).add(record[5])
-    identity_labels = {split: tuple(sorted(labels)) for split, labels in labels_of.items()}
-    label_maps = {split: {lab: i for i, lab in enumerate(labels)} for split, labels in identity_labels.items()}
+    label_maps = {split: {lab: i for i, lab in enumerate(sorted(labels))} for split, labels in labels_of.items()}
     instances = [
         Instance(iid, pid, aid, uid, head, label_maps[split][label], split, label)
         for iid, pid, aid, uid, head, label, split in records
     ]
     instances.sort(key=lambda inst: inst.instance_id)
-    return Dataset(instances, identity_labels)
+    return Dataset(instances)
 
 
 def format_num(v: float) -> str:

@@ -3,12 +3,13 @@
 Semantics: among matchings over admissible (truth, detection) edges, take the
 ones of maximum cardinality, among those the maximum total edge weight, and
 among those the lexicographically smallest sorted pair list. An edge is
-admissible iff IoU(body-from-head(truth), detection box) >= tau_iou; its
-weight is lambda * normalized detection score + (1 - lambda) * that IoU,
-with scores min-max normalized per photo (constant scores map to 0.5).
+admissible iff IoU(body-from-head(truth), detection box) >= `TAU_IOU`; its
+weight is `LAMBDA_SCORE` * normalized detection score + (1 - `LAMBDA_SCORE`)
+* that IoU, with scores min-max normalized per photo (constant scores map to
+0.5). Both are module constants that every call reads.
 
 Maximizing cardinality first keeps the matching monotone under admissibility
-tightening (raising tau_iou can only remove pairs, never add them), which a
+tightening (raising `TAU_IOU` can only remove pairs, never add them), which a
 pure maximum-weight objective does not guarantee.
 
 The solver reduces to a rectangular linear sum assignment by adding a
@@ -121,12 +122,7 @@ def normalize_scores(scores: np.ndarray) -> np.ndarray:
     return (scores - lo) / (hi - lo)
 
 
-def _edge_weights(
-    truths: list[Instance],
-    detections: list[Detection],
-    tau_iou: float,
-    lam: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def _edge_weights(truths: list[Instance], detections: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
     """(admissible mask, weight matrix) over truths x detections, id-sorted."""
     n, m = len(truths), len(detections)
     adm = np.zeros((n, m), dtype=bool)
@@ -136,9 +132,9 @@ def _edge_weights(
         body = body_from_head(t.head)
         for j, d in enumerate(detections):
             overlap = iou(body, d.person_box)
-            if overlap >= tau_iou:
+            if overlap >= TAU_IOU:
                 adm[i, j] = True
-                W[i, j] = lam * norm[j] + (1.0 - lam) * overlap
+                W[i, j] = LAMBDA_SCORE * norm[j] + (1.0 - LAMBDA_SCORE) * overlap
     return adm, W
 
 
@@ -283,12 +279,7 @@ def _forced_pairs(adm: np.ndarray, W: np.ndarray) -> list[tuple[int, int]]:
     return forced
 
 
-def match_detections(
-    truths: list[Instance],
-    detections: list[Detection],
-    tau_iou: float = TAU_IOU,
-    lam: float = LAMBDA_SCORE,
-) -> Assignment:
+def match_detections(truths: list[Instance], detections: list[Detection]) -> Assignment:
     """Optimal truth-to-detection assignment for one photo.
 
     Deterministic: among optimal matchings, returns the one whose sorted
@@ -298,13 +289,11 @@ def match_detections(
     edges are disjoint and together form the only optimal matching, which
     forcing would return edge by edge; it is returned without a solve.
     """
-    if not (0.0 <= tau_iou <= 1.0 and 0.0 <= lam <= 1.0):
-        raise ValueError("tau_iou and lambda must lie in [0, 1]")
     truths, detections = _sorted_inputs(truths, detections)
     if not truths or not detections:
         return _assignment_from_pairs([], truths, detections, 0.0)
 
-    adm, W = _edge_weights(truths, detections, tau_iou, lam)
+    adm, W = _edge_weights(truths, detections)
     if adm.sum(axis=0).max() <= 1 and adm.sum(axis=1).max() <= 1:
         forced = np.argwhere(adm).tolist()
     else:
@@ -315,25 +304,18 @@ def match_detections(
     return _assignment_from_pairs(pairs, truths, detections, weight)
 
 
-def match_bruteforce(
-    truths: list[Instance],
-    detections: list[Detection],
-    tau_iou: float = TAU_IOU,
-    lam: float = LAMBDA_SCORE,
-) -> Assignment:
+def match_bruteforce(truths: list[Instance], detections: list[Detection]) -> Assignment:
     """Exhaustive-enumeration oracle with the same semantics as match_detections.
 
     Refuses inputs larger than 8 truths or 8 detections.
     """
     if len(truths) > 8 or len(detections) > 8:
         raise ValueError("match_bruteforce is limited to 8 truths and 8 detections")
-    if not (0.0 <= tau_iou <= 1.0 and 0.0 <= lam <= 1.0):
-        raise ValueError("tau_iou and lambda must lie in [0, 1]")
     truths, detections = _sorted_inputs(truths, detections)
     if not truths or not detections:
         return _assignment_from_pairs([], truths, detections, 0.0)
 
-    adm, W = _edge_weights(truths, detections, tau_iou, lam)
+    adm, W = _edge_weights(truths, detections)
     n, m = adm.shape
     best: dict = {"card": -1, "weight": -1.0, "pairs": None}
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import (
+    COMPONENT_KINDS,
     Dataset,
     FeatureMatrix,
     GLOBAL_PART_ID,
@@ -46,7 +47,6 @@ from .workers import _forked_map
 
 __all__ = [
     "EvalReport",
-    "ReferenceModels",
     "build_identity_embeddings",
     "eval_ablation",
     "eval_faces_split",
@@ -71,8 +71,6 @@ DEFAULT_K_LIST = (1, 2, 5, 10, 20)
 # The one part-SVM setting. `train-parts` and every protocol train with it, so
 # the weights learned on the training tables fit the models each protocol fuses.
 DEFAULT_TRAIN_CFG = TrainConfig(C=10.0, epochs=30)
-# Each ablation mask and the part kind it needs; "all" needs none.
-_ABLATION_MASKS = {"all": None, "global": "global", "poselets": "poselet", "face": "face"}
 # Bytes of one (query block, corpus) float64 array in `_neighbor_identity_flags`.
 _QUERY_BLOCK_BYTES = 1 << 19
 
@@ -320,7 +318,8 @@ class HalfModels:
     on the component mask, ``fill`` or the fusion weights, so one training
     pass serves every scoring of the split. `filled_tables` yields each
     part's filled rows for the whole split, every row from the opposite
-    half's model.
+    half's model. Retrieval's reference models (`train_reference_models`)
+    train one fold alone, on half 0, so they hold ``models[0]`` only.
     """
 
     features: dict[int, FeatureMatrix]  # L2-normalized
@@ -526,19 +525,16 @@ def eval_ablation(
     fw: FusionWeights,
     seed: int = 0,
 ) -> dict[str, EvalReport]:
-    """Recognition accuracy on `EVAL_SPLIT` per component mask: all, global, poselets and face, then no-fill.
+    """Recognition accuracy on `EVAL_SPLIT` per component mask: all, each of `COMPONENT_KINDS`, then no-fill.
 
-    A mask whose part kind the registry lacks is left out (no face part, no
-    ``face`` report). Every part is trained once per half; each mask and the
-    no-fill variant score those same models, so each report equals its own
-    recognition run.
+    A component whose part kind the registry lacks is left out (no face
+    part, no ``face`` report). Every part is trained once per half; each
+    mask and the no-fill variant score those same models, so each report
+    equals its own recognition run.
     """
     trained = half_split_training(dataset, features, registry.part_ids, EVAL_SPLIT, seed)
-    out = {
-        mask: _recognition(trained, registry, fw, None if kind is None else mask, seed, True)
-        for mask, kind in _ABLATION_MASKS.items()
-        if kind is None or registry.ids_of_kind(kind)
-    }
+    masks = ["all", *(mask for mask, kind in COMPONENT_KINDS.items() if registry.ids_of_kind(kind))]
+    out = {mask: _recognition(trained, registry, fw, mask, seed, True) for mask in masks}
     out["no-fill"] = _recognition(trained, registry, fw, None, seed, False)
     return out
 
@@ -556,12 +552,13 @@ def eval_oneshot(
     Per repeat (`ONESHOT_REPEATS` per shot count), identities with at least
     shots+1 instances contribute; the sampled instances train every part's
     SVM and the rest are scored. The curve holds (shots, mean accuracy,
-    sample sigma) per shot count. Every shot count must be at least 1. The
-    (shot count, repeat) runs are independent and spread over workers (see
-    `_forked_map`).
+    sample sigma) per shot count. Every shot count must be at least 1, and
+    no count may be given twice. The (shot count, repeat) runs are
+    independent and spread over workers (see `_forked_map`).
     """
     if not shots or min(shots) < 1:
         raise ValueError(f"one-shot needs shot counts >= 1, got {list(shots)}")
+    _check_distinct("shot count", shots)
     part_ids = registry.part_ids
     features = _normalized(features)
     instances = dataset.split_instances(EVAL_SPLIT)
@@ -610,42 +607,36 @@ def eval_oneshot(
     )
 
 
-@dataclass
-class ReferenceModels:
-    """Part SVMs trained on half 0 of `REFERENCE_SPLIT`, for embeddings."""
-
-    models: dict[int, LinearModel | None]
-    n_identities: int
-
-
 def train_reference_models(
     dataset: Dataset,
     features: dict[int, FeatureMatrix],
     registry: PartRegistry,
     seed: int = 0,
-) -> ReferenceModels:
-    """Train all part SVMs on half 0 of `REFERENCE_SPLIT`'s stratified halves."""
-    split_set = _split_halves(dataset, features, REFERENCE_SPLIT, seed)
-    fold = (split_set.eval_ids(0), (seed, 7))
-    (models,) = _train_folds(registry.part_ids, split_set.features, split_set.label_of, [fold])
-    return ReferenceModels(models, split_set.n_identities)
+) -> HalfModels:
+    """Train all part SVMs on half 0 of `REFERENCE_SPLIT`'s stratified halves; they are ``models[0]``, the one fold."""
+    ref = _split_halves(dataset, features, REFERENCE_SPLIT, seed)
+    fold = (ref.eval_ids(0), (seed, 7))
+    (ref.models[0],) = _train_folds(registry.part_ids, ref.features, ref.label_of, [fold])
+    return ref
 
 
 def build_identity_embeddings(
     ids: np.ndarray,
     features: dict[int, FeatureMatrix],
-    ref: ReferenceModels,
+    ref: HalfModels,
     fw: FusionWeights,
     mask_ids: tuple[int, ...],
 ) -> np.ndarray:
     """(len(ids), reference identities) fused probability rows of the instances, from the masked parts.
 
-    Raw features are L2-normalized first; the reference models must include
-    a trained global model.
+    The rows come from the models of ``ref.models[0]`` (see
+    `train_reference_models`). Raw features are L2-normalized first; the
+    reference models must include a trained global model.
     """
-    if ref.models.get(GLOBAL_PART_ID) is None:
+    models = ref.models[0]
+    if models.get(GLOBAL_PART_ID) is None:
         raise ValueError("reference models must include a trained global model")
-    parts = _part_probabilities(ref.models, _normalized(features), ids, ref.n_identities, mask_ids, fill=True)
+    parts = _part_probabilities(models, _normalized(features), ids, ref.n_identities, mask_ids, fill=True)
     return fuse_matrix(parts, fw)
 
 
@@ -712,9 +703,17 @@ def _neighbor_identity_flags(
     return flags
 
 
+def _check_distinct(name: str, values: tuple[int, ...]) -> None:
+    """Reject a value given twice, naming it: each would add a duplicate curve row."""
+    repeated = next((v for v, count in Counter(values).items() if count > 1), None)
+    if repeated is not None:
+        raise ValueError(f"{name} {repeated} is given more than once in {list(values)}")
+
+
 def _check_K_list(K_list: tuple[int, ...]) -> None:
     if any(int(K) < 1 for K in K_list):
         raise ValueError(f"recall@K needs every K >= 1, got {list(K_list)}")
+    _check_distinct("K", K_list)
 
 
 def eval_retrieval(
@@ -729,8 +728,8 @@ def eval_retrieval(
 
     Queries are the instances whose identity occurs at least twice; the
     corpus is every instance (a query never retrieves itself). Distance ties
-    break toward the lower instance_id. Every K must be at least 1; K beyond
-    the corpus is clamped and flagged.
+    break toward the lower instance_id. Every K must be at least 1, and no K
+    may be given twice; K beyond the corpus is clamped and flagged.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -788,7 +787,8 @@ def run_retrieval_protocol(
     """End-to-end retrieval: reference models on `REFERENCE_SPLIT`, embeddings and recall on `EVAL_SPLIT`.
 
     Raw features are L2-normalized once, here, for both stages. Every K must
-    be at least 1; that is checked before any model is trained.
+    be at least 1, and no K may be given twice; that is checked before any
+    model is trained.
     """
     _check_K_list(K_list)
     features = _normalized(features)

@@ -310,8 +310,6 @@ def train_multiclass(
     if X.ndim != 2 or X.shape[0] != labels.shape[0]:
         raise ValueError("features and labels disagree on row count")
     n, d = X.shape
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
 
     n_classes = class_index.size
     lam = 1.0 / (cfg.C * n)

@@ -89,8 +89,8 @@ def _forked_map(fn: Callable[[J], R], jobs: Sequence[J], costs: Sequence[float])
     through a pipe and exits with ``os._exit``. The parent reads the pipes in share order
     and reaps every worker, killing the ones still running when it leaves
     early (an error, ``KeyboardInterrupt``). A worker's exception is raised
-    again here unchanged; a worker that exits without a result raises
-    `RuntimeError` with its exit status.
+    again here unchanged; a worker that exits without a result (killed, say)
+    raises `ChildProcessError`, an `OSError`, with its exit status.
     """
     jobs = list(jobs)
     if len(costs) != len(jobs):
@@ -121,7 +121,7 @@ def _forked_map(fn: Callable[[J], R], jobs: Sequence[J], costs: Sequence[float])
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             os.close(running.pop(pid))
             if status != 0 or not payload:
-                raise RuntimeError(f"worker process {pid} exited without a result (exit status {status})")
+                raise ChildProcessError(f"worker process {pid} exited without a result (exit status {status})")
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value

@@ -1,4 +1,5 @@
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,20 @@ def finite_floats(min_value=None):
         integral = integral.filter(lambda v: v > min_value)
     floats = st.floats(min_value=min_value, exclude_min=min_value is not None, allow_nan=False, allow_infinity=False)
     return integral | floats
+
+
+@pytest.fixture
+def deadline():
+    """A hang fails the test instead of stalling the suite; forked children drop the alarm."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no result within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from partfusion.data import (
     write_registry,
 )
 from partfusion.fusion import DEFAULT_C_GRID, FusionWeights, read_weights, write_prob_table, write_weights
+from partfusion import protocols
 from partfusion.protocols import eval_recognition, half_split_training, report_text
 
 SMALL_CONFIG = {
@@ -109,7 +111,7 @@ def test_synth_writes_declared_outputs(data_dir):
         assert _sha256(data_dir / rel) == digest
 
     dataset = load_index(data_dir / "index.tsv")
-    assert set(dataset.identity_labels) == {"val", "test"}
+    assert {inst.split for inst in dataset.instances} == {"val", "test"}
 
 
 def test_synth_rerun_is_byte_identical(data_dir, tmp_path):
@@ -717,6 +719,62 @@ def test_failed_command_leaves_no_out_directory(data_dir, tmp_path, capsys, case
     assert main([*_failing_argv(case, data_dir, tmp_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "match", "train-parts", "learn-weights", "eval"])
+def test_seed_must_be_non_negative(data_dir, trained_dir, tmp_path, capsys, command):
+    data = ["--dataset", str(data_dir / "index.tsv")]
+    argv = {
+        "synth": ["synth"],
+        "match": ["match", *data, "--detections", str(data_dir / "detections.tsv")],
+        "train-parts": ["train-parts", *data, "--features", str(data_dir / "features")],
+        "learn-weights": ["learn-weights", "--tables", str(trained_dir)],
+        "eval": ["eval", "--protocol", "recognition", *data, "--features", str(data_dir / "features")],
+    }[command]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "-1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"partfusion {command}: error: argument --seed: must be a non-negative integer, got '-1'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--shots", "2,1,2", "shot count 2 is given more than once in [2, 1, 2]"),
+     ("--k-list", "5,1,5", "K 5 is given more than once in [5, 1, 5]")],
+)
+def test_eval_rejects_a_repeated_list_value(data_dir, tmp_path, capsys, flag, value, message):
+    protocol = "oneshot" if flag == "--shots" else "retrieval"
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    out = tmp_path / "o"
+    assert main(["eval", "--protocol", protocol, *data, flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_killed_worker_ends_the_command_with_an_error_line(data_dir, tmp_path, capsys, monkeypatch, deadline):
+    # three forced workers, so every training job, the killed one too, runs in a forked child
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
+    parent = os.getpid()
+    train = protocols._train_part_model
+
+    def train_or_die(pid, *args):
+        if pid == 1:
+            assert os.getpid() != parent, "the job ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+        return train(pid, *args)
+
+    monkeypatch.setattr(protocols, "_train_part_model", train_or_die)
+    data = ["--dataset", str(data_dir / "index.tsv"), "--features", str(data_dir / "features")]
+    out = tmp_path / "o"
+    assert main(["eval", "--protocol", "recognition", *data, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: worker process \d+ exited without a result \(exit status -9\)\n", err), err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

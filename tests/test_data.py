@@ -95,7 +95,7 @@ class TestIndexFile:
         assert by_id[1].identity == 0 and by_id[1].label == "alice"
         assert by_id[2].identity == 1 and by_id[2].label == "bob"
         assert by_id[4].identity == 0 and by_id[4].label == "carol"
-        assert ds.identity_labels["val"] == ("alice", "bob")
+        assert sorted({(i.identity, i.label) for i in ds.split_instances("val")}) == [(0, "alice"), (1, "bob")]
 
     def test_loader_and_in_memory_builder_agree(self, tmp_path):
         path = tmp_path / "index.tsv"

@@ -2,6 +2,7 @@ import re
 import tempfile
 from itertools import permutations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ from partfusion import (
     normalize_scores,
     write_detections,
 )
+
+
+def _constants(tau_iou, lam=matching.LAMBDA_SCORE):
+    """The matcher's module constants set to one sweep point for the length of a ``with`` block."""
+    return mock.patch.multiple(matching, TAU_IOU=tau_iou, LAMBDA_SCORE=lam)
 
 
 def _truth(iid, x=0.0, y=0.0, w=10.0, h=10.0, photo=1):
@@ -114,10 +120,10 @@ class TestMatchDetections:
         rng = np.random.default_rng(43)
         for _ in range(30):
             truths, dets = _random_photo(rng, max_side=5)
-            sizes = [
-                len(match_detections(truths, dets, tau_iou=tau).pairs)
-                for tau in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-            ]
+            sizes = []
+            for tau in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
+                with _constants(tau):
+                    sizes.append(len(match_detections(truths, dets).pairs))
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     def test_order_invariance(self):
@@ -131,12 +137,6 @@ class TestMatchDetections:
             assert a.pairs == b.pairs
             assert a.unmatched_truths == b.unmatched_truths
             assert a.unmatched_detections == b.unmatched_detections
-
-    def test_bad_tau_rejected(self):
-        with pytest.raises(ValueError):
-            match_detections([], [], tau_iou=1.5)
-        with pytest.raises(ValueError):
-            match_detections([], [], lam=-0.1)
 
     def test_prefers_higher_score_when_iou_equal(self):
         t = _truth(1)
@@ -228,8 +228,9 @@ def _photos(draw):
 @given(photo=_photos())
 def test_matcher_equals_bruteforce_property(photo):
     truths, dets, tau_iou, lam = photo
-    a = match_detections(truths, dets, tau_iou=tau_iou, lam=lam)
-    b = match_bruteforce(truths, dets, tau_iou=tau_iou, lam=lam)
+    with _constants(tau_iou, lam):
+        a = match_detections(truths, dets)
+        b = match_bruteforce(truths, dets)
     assert a == b
     assert a.total_weight == pytest.approx(b.total_weight, abs=1e-9)
 
@@ -441,10 +442,10 @@ class TestDetectionFile:
             load_detections(path)
 
 
-def _forcing_assignment(truths, dets, tau_iou, lam):
+def _forcing_assignment(truths, dets):
     """match_detections through the general forcing path, whatever the photo's shape."""
     truths, dets = matching._sorted_inputs(truths, dets)
-    adm, W = matching._edge_weights(truths, dets, tau_iou, lam)
+    adm, W = matching._edge_weights(truths, dets)
     forced = matching._forced_pairs(adm, W)
     pairs = [(truths[i].instance_id, dets[j].detection_id) for i, j in forced]
     return matching._assignment_from_pairs(pairs, truths, dets, float(sum(W[i, j] for i, j in forced)))
@@ -470,9 +471,9 @@ def _matching_shaped_photo(rng):
     return truths, dets
 
 
-def _is_matching_shaped(truths, dets, tau_iou):
+def _is_matching_shaped(truths, dets):
     truths, dets = matching._sorted_inputs(truths, dets)
-    adm, _ = matching._edge_weights(truths, dets, tau_iou, 0.5)
+    adm, _ = matching._edge_weights(truths, dets)
     return adm.sum(axis=0).max() <= 1 and adm.sum(axis=1).max() <= 1
 
 
@@ -485,17 +486,18 @@ def test_matcher_fast_path_equals_both_oracles():
     for truths, dets, tau_iou in photos:
         if not truths or not dets:
             continue
-        lam = float(rng.uniform(0, 1))
-        a = match_detections(truths, dets, tau_iou=tau_iou, lam=lam)
-        b = match_bruteforce(truths, dets, tau_iou=tau_iou, lam=lam)
-        c = _forcing_assignment(truths, dets, tau_iou, lam)
+        with _constants(tau_iou, float(rng.uniform(0, 1))):
+            a = match_detections(truths, dets)
+            b = match_bruteforce(truths, dets)
+            c = _forcing_assignment(truths, dets)
+            is_shaped = _is_matching_shaped(truths, dets)
         assert a == b == c
         assert a.total_weight == c.total_weight
-        if _is_matching_shaped(truths, dets, tau_iou):
+        if is_shaped:
             shaped += 1
             assert a.total_weight == b.total_weight
         else:
             assert a.total_weight == pytest.approx(b.total_weight, abs=1e-9)
         if tau_iou == 0.0 and len(truths) * len(dets) > 1:
-            assert not _is_matching_shaped(truths, dets, tau_iou)  # a complete graph
+            assert not is_shaped  # a complete graph
     assert 150 <= shaped < 300

@@ -15,7 +15,6 @@ from partfusion.fusion import FusionWeights
 from partfusion.protocols import (
     DEFAULT_TRAIN_CFG,
     EvalReport,
-    ReferenceModels,
     build_identity_embeddings,
     curve_csv,
     eval_ablation,
@@ -171,7 +170,7 @@ def test_recognition_normalizes_raw_features(small, small_fw):
 
 def test_recognition_needs_two_usable_identities():
     instances = [_instance(i, i, f"p{i}") for i in range(1, 4)]
-    dataset = Dataset(instances, {"test": ("p1", "p2", "p3")})
+    dataset = Dataset(instances)
     fm = FeatureMatrix(0, np.arange(1, 4, dtype=np.int64), np.eye(3))
     fw = FusionWeights(np.ones(1))
     registry_data = generate(replace(SMALL, n_identities=2, instances_min=2, instances_max=2, seed=1))
@@ -278,6 +277,12 @@ def test_oneshot_rejects_degenerate_settings(small, small_fw):
             small.dataset, small.features, small.registry, small_fw,
             shots=(50,),
         )
+
+
+def test_oneshot_rejects_a_repeated_shot_count(small, small_fw, monkeypatch):
+    monkeypatch.setattr(protocols, "_forked_map", lambda *args: pytest.fail("a model was trained"))
+    with pytest.raises(ValueError, match=r"^shot count 2 is given more than once in \[2, 1, 2\]$"):
+        eval_oneshot(small.dataset, small.features, small.registry, small_fw, shots=(2, 1, 2))
 
 
 def test_oneshot_n_train_counts_the_largest_shot(small, small_fw):
@@ -388,7 +393,7 @@ def _retrieval_inputs(draw):
     labels = np.asarray(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.int64)
     labels[1] = labels[0]  # at least one identity has queries
     ids = np.asarray(draw(st.permutations(range(100, 100 + 3 * n)))[:n], dtype=np.int64)
-    K_list = tuple(draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=5)))
+    K_list = tuple(draw(st.lists(st.integers(1, n + 3), min_size=1, max_size=5, unique=True)))
     return base[picks], labels, ids, K_list
 
 
@@ -521,6 +526,16 @@ def test_retrieval_protocol_checks_K_before_training(small_fw, monkeypatch):
         run_retrieval_protocol(data.dataset, data.features, data.registry, small_fw, K_list=(2, 0))
 
 
+def test_retrieval_rejects_a_repeated_K(small_fw, monkeypatch):
+    data = generate(replace(SMALL, splits=("val", "test")))
+    monkeypatch.setattr(protocols, "_train_folds", lambda *args: pytest.fail("a reference model was trained"))
+    message = r"^K 5 is given more than once in \[5, 1, 5\]$"
+    with pytest.raises(ValueError, match=message):
+        run_retrieval_protocol(data.dataset, data.features, data.registry, small_fw, K_list=(5, 1, 5))
+    with pytest.raises(ValueError, match=message):
+        eval_retrieval(np.eye(3), np.zeros(3, dtype=int), np.arange(3), K_list=(5, 1, 5))
+
+
 def test_embeddings_cluster_by_identity(small_fw):
     data = generate(replace(SMALL, seed=17, noise_sigma=0.3, splits=("val", "test")))
     ref = train_reference_models(data.dataset, data.features, data.registry)
@@ -552,7 +567,7 @@ def test_embedding_normalizes_raw_features(small_fw):
     assert all(normalized[pid] is fm for pid, fm in protocols._normalized(normalized).items())
 
     ref = train_reference_models(data.dataset, data.features, data.registry)
-    mask = tuple(sorted(ref.models))
+    mask = tuple(sorted(ref.models[0]))
     got = build_identity_embeddings(test_ids, raw, ref, small_fw, mask)
     want = build_identity_embeddings(test_ids, normalized, ref, small_fw, mask)
     assert np.array_equal(got, want)
@@ -579,10 +594,12 @@ def test_retrieval_protocol_normalizes_raw_features_once(small_fw, monkeypatch):
 def test_embedding_requires_global_model(small_fw):
     data = generate(replace(SMALL, splits=("val",)))  # the reference models train on val
     trained = train_reference_models(data.dataset, data.features, data.registry)
-    without_part_0 = {pid: model for pid, model in trained.models.items() if pid != 0}
+    assert set(trained.models) == {0}
+    without_part_0 = {pid: model for pid, model in trained.models[0].items() if pid != 0}
     for models in ({0: None}, without_part_0):
+        ref = replace(trained, models={0: models})
         with pytest.raises(ValueError, match="global model"):
-            build_identity_embeddings(np.asarray([1]), data.features, ReferenceModels(models, 10), small_fw, (0, 1))
+            build_identity_embeddings(np.asarray([1]), data.features, ref, small_fw, (0, 1))
 
 
 def test_half_split_training_artifacts(small):
@@ -686,6 +703,6 @@ def test_scoring_holds_the_global_matrix_the_sum_and_one_part_buffer(trained_60)
         )
         assert peak <= 4 * ids.size * n_y * 8, f"fill={fill}: {peak / (ids.size * n_y * 8):.2f} tables"
     test_ids = np.asarray(sorted(i.instance_id for i in data.dataset.split_instances("test")), dtype=np.int64)
-    ref = ReferenceModels(models, n_y)
+    ref = replace(trained, models={0: models})
     peak = _peak_bytes(lambda: build_identity_embeddings(test_ids, trained.features, ref, fw, part_ids))
     assert peak <= 4 * test_ids.size * n_y * 8, f"{peak / (test_ids.size * n_y * 8):.2f} tables"

@@ -9,18 +9,7 @@ import pytest
 from partfusion.workers import _deal, _forked_map
 
 
-@pytest.fixture(autouse=True)
-def deadline():
-    """A hang fails the test instead of stalling the suite; forked children drop the alarm."""
-
-    def expire(signum, frame):
-        raise TimeoutError("no result within 30 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+pytestmark = pytest.mark.usefixtures("deadline")
 
 
 @pytest.fixture
@@ -135,7 +124,7 @@ def test_worker_exception_arrives_with_type_and_message(three_cpus, open_fds):
     _nothing_left(open_fds)
 
 
-def test_worker_that_dies_gives_runtime_error(three_cpus, open_fds):
+def test_worker_that_dies_gives_child_process_error(three_cpus, open_fds):
     parent = os.getpid()
 
     def die_in_worker(j):
@@ -143,7 +132,7 @@ def test_worker_that_dies_gives_runtime_error(three_cpus, open_fds):
             os._exit(3)
         return j
 
-    with pytest.raises(RuntimeError, match="exit status 3"):
+    with pytest.raises(ChildProcessError, match="exit status 3"):
         _forked_map(die_in_worker, list(range(6)), [1] * 6)
     _nothing_left(open_fds)
 
