@@ -276,11 +276,12 @@ def cmd_train_parts(args) -> int:
     return 0
 
 
-def _read_id_map(path: Path, tables: dict, name: str, n_values: int) -> dict[int, int]:
-    """An ``instance_id<TAB>integer`` file that must cover every table instance.
+def _read_id_map(path: Path, tables: dict, table_files: list[Path], name: str, n_values: int) -> dict[int, int]:
+    """An ``instance_id<TAB>integer`` file that must cover every instance of ``tables``.
 
     Each instance is listed once, with its ``name`` (label or half) in
-    [0, ``n_values``).
+    [0, ``n_values``). An instance it lacks is reported with its table's
+    file, ``table_files[part id]``.
     """
     mapping = {}
     for where, (key, value) in read_tsv_rows(path, 2):
@@ -293,18 +294,18 @@ def _read_id_map(path: Path, tables: dict, name: str, n_values: int) -> dict[int
         if not 0 <= v < n_values:
             raise ValueError(f"{where}: {name} must lie in [0, {n_values}), got {v}")
         mapping[iid] = v
-    for table in tables.values():
-        missing = [i for i in table.instance_ids.tolist() if i not in mapping]
+    for pid, table_path in enumerate(table_files):
+        missing = [i for i in tables[pid].instance_ids.tolist() if i not in mapping]
         if missing:
-            raise ValueError(f"{path}: no row for instance {missing[0]} of part {table.part_id}'s table")
+            raise ValueError(f"{path}: no row for instance {missing[0]} of part {pid}'s table {table_path}")
     return mapping
 
 
 def cmd_learn_weights(args) -> int:
     tables_dir = Path(args.tables)
     tables, table_files = _load_parts(tables_dir / "tables", "part_*.ppt", read_prob_table)
-    labels_of = _read_id_map(tables_dir / "labels.tsv", tables, "label", tables[0].n_identities)
-    halves = _read_id_map(tables_dir / "halves.tsv", tables, "half", 2)
+    labels_of = _read_id_map(tables_dir / "labels.tsv", tables, table_files, "label", tables[0].n_identities)
+    halves = _read_id_map(tables_dir / "halves.tsv", tables, table_files, "half", 2)
     fw, info = learn_weights(tables, labels_of, halves, clamp_nonnegative=args.clamp)
     out = _out_dir(args)
 

@@ -5,9 +5,11 @@ File formats owned here:
 * dataset index: one instance per line, tab-separated, no header, UTF-8;
   fields: instance_id, photo_id, album_id, uploader_id, head x, y, w, h
   (decimal), identity label (string), split name.
-* feature file (binary): magic ``PFV1``, part_id (u32 LE), d (u32 LE),
-  n (u32 LE), normalization flag (u8), then n records of
-  (instance_id u64 LE, d little-endian IEEE-754 float32).
+* binary files (`RecordFormat`), little-endian: a magic, u32 part_id, width
+  and n, then n records, each ending in ``width`` IEEE-754 float32 values.
+  Feature file: ``PFV1``, the header ends in a normalization flag (u8), and
+  a record is (instance_id u64, d float32). Probability table (`fusion`):
+  ``PPT1``, and a record is (instance_id u64, activation flag u8, |Y| float32).
 * parts file (``parts.tsv``, beside a directory's feature files): one part
   per line, in part order, tab-separated, no header, UTF-8; fields:
   part_id, name, kind (``global`` for part 0, then ``poselet`` or ``face``).
@@ -18,9 +20,10 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -87,32 +90,60 @@ GLOBAL_PART_ID = 0
 # Each component a mask may name and the part kind it selects, in the order
 # the ablation reports them; a mask is "all" or a comma list of these.
 COMPONENT_KINDS = {"global": "global", "poselets": "poselet", "face": "face"}
-
-_FEATURE_MAGIC = b"PFV1"
-_FEATURE_HEADER_BYTES = 17  # magic, part_id, d, n, normalization flag
+_T = TypeVar("_T")
 
 
-def require_header(path: str | Path, buf: bytes, n_bytes: int) -> None:
-    """Reject a binary file too short to hold its fixed-size header."""
-    if len(buf) < n_bytes:
-        raise ValueError(f"{path}: truncated header: {len(buf)} bytes, the header needs {n_bytes}")
+@dataclass(frozen=True)
+class RecordFormat:
+    """A binary file: a 4-byte ``magic``, a ``header`` opening with part_id, width and n, then n records."""
+
+    magic: bytes
+    header: struct.Struct
+    fields: tuple[tuple[str, str], ...]  # each record's (name, type); the last one repeats width times
+
+    def record(self, width: int) -> np.dtype:
+        *fixed, (name, kind) = self.fields
+        return np.dtype([*fixed, (name, kind, (width,))])
 
 
-def read_records(path: str | Path, buf: bytes, header_bytes: int, rec: np.dtype, n: int) -> np.ndarray:
-    """The ``n`` fixed-size records of ``rec`` that follow a binary file's header.
+FEATURE_FILE = RecordFormat(b"PFV1", struct.Struct("<IIIB"), (("id", "<u8"), ("x", "<f4")))
+TABLE_FILE = RecordFormat(b"PPT1", struct.Struct("<III"), (("id", "<u8"), ("act", "u1"), ("p", "<f4")))
 
-    A body that is not a whole number of records, or holds another record
-    count than the header's ``n``, raises ValueError naming ``path``.
+
+def read_records(path: str | Path, fmt: RecordFormat, build: Callable[[tuple, np.ndarray], _T]) -> _T:
+    """``build(header, records)`` of a ``fmt`` file, the records a read-only view of its bytes.
+
+    Checks, in order: the magic, the header's length, the record size the
+    header implies (below 2^31 bytes, before numpy builds the record type),
+    and the body's n whole records. Each failure, and a ValueError from
+    ``build``, names ``path``.
     """
-    body_bytes = len(buf) - header_bytes
-    if body_bytes % rec.itemsize:
-        raise ValueError(
-            f"{path}: truncated body: {body_bytes} bytes is not a whole number of {rec.itemsize}-byte records"
-        )
-    body = np.frombuffer(buf, dtype=rec, offset=header_bytes)
-    if body.shape[0] != n:
-        raise ValueError(f"{path}: expected {n} records, found {body.shape[0]}")
-    return body
+    buf, start = Path(path).read_bytes(), 4 + fmt.header.size
+    if buf[:4] != fmt.magic:
+        raise ValueError(f"{path}: bad magic {buf[:4]!r}")
+    if len(buf) < start:
+        raise ValueError(f"{path}: truncated header: {len(buf)} bytes, the header needs {start}")
+    header = fmt.header.unpack_from(buf, 4)
+    size = fmt.record(0).itemsize + np.dtype(fmt.fields[-1][1]).itemsize * header[1]
+    if size >= 2**31:
+        raise ValueError(f"{path}: width {header[1]} makes {size}-byte records, not below 2^31 bytes")
+    body = len(buf) - start
+    if body % size:
+        raise ValueError(f"{path}: truncated body: {body} bytes is not a whole number of {size}-byte records")
+    if body // size != header[2]:
+        raise ValueError(f"{path}: expected {header[2]} records, found {body // size}")
+    try:
+        return build(header, np.frombuffer(buf, dtype=fmt.record(header[1]), offset=start))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def write_records(path: str | Path, fmt: RecordFormat, header: tuple, *columns: np.ndarray) -> None:
+    """Write a ``fmt`` file: ``header``, then its n records, one field per column, cast once into one array."""
+    body = np.empty(header[2], dtype=fmt.record(header[1]))
+    for name, column in zip(body.dtype.names, columns):
+        body[name] = column
+    atomic_write_bytes(path, fmt.magic, fmt.header.pack(*header), body)
 
 
 @dataclass(frozen=True)
@@ -344,10 +375,10 @@ def load_index(path: str | Path) -> Dataset:
     for label, splits in label_splits.items():
         eval_splits = splits & {"train", "val", "test"}
         if len(eval_splits) > 1:
-            raise ValueError(f"identity {label!r} appears in multiple splits: {sorted(eval_splits)}")
+            raise ValueError(f"{path}: identity {label!r} appears in multiple splits: {sorted(eval_splits)}")
     for uid, splits in uploader_splits.items():
         if len(splits) > 1:
-            raise ValueError(f"uploader {uid} spans splits {sorted(splits)}")
+            raise ValueError(f"{path}: uploader {uid} spans splits {sorted(splits)}")
     return dataset_from_records(raw)
 
 
@@ -421,25 +452,12 @@ class FeatureMatrix:
 
 
 def write_features(path: str | Path, fm: FeatureMatrix) -> None:
-    n, d = fm.X.shape
-    header = _FEATURE_MAGIC + struct.pack("<III B", fm.part_id, d, n, 1 if fm.normalized else 0)
-    rec = np.dtype([("id", "<u8"), ("x", "<f4", (d,))])
-    body = np.empty(n, dtype=rec)
-    body["id"] = fm.instance_ids
-    body["x"] = fm.X
-    atomic_write_bytes(path, header, body)
+    write_records(path, FEATURE_FILE, (fm.part_id, fm.dim, len(fm), fm.normalized), fm.instance_ids, fm.X)
 
 
 def read_features(path: str | Path) -> FeatureMatrix:
-    """Read a feature file as stored, with its normalization flag; a broken `FeatureMatrix` rule names ``path``."""
-    buf = Path(path).read_bytes()
-    if buf[:4] != _FEATURE_MAGIC:
-        raise ValueError(f"{path}: bad magic {buf[:4]!r}")
-    require_header(path, buf, _FEATURE_HEADER_BYTES)
-    part_id, d, n, flag = struct.unpack("<III B", buf[4:_FEATURE_HEADER_BYTES])
-    rec = np.dtype([("id", "<u8"), ("x", "<f4", (d,))])
-    body = read_records(path, buf, _FEATURE_HEADER_BYTES, rec, n)
-    try:
-        return FeatureMatrix(part_id, body["id"].astype(np.int64), body["x"].astype(np.float32), bool(flag))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Read a feature file as stored, with its normalization flag; ``X`` is a read-only view of its records.
+
+    A broken `FeatureMatrix` rule names ``path``.
+    """
+    return read_records(path, FEATURE_FILE, lambda h, rec: FeatureMatrix(h[0], rec["id"], rec["x"], bool(h[3])))

@@ -15,23 +15,21 @@ normalization exactly.
 
 File formats owned here:
 
-* probability table (binary): magic ``PPT1``, part_id u32 LE, |Y| u32 LE,
-  n u32 LE; then n rows of (instance_id u64 LE, activation flag u8,
-  |Y| x float32 LE).
+* probability table (``.ppt``): `ProbabilityTable` rows as `data.TABLE_FILE`
+  records, read and written by `data`'s binary codec, which describes them.
 * fusion weights (text): one ``part_id<TAB>weight`` line per part in part_id
   order, then a trailing ``bias<TAB>value`` line. UTF-8, LF.
 """
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_write_bytes, atomic_write_text, read_records, read_tsv_rows, require_header
+from .data import TABLE_FILE, atomic_write_text, read_records, read_tsv_rows, write_records
 from .svm import train_binary
 
 __all__ = [
@@ -51,8 +49,6 @@ __all__ = [
 # The C values weight learning searches: 2^-8, 2^-6, ..., 2^8.
 DEFAULT_C_GRID = tuple(2.0**k for k in range(-8, 9, 2))
 
-_TABLE_MAGIC = b"PPT1"
-_TABLE_HEADER_BYTES = 16  # magic, part_id, n_y, n
 # Rows per step of the elementwise work in `fill_sparsity_rows` and
 # `fuse_matrix`: the step sets only the size of their temporaries.
 _BLOCK_ROWS = 64
@@ -100,13 +96,7 @@ class ProbabilityTable:
 
 def write_prob_table(path: str | Path, table: ProbabilityTable) -> None:
     n, n_y = table.P.shape
-    header = _TABLE_MAGIC + struct.pack("<III", table.part_id, n_y, n)
-    rec = np.dtype([("id", "<u8"), ("act", "u1"), ("p", "<f4", (n_y,))])
-    body = np.empty(n, dtype=rec)
-    body["id"] = table.instance_ids
-    body["act"] = table.activated
-    body["p"] = table.P
-    atomic_write_bytes(path, header, body)
+    write_records(path, TABLE_FILE, (table.part_id, n_y, n), table.instance_ids, table.activated, table.P)
 
 
 def read_prob_table(path: str | Path) -> ProbabilityTable:
@@ -115,17 +105,7 @@ def read_prob_table(path: str | Path) -> ProbabilityTable:
     ``P`` is a read-only view of the file's float32 records, so a read holds
     the file's bytes and no copy of them.
     """
-    buf = Path(path).read_bytes()
-    if buf[:4] != _TABLE_MAGIC:
-        raise ValueError(f"{path}: bad magic {buf[:4]!r}")
-    require_header(path, buf, _TABLE_HEADER_BYTES)
-    part_id, n_y, n = struct.unpack("<III", buf[4:_TABLE_HEADER_BYTES])
-    rec = np.dtype([("id", "<u8"), ("act", "u1"), ("p", "<f4", (n_y,))])
-    body = read_records(path, buf, _TABLE_HEADER_BYTES, rec, n)
-    try:
-        return ProbabilityTable(part_id, body["id"].astype(np.int64), body["p"], body["act"].astype(bool))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_records(path, TABLE_FILE, lambda h, rec: ProbabilityTable(h[0], rec["id"], rec["p"], rec["act"]))
 
 
 def fill_sparsity(

@@ -1,7 +1,9 @@
 """Command-line interface: outputs, manifests, determinism, error paths."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,9 +11,12 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -829,6 +834,21 @@ def test_learn_weights_input_errors_name_the_file(trained_dir, tmp_path, capsys,
     assert re.search(message, err), err
 
 
+def test_a_table_instance_without_a_labels_row_names_the_table(trained_dir, tmp_path, capsys):
+    tables = tmp_path / "parts"
+    shutil.copytree(trained_dir, tables)
+    table = tables / "tables" / "part_002.ppt"
+    data = bytearray(table.read_bytes())
+    data[16 + 4] ^= 1  # bit 32 of the first record's instance id
+    table.write_bytes(data)
+    iid = int.from_bytes(data[16:24], "little")
+    out = tmp_path / "w"
+    assert main(["learn-weights", "--tables", str(tables), "--out", str(out)]) == 1
+    labels = tables / "labels.tsv"
+    assert capsys.readouterr().err == f"error: {labels}: no row for instance {iid} of part 2's table {table}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -1080,3 +1100,96 @@ def test_readme_names_exactly_the_parser_flags():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
     assert sorted(flags - named) == [], "flags README does not document"
     assert sorted(named - flags) == [], "flags README names that the parser lacks"
+
+
+FUZZ_CONFIG = dict(SMALL_CONFIG, n_identities=6, instances_min=4, instances_max=4, feature_dim=4, seed=23)
+
+# Each command the fuzz runs: its arguments but --out, with {root} for the chain's directory, and the
+# files it reads, as globs under {root}.
+_FUZZ_DATA = ["--dataset", "{root}/synth/index.tsv", "--features", "{root}/synth/features"]
+_FUZZ_COMMANDS = {
+    "match": (
+        ["match", "--dataset", "{root}/synth/index.tsv", "--detections", "{root}/synth/detections.tsv"],
+        ["synth/index.tsv", "synth/detections.tsv"],
+    ),
+    "train-parts": (["train-parts", *_FUZZ_DATA, "--split", "val"], ["synth/index.tsv", "synth/features/*"]),
+    "learn-weights": (
+        ["learn-weights", "--tables", "{root}/parts"],
+        ["parts/tables/*", "parts/labels.tsv", "parts/halves.tsv"],
+    ),
+    "eval": (
+        ["eval", "--protocol", "recognition", *_FUZZ_DATA, "--weights", "{root}/weights/weights.tsv"],
+        ["synth/index.tsv", "synth/features/*", "weights/weights.tsv"],
+    ),
+}
+_FIELD_VALUES = ["", "x", "-1", "0", "1", "2", "0.5", "nan", "inf", "1e400", str(2**64), "val", "test", "face", "bias"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """A tiny chain: synth's files, train-parts' tables on val and the weights learn-weights fits on them."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    cfg = _write_config(root, FUZZ_CONFIG)
+    assert main(["synth", "--config", str(cfg), "--out", str(root / "synth")]) == 0
+    for name in ("train-parts", "learn-weights"):
+        args = [arg.format(root=root) for arg in _FUZZ_COMMANDS[name][0]]
+        assert main([*args, "--out", str(root / ("parts" if name == "train-parts" else "weights"))]) == 0
+    return root
+
+
+@st.composite
+def _mutation(draw, data: bytes, binary_header: int | None):
+    """One mutation of a file's bytes: a cut, a flipped header bit, or a dropped, doubled or edited line."""
+    kinds = ["truncate", "flip"] if binary_header else ["truncate", "drop", "duplicate", "replace", "swap"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "flip":
+        bit = draw(st.integers(0, 8 * binary_header - 1))
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        return bytes(flipped)
+    lines = data.decode("utf-8").splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        fields = lines[k].split("\t")
+        i, j = draw(st.integers(0, len(fields) - 1)), draw(st.integers(0, len(fields) - 1))
+        if kind == "replace":
+            other = lines[draw(st.integers(0, len(lines) - 1))].split("\t")
+            fields[i] = draw(st.sampled_from([*_FIELD_VALUES, *other[i : i + 1]]))
+        else:
+            fields[i], fields[j] = fields[j], fields[i]
+        lines[k] = "\t".join(fields)
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(sorted(_FUZZ_COMMANDS)), data=st.data())
+def test_a_mutated_input_fails_in_one_line_that_names_an_input(fuzz_root, command, data):
+    """A command given one mutated input file exits 0, or exits 1 with one ``error:`` line and no --out.
+
+    The line names one of the command's input files or directories.
+    """
+    argv, globs = _FUZZ_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "chain"
+        shutil.copytree(fuzz_root, root)
+        inputs = sorted(path for pattern in globs for path in root.glob(pattern))
+        target = data.draw(st.sampled_from(inputs), label="file")
+        header = {".pfv": 17, ".ppt": 16}.get(target.suffix)
+        target.write_bytes(data.draw(_mutation(target.read_bytes(), header), label="mutated"))
+        out = root / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = main([*(arg.format(root=root) for arg in argv), "--out", str(out)])
+        if rc == 0:
+            return
+        err = stderr.getvalue()
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        named = [*inputs, *(Path(arg.format(root=root)) for arg in argv if arg.startswith("{root}"))]
+        assert any(str(path) in err for path in named), err
+        assert not out.exists()

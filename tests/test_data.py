@@ -2,6 +2,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from partfusion import (
     write_registry,
 )
 from partfusion.data import SPLITS, PartInfo, PartRegistry, atomic_write_bytes, dataset_from_records
+from partfusion.fusion import ProbabilityTable, read_prob_table, write_prob_table
 from partfusion.protocols import _train_part_model
 
 
@@ -395,6 +397,74 @@ class TestFeatureMatrix:
         path.write_bytes(whole[:-record])
         with pytest.raises(ValueError, match=re.escape(f"{path}: expected 2 records, found 1")):
             read_features(path)
+
+    def test_read_holds_the_file_and_one_id_column(self, tmp_path):
+        # A 40,000 x 32 part; the returned X is a read-only view of the file's float32 records.
+        rng = np.random.default_rng(27)
+        path = tmp_path / "part_004.pfv"
+        write_features(path, FeatureMatrix(4, np.arange(40000) * 3 + 1, rng.normal(size=(40000, 32))))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            fm = read_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * size, f"peak {peak / size:.2f} files"
+        rec = np.dtype([("id", "<u8"), ("x", "<f4", (32,))])
+        assert fm.X.dtype == np.float32 and not fm.X.flags.writeable
+        assert fm.X.tobytes() == np.frombuffer(path.read_bytes(), dtype=rec, offset=17)["x"].tobytes()
+
+
+# Each binary format: (write a two-record file of width 3, read, header bytes).
+_BINARY_FORMATS = {
+    "pfv": (lambda path: write_features(path, FeatureMatrix(3, np.array([1, 2]), np.ones((2, 3)))), read_features, 17),
+    "ppt": (
+        lambda path: write_prob_table(path, ProbabilityTable(3, [1, 2], np.full((2, 3), 1 / 3), [True, False])),
+        read_prob_table,
+        16,
+    ),
+}
+
+
+def _empty_with_width(whole: bytes, header_bytes: int, width: int) -> bytes:
+    """A binary file's header with ``width`` and n = 0, and no body."""
+    return whole[:8] + struct.pack("<II", width, 0) + whole[16:header_bytes]
+
+
+@pytest.mark.parametrize("suffix", sorted(_BINARY_FORMATS))
+def test_every_header_bit_flip_reads_or_names_the_path(tmp_path, suffix):
+    write, read, header_bytes = _BINARY_FORMATS[suffix]
+    path = tmp_path / f"part_003.{suffix}"
+    write(path)
+    whole = path.read_bytes()
+    cases = []
+    for bit in range(8 * header_bytes):
+        data = bytearray(whole)
+        data[bit // 8] ^= 1 << bit % 8
+        cases.append((f"bit {bit}", data))
+    # n = 0 and width 2^29: the length is right, so only the record-size check catches it
+    cases.append(("n = 0, width 2^29", _empty_with_width(whole, header_bytes, 2**29)))
+    for case, data in cases:
+        path.write_bytes(data)
+        try:
+            read(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), (case, str(exc))
+
+
+@pytest.mark.parametrize("suffix", sorted(_BINARY_FORMATS))
+def test_the_record_size_limit_is_numpys(tmp_path, suffix):
+    # the widest record numpy can type, 2^29 - 3 float32 values, reads; one more value is rejected by name
+    write, read, header_bytes = _BINARY_FORMATS[suffix]
+    path = tmp_path / f"part_003.{suffix}"
+    write(path)
+    whole = path.read_bytes()
+    path.write_bytes(_empty_with_width(whole, header_bytes, 2**29 - 3))
+    assert read(path).part_id == 3
+    path.write_bytes(_empty_with_width(whole, header_bytes, 2**29 - 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: width 536870910 makes 21474836"):
+        read(path)
 
 
 class TestCoverage:
